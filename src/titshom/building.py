@@ -13,9 +13,8 @@ from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
-from . import cache
-from .complexes import ChainComplexZ, assemble_complex, cycle_space
-from .errors import BudgetExceeded, NotSpanning
+from .complexes import ChainComplexZ, add_term, assemble_complex, cycle_space
+from .errors import BudgetExceeded, FieldTooLarge, NotSpanning
 from .fqfield import FieldTable, field
 from .intmat import SparseIntMatrix
 from .snf import LatticeSolver
@@ -136,24 +135,18 @@ def span_vectors(ft: FieldTable, basis: Subspace) -> frozenset[Vector]:
     return frozenset(out)
 
 
-def subspaces(n: int, q: int, d: int, max_q: int = DEFAULT_MAX_Q) -> list[Subspace]:
+def subspaces(n: int, q: int, d: int) -> list[Subspace]:
     """All d-dimensional subspaces of F_q^n as canonical echelon bases.
 
     Enumerates pivot column choices, then free entries; each subspace
     appears exactly once, in a deterministic order.
     """
-    if q > max_q:
-        from .errors import FieldTooLarge
-
-        raise FieldTooLarge(f"q = {q} exceeds the configured bound {max_q}")
+    if q > DEFAULT_MAX_Q:
+        raise FieldTooLarge(f"q = {q} exceeds the bound {DEFAULT_MAX_Q}")
     if d < 0 or d > n:
         return []
     if d == 0:
         return [()]
-    key = f"sub-n{n}-q{q}-d{d}"
-    cached = cache.get_json(key)
-    if cached is not None:
-        return [tuple(tuple(row) for row in sub) for sub in cached]
     out: list[Subspace] = []
     for pivots in combinations(range(n), d):
         pivot_set = set(pivots)
@@ -170,21 +163,18 @@ def subspaces(n: int, q: int, d: int, max_q: int = DEFAULT_MAX_Q) -> list[Subspa
             for (i, j), v in zip(free_pos, values):
                 rows[i][j] = v
             out.append(tuple(tuple(r) for r in rows))
-    cache.put_json(key, [[list(row) for row in sub] for sub in out])
     return out
 
 
 # -- the building ------------------------------------------------------------
 
 
-def building_complex(
-    n: int, q: int, budget: int = DEFAULT_CELL_BUDGET, max_q: int = DEFAULT_MAX_Q
-) -> ChainComplexZ:
+def building_complex(n: int, q: int, budget: int = DEFAULT_CELL_BUDGET) -> ChainComplexZ:
     """Reduced flag complex of proper nonzero subspaces of F_q^n."""
     ft = field(q)
     verts: list[Subspace] = []
     for d in range(1, n):
-        verts.extend(subspaces(n, q, d, max_q=max_q))
+        verts.extend(subspaces(n, q, d))
     vecs = {v: span_vectors(ft, v) for v in verts}
 
     def contains(big: Subspace, small: Subspace) -> bool:
@@ -313,10 +303,7 @@ def apartment_class_fq(st: StModel, g: Matrix) -> dict[int, int]:
         for j in range(n - 1):
             sofar.append(cols[perm[j]])
             flag.append(rref(ft, sofar))
-        idx = st.chamber_index[tuple(flag)]
-        chain[idx] = chain.get(idx, 0) + sign
-        if not chain[idx]:
-            del chain[idx]
+        add_term(chain, st.chamber_index[tuple(flag)], sign)
     return chain
 
 

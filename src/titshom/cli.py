@@ -2,7 +2,10 @@
 
 Every subcommand prints a human-readable verdict and exits 0 only when all
 checks pass. `--report PATH` writes the byte-stable JSON form; config files
-are key=value lines whose values lose to explicit flags.
+are key=value lines whose values lose to explicit flags. `suite NAME` runs
+any registered suite; the alias subcommands (`building`, `bar`, `rank2`,
+`bykovskii`, `barset`) run one suite each and are generated, with their
+options, from the tables below.
 """
 
 from __future__ import annotations
@@ -49,7 +52,26 @@ def _suite_params(config: dict, **flags) -> dict:
     return params
 
 
-_PARAM_KEYS = {"n", "q", "seed", "budget", "count", "bases", "shape"}
+# suite parameter -> its command-line option; every one is also a config key
+_PARAM_OPTIONS = {
+    "n": dict(type=int, help="Ambient rank, or the largest label count (barset)."),
+    "q": dict(type=int, help="Field size."),
+    "seed": dict(type=int, help="Random seed."),
+    "budget": dict(type=int, help="Cell budget."),
+    "count": dict(type=int, help="Random instances."),
+    "bases": dict(type=int, help="Random bases per rank."),
+    "shape": dict(type=str, help="One augmentation shape tag, or 'all'."),
+}
+_PARAM_KEYS = tuple(_PARAM_OPTIONS)
+
+# alias subcommand (a name in reports.SUITES) -> (help, the parameters it takes)
+_ALIASES = {
+    "building": ("Top-homology rank and unipotent basis checks for one (n, q).", ("n", "q")),
+    "bar": ("Exactness of the ordered-decomposition complex for one (n, q).", ("n", "q", "budget")),
+    "rank2": ("Rank-2 chamber pairing surjectivity for one q.", ("q",)),
+    "bykovskii": ("Presentation relations: deletion images vanish exactly.", ("seed", "bases")),
+    "barset": ("Restricted partition complexes are spheres; oracle cross-check.", ("n", "seed", "count")),
+}
 
 
 def _print_report(rep: reports.SuiteReport) -> None:
@@ -73,12 +95,23 @@ def _finish(rep: reports.SuiteReport, report: str | None, csv: str | None, stabl
 
 
 def _run(name: str, params: dict, report: str | None, csv: str | None = None,
-         stable: bool = False, workers: int = 1) -> None:
+         stable: bool = False) -> None:
     try:
-        rep = reports.run_suite(name, params, workers=workers)
+        rep = reports.run_suite(name, params)
+    except UnknownSuite as exc:
+        raise click.UsageError(str(exc))
     except TitshomError as exc:
         raise click.ClickException(str(exc))
     _finish(rep, report, csv, stable)
+
+
+def _param_options(keys):
+    """Decorator adding one `--KEY` option per suite parameter."""
+    def decorate(fn):
+        for key in reversed(keys):
+            fn = click.option(f"--{key}", default=None, **_PARAM_OPTIONS[key])(fn)
+        return fn
+    return decorate
 
 
 report_option = click.option("--report", type=click.Path(dir_okay=False), default=None,
@@ -92,39 +125,6 @@ config_option = click.option("--config", type=click.Path(exists=True, dir_okay=F
 @click.group()
 def main() -> None:
     """Exact homology checks for buildings, partition complexes, and bounds."""
-
-
-@main.command()
-@click.option("--n", type=int, default=None, help="Ambient rank.")
-@click.option("--q", type=int, default=None, help="Field size.")
-@report_option
-@stable_option
-@config_option
-def building(n, q, report, stable_timings, config):
-    """Top-homology rank and unipotent basis checks for one (n, q)."""
-    _run("building", _suite_params(_read_config(config), n=n, q=q), report, stable=stable_timings)
-
-
-@main.command()
-@click.option("--n", type=int, default=None)
-@click.option("--q", type=int, default=None)
-@click.option("--budget", type=int, default=None)
-@report_option
-@stable_option
-@config_option
-def bar(n, q, budget, report, stable_timings, config):
-    """Exactness of the ordered-decomposition complex for one (n, q)."""
-    _run("bar", _suite_params(_read_config(config), n=n, q=q, budget=budget), report, stable=stable_timings)
-
-
-@main.command()
-@click.option("--q", type=int, default=None)
-@report_option
-@stable_option
-@config_option
-def rank2(q, report, stable_timings, config):
-    """Rank-2 chamber pairing surjectivity for one q."""
-    _run("rank2", _suite_params(_read_config(config), q=q), report, stable=stable_timings)
 
 
 _GROUP_RE = re.compile(r"(gl|sl|borel)\((\d+),(\d+)\)\Z")
@@ -180,24 +180,16 @@ def _parse_symbol(text: str) -> tuple[tuple[int, ...], ...]:
 
 
 def _reduce_one(vectors) -> dict:
-    sym = zsymbols.ApartmentSymbol.from_vectors(vectors)
-    terms = zsymbols.ash_rudolph(sym)
-    unimodular = all(t.det() in (1, -1) for _, t in terms)
-    lhs = zsymbols.apartment_eval(sym)
-    rhs: dict = {}
-    for coeff, term in terms:
-        for key, v in zsymbols.apartment_eval(term).items():
-            rhs[key] = rhs.get(key, 0) + coeff * v
-    matches = lhs == {k: v for k, v in rhs.items() if v}
+    red = zsymbols.reduce_and_verify(vectors)
     return {
         "input": [list(v) for v in vectors],
         "terms": [
             {"coeff": coeff, "vectors": [list(v) for v in term.lines]}
-            for coeff, term in terms
+            for coeff, term in red.terms
         ],
-        "unimodular": unimodular,
-        "evaluation_matches": matches,
-        "verified": unimodular and matches,
+        "unimodular": not red.not_unimodular,
+        "evaluation_matches": red.evaluation_matches,
+        "verified": red.verified,
     }
 
 
@@ -225,31 +217,6 @@ def reduce(symbol, batch, report):
         Path(report).write_text(json.dumps(results, sort_keys=True) + "\n")
     if not all(r["verified"] for r in results):
         sys.exit(1)
-
-
-@main.command()
-@click.option("--seed", type=int, default=None)
-@click.option("--bases", type=int, default=None, help="Random bases per rank.")
-@report_option
-@stable_option
-@config_option
-def bykovskii(seed, bases, report, stable_timings, config):
-    """Presentation relations: deletion images vanish exactly."""
-    _run("bykovskii", _suite_params(_read_config(config), seed=seed, bases=bases),
-         report, stable=stable_timings)
-
-
-@main.command()
-@click.option("--n", type=int, default=None, help="Largest label count checked exhaustively.")
-@click.option("--seed", type=int, default=None)
-@click.option("--count", type=int, default=None, help="Random larger instances.")
-@report_option
-@stable_option
-@config_option
-def barset(n, seed, count, report, stable_timings, config):
-    """Restricted partition complexes are spheres; oracle cross-check."""
-    _run("barset", _suite_params(_read_config(config), n=n, seed=seed, count=count),
-         report, stable=stable_timings)
 
 
 @main.command()
@@ -311,31 +278,30 @@ def bounds(descriptor, mode):
 
 @main.command()
 @click.argument("name")
-@click.option("--n", type=int, default=None)
-@click.option("--q", type=int, default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--budget", type=int, default=None)
-@click.option("--count", type=int, default=None)
-@click.option("--shape", default=None)
-@click.option("--workers", type=int, default=None, help="Parallel check workers.")
+@_param_options(_PARAM_KEYS)
 @click.option("--csv", type=click.Path(dir_okay=False), default=None,
               help="Write the flat CSV projection here.")
 @report_option
 @stable_option
 @config_option
-def suite(name, n, q, seed, budget, count, shape, workers, csv, report, stable_timings, config):
+def suite(name, csv, report, stable_timings, config, **flags):
     """Run one registered check suite by name."""
-    cfg = _read_config(config)
-    if workers is None:
-        workers = cfg.get("workers", 1) if isinstance(cfg.get("workers", 1), int) else 1
-    params = _suite_params(cfg, n=n, q=q, seed=seed, budget=budget, count=count, shape=shape)
-    try:
-        rep = reports.run_suite(name, params, workers=workers)
-    except UnknownSuite as exc:
-        raise click.UsageError(str(exc))
-    except TitshomError as exc:
-        raise click.ClickException(str(exc))
-    _finish(rep, report, csv, stable_timings)
+    _run(name, _suite_params(_read_config(config), **flags), report, csv, stable_timings)
+
+
+def _add_alias(name: str, help_text: str, keys: tuple[str, ...]) -> None:
+    @_param_options(keys)
+    @report_option
+    @stable_option
+    @config_option
+    def alias(report, stable_timings, config, **flags):
+        _run(name, _suite_params(_read_config(config), **flags), report, stable=stable_timings)
+
+    main.command(name, help=help_text)(alias)
+
+
+for _name, (_help, _keys) in _ALIASES.items():
+    _add_alias(_name, _help, _keys)
 
 
 if __name__ == "__main__":

@@ -93,6 +93,26 @@ class ChainComplexZ:
         return maps
 
 
+def add_term(chain: dict, key, coeff: int) -> None:
+    """Add coeff * key to a sparse chain, dropping the key when it cancels."""
+    if not coeff:
+        return
+    new = chain.get(key, 0) + coeff
+    if new:
+        chain[key] = new
+    else:
+        del chain[key]
+
+
+def linear_extend(chain: dict, op: Callable[[Label], dict]) -> dict:
+    """Sum of coeff * op(key) over the chain, as a sparse chain."""
+    out: dict = {}
+    for key, coeff in chain.items():
+        for sub, c in op(key).items():
+            add_term(out, sub, coeff * c)
+    return out
+
+
 def assemble_complex(
     bases: dict[int, list[Label]],
     rule: Callable[[int, Label], Iterable[tuple[int, Label]]],
@@ -120,12 +140,7 @@ def assemble_complex(
                     r = lower[low]
                 except KeyError:
                     raise KeyError(f"boundary of {lab!r} hits unknown generator {low!r}") from None
-                row = mat.rows[r]
-                w = row.get(col, 0) + coeff
-                if w:
-                    row[col] = w
-                elif col in row:
-                    del row[col]
+                add_term(mat.rows[r], col, coeff)
         boundary[d] = mat
     cx = ChainComplexZ(bases, boundary)
     if check:
@@ -152,9 +167,9 @@ def homology(cx: ChainComplexZ, d: int, ring: CoefficientRing = ZZ) -> HomologyG
     dn = cx.boundary_at(d)
     up = cx.boundary_at(d + 1) if (d + 1) in cx.basis else SparseIntMatrix(cx.dim(d), 0)
     if ring.tag == "ZZ":
-        betti = nullity(dn) - rank(up)
-        torsion = tuple(t for t in smith_normal_form(up).divisors if t > 1)
-        return HomologyGroup(betti, torsion)
+        res = smith_normal_form(up)
+        torsion = tuple(t for t in res.divisors if t > 1)
+        return HomologyGroup(nullity(dn) - res.rank, torsion)
     betti = nullity(dn, ring) - rank(up, ring)
     return HomologyGroup(betti, ())
 

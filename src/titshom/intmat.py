@@ -176,23 +176,6 @@ class SparseIntMatrix:
                     del trow[c]
         return out
 
-    def hstack(self, other: "SparseIntMatrix") -> "SparseIntMatrix":
-        if self.n_rows != other.n_rows:
-            raise ValueError("row mismatch in hstack")
-        out = self.copy()
-        out.n_cols = self.n_cols + other.n_cols
-        off = self.n_cols
-        for r, row in enumerate(other.rows):
-            for c, v in row.items():
-                out.rows[r][c + off] = v
-        return out
-
-    def vstack(self, other: "SparseIntMatrix") -> "SparseIntMatrix":
-        if self.n_cols != other.n_cols:
-            raise ValueError("col mismatch in vstack")
-        rows = [dict(row) for row in self.rows] + [dict(row) for row in other.rows]
-        return SparseIntMatrix(self.n_rows + other.n_rows, self.n_cols, rows)
-
     def submatrix(self, row_ids: list[int], col_ids: list[int]) -> "SparseIntMatrix":
         cmap = {c: j for j, c in enumerate(col_ids)}
         out = SparseIntMatrix(len(row_ids), len(col_ids))

@@ -17,10 +17,12 @@ from itertools import combinations, permutations, product
 from .complexes import (
     ChainComplexZ,
     HomologyGroup,
+    add_term,
     assemble_complex,
     canonical_generator,
     cycle_space,
     homology_profile,
+    linear_extend,
 )
 from .errors import (
     BudgetExceeded,
@@ -105,17 +107,7 @@ def zcomplex(labels, restriction=()) -> ZSetComplex:
     for gens in bases.values():
         gens.sort()
 
-    def rule(degree: int, lab):
-        if degree == -1:
-            return []
-        out = []
-        for j in range(len(lab) - 1):
-            merged = canonical_generator(lab[j] + lab[j + 1])
-            key = lab[:j] + (merged.tokens,) + lab[j + 2 :]
-            out.append(((-1) ** j * merged.sign, key))
-        return out
-
-    cx = assemble_complex(bases, rule)
+    cx = assemble_complex(bases, _merge_rule)
     return ZSetComplex(labels, rsets, units, d, cx)
 
 
@@ -206,21 +198,15 @@ def zcomplex_poset_iso(zc: ZSetComplex) -> dict:
             through: dict[int, int] = {}
             for i, v in bz_cols[col].items():
                 e2, ch2 = phi(z_labels[i])
-                wi = w_index[ch2]
-                through[wi] = through.get(wi, 0) + e2 * v
-            through = {k: v for k, v in through.items() if v}
+                add_term(through, w_index[ch2], e2 * v)
             if through != wcol:
                 raise IdentityViolation(f"poset map fails to commute at {lab}")
     return {d: zc.cx.dim(d) for d in zc.cx.degrees}
 
 
-def zcomplex_homology_profile(zc: ZSetComplex) -> dict[int, HomologyGroup]:
-    return homology_profile(zc.cx)
-
-
 def zcomplex_is_spherical(zc: ZSetComplex) -> bool:
     """Z in degree d-2 and zero elsewhere, torsion-free throughout."""
-    prof = zcomplex_homology_profile(zc)
+    prof = homology_profile(zc.cx)
     for deg, h in prof.items():
         want = 1 if deg == zc.d - 2 else 0
         if h.betti != want or h.torsion:
@@ -304,17 +290,7 @@ def x_localized(lines, q: int | None = None) -> ChainComplexZ:
     for gens in bases.values():
         gens.sort()
 
-    def rule(degree: int, lab):
-        if degree == -1:
-            return []
-        out = []
-        for j in range(len(lab) - 1):
-            merged = canonical_generator(lab[j] + lab[j + 1])
-            key = lab[:j] + (merged.tokens,) + lab[j + 2 :]
-            out.append(((-1) ** j * merged.sign, key))
-        return out
-
-    return assemble_complex(bases, rule)
+    return assemble_complex(bases, _merge_rule)
 
 
 # -- formal cell operations (independent of any assembled complex) -------------
@@ -333,16 +309,6 @@ def cell_canonical(blocks) -> tuple[tuple | None, int]:
     return tuple(out), sign
 
 
-def _add_term(acc: dict, key, coeff: int) -> None:
-    if not coeff:
-        return
-    new = acc.get(key, 0) + coeff
-    if new:
-        acc[key] = new
-    else:
-        del acc[key]
-
-
 def block_delta(block: tuple[Vector, ...]) -> dict[tuple[Vector, ...], int]:
     """Deletion differential of one block, keeping only span-preserving terms."""
     mat = SparseIntMatrix.from_dense([list(v) for v in block])
@@ -358,7 +324,7 @@ def block_delta(block: tuple[Vector, ...]) -> dict[tuple[Vector, ...], int]:
         can = canonical_generator(rem)
         if can.is_zero:
             continue
-        _add_term(out, can.tokens, (-1) ** u * can.sign)
+        add_term(out, can.tokens, (-1) ** u * can.sign)
     return out
 
 
@@ -370,8 +336,13 @@ def cell_bar_boundary(cell) -> dict:
         if merged.is_zero:
             continue
         key = cell[:j] + (merged.tokens,) + cell[j + 2 :]
-        _add_term(out, key, (-1) ** j * merged.sign)
+        add_term(out, key, (-1) ** j * merged.sign)
     return out
+
+
+def _merge_rule(degree: int, lab):
+    """`cell_bar_boundary` as an `assemble_complex` rule."""
+    return [(c, key) for key, c in cell_bar_boundary(lab).items()]
 
 
 def cell_delta(cell) -> dict:
@@ -386,17 +357,9 @@ def cell_delta(cell) -> dict:
         sign = (-1) ** prefix
         for sub, c in block_delta(block).items():
             key = cell[:j] + (sub,) + cell[j + 1 :]
-            _add_term(out, key, sign * c)
+            add_term(out, key, sign * c)
         prefix += len(block)
     return out
-
-
-def _compose(op_out: dict, op) -> dict:
-    acc: dict = {}
-    for key, coeff in op_out.items():
-        for sub, c in op(key).items():
-            _add_term(acc, sub, coeff * c)
-    return acc
 
 
 def verify_double_identities(samples: int = 200, seed: int = 0, n_max: int = 5) -> dict:
@@ -412,14 +375,14 @@ def verify_double_identities(samples: int = 200, seed: int = 0, n_max: int = 5) 
         if cell is None:
             continue
         checked += 1
-        dd = _compose(cell_bar_boundary(cell), cell_bar_boundary)
+        dd = linear_extend(cell_bar_boundary(cell), cell_bar_boundary)
         if dd:
             raise IdentityViolation(f"merge differential fails to square to zero at {cell}")
-        qq = _compose(cell_delta(cell), cell_delta)
+        qq = linear_extend(cell_delta(cell), cell_delta)
         if qq:
             raise IdentityViolation(f"deletion differential fails to square to zero at {cell}")
-        ab = _compose(cell_bar_boundary(cell), cell_delta)
-        ba = _compose(cell_delta(cell), cell_bar_boundary)
+        ab = linear_extend(cell_bar_boundary(cell), cell_delta)
+        ba = linear_extend(cell_delta(cell), cell_bar_boundary)
         if ab != ba:
             raise IdentityViolation(f"differentials fail to commute at {cell}")
         if len(cell) >= 2:
@@ -430,11 +393,11 @@ def verify_double_identities(samples: int = 200, seed: int = 0, n_max: int = 5) 
             rhs: dict = {}
             for sub, c in block_delta(left).items():
                 can = canonical_generator(sub + right)
-                _add_term(rhs, can.tokens, c * can.sign)
+                add_term(rhs, can.tokens, c * can.sign)
             sgn = (-1) ** len(left)
             for sub, c in block_delta(right).items():
                 can = canonical_generator(left + sub)
-                _add_term(rhs, can.tokens, sgn * c * can.sign)
+                add_term(rhs, can.tokens, sgn * c * can.sign)
             if lhs != rhs:
                 raise IdentityViolation(f"product rule fails at {cell}")
             leibniz_checked += 1
@@ -559,10 +522,6 @@ def shape_lines(shape: str, n: int, eps, basis=None):
     return tuple(lines), tuple(sorted(groups))
 
 
-def _profile(cx: ChainComplexZ) -> dict[int, HomologyGroup]:
-    return homology_profile(cx)
-
-
 def _class_report(cx: ChainComplexZ, vec: dict[int, int], degree: int) -> dict:
     """Position of a cycle's class in the degree's homology lattice."""
     kernel = cycle_space(cx, degree)
@@ -609,8 +568,8 @@ def _cell_vector(cx: ChainComplexZ, comb: dict, degree: int) -> dict[int, int]:
     index = {lab: i for i, lab in enumerate(cx.basis[degree])}
     out: dict[int, int] = {}
     for key, coeff in comb.items():
-        out[index[key]] = out.get(index[key], 0) + coeff
-    return {k: v for k, v in out.items() if v}
+        add_term(out, index[key], coeff)
+    return out
 
 
 def _eps_patterns(k: int):
@@ -648,8 +607,8 @@ def _claim0_check(n: int) -> dict:
     )
     cx = x_localized(lines, 0)
     zc = zcomplex(range(n), ())
-    prof = _profile(cx)
-    zprof = zcomplex_homology_profile(zc)
+    prof = homology_profile(cx)
+    zprof = homology_profile(zc.cx)
     ranks_match = _same_ranks(cx, zc.cx)
     ok = (
         ranks_match
@@ -681,8 +640,8 @@ def _shape_check(shape: str, n: int, eps) -> dict:
     cx = x_localized(lines, q)
     rsets = [frozenset(g) for g in groups if len(g) > 1]
     zc = zcomplex(range(len(lines)), rsets)
-    prof = _profile(cx)
-    zprof = zcomplex_homology_profile(zc)
+    prof = homology_profile(cx)
+    zprof = homology_profile(zc.cx)
     d = zc.d
     ranks_match = _same_ranks(cx, zc.cx)
     spherical = all(
@@ -712,11 +671,7 @@ def _badcase_check(lines, cx: ChainComplexZ) -> dict:
     plus = ((frame_line,), rest)
     minus = (rest, (frame_line,))
     comb = {plus: 1, minus: -1}
-    bd: dict = {}
-    for key, coeff in comb.items():
-        for sub, c in cell_bar_boundary(key).items():
-            _add_term(bd, sub, coeff * c)
-    if bd:
+    if linear_extend(comb, cell_bar_boundary):
         raise CertificateFailure("badcase generator is not a cycle")
     vec = _cell_vector(cx, comb, 0)
     return _class_report(cx, vec, 0)
@@ -756,7 +711,7 @@ def kappa_eta_certificate(basis=None, eps=(1, 1, 1), eta_comb=None) -> dict:
         comb: dict = {}
         for coeff, first_alone, block in parts:
             key, sign = two_block(first_alone, block)
-            _add_term(comb, key, coeff * sign)
+            add_term(comb, key, coeff * sign)
         return comb
 
     eta = (
@@ -766,24 +721,14 @@ def kappa_eta_certificate(basis=None, eps=(1, 1, 1), eta_comb=None) -> dict:
     )
     kappa = cycle_of([(1, False, core), (-1, True, core)])
 
-    def bar_of(comb) -> dict:
-        out: dict = {}
-        for key, coeff in comb.items():
-            for sub, c in cell_bar_boundary(key).items():
-                _add_term(out, sub, coeff * c)
-        return out
-
-    if bar_of(kappa):
+    if linear_extend(kappa, cell_bar_boundary):
         raise CertificateFailure("boundary-kappa")
     steps.append("boundary-kappa")
-    if bar_of(eta):
+    if linear_extend(eta, cell_bar_boundary):
         raise CertificateFailure("boundary-eta")
     steps.append("boundary-eta")
 
-    delta_eta: dict = {}
-    for key, coeff in eta.items():
-        for sub, c in cell_delta(key).items():
-            _add_term(delta_eta, sub, coeff * c)
+    delta_eta = linear_extend(eta, cell_delta)
 
     groups = [kappa]
     for u in range(4):
@@ -794,13 +739,13 @@ def kappa_eta_certificate(basis=None, eps=(1, 1, 1), eta_comb=None) -> dict:
     total: dict = {}
     for grp in groups:
         for key, coeff in grp.items():
-            _add_term(total, key, coeff)
+            add_term(total, key, coeff)
     if total != delta_eta:
         raise CertificateFailure("delta-eta-decomposition")
     steps.append("delta-eta-decomposition")
 
     for idx, grp in enumerate(groups):
-        if bar_of(grp):
+        if linear_extend(grp, cell_bar_boundary):
             raise CertificateFailure(f"boundary-kappa-{idx + 1}")
     steps.append("boundary-kappa-groups")
 

@@ -1,10 +1,9 @@
 """Check suites and byte-stable reports.
 
 A suite is a named list of checks; each check freezes an expected value and
-computes an actual one, passing only on exact equality. Checks may run in a
-worker pool, but results are assembled in declaration order so a report's
-bytes depend only on its parameters (elapsed times can be zeroed for
-byte-identical comparisons).
+computes an actual one, passing only on exact equality. Checks run one after
+another in declaration order, so a report's bytes depend only on its
+parameters (elapsed times can be zeroed for byte-identical comparisons).
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ import io
 import json
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -115,32 +113,22 @@ def _jsonable(value):
     return str(value)
 
 
-def run_suite(name: str, params: dict | None = None, workers: int = 1) -> SuiteReport:
-    """Execute a registered suite; checks run in a pool, assembly is ordered."""
+def run_suite(name: str, params: dict | None = None) -> SuiteReport:
+    """Execute a registered suite's checks in order."""
     if name not in SUITES:
         raise UnknownSuite(f"no suite named {name!r}; choose from {sorted(SUITES)}")
     params = dict(params or {})
-    specs = SUITES[name](params)
-    results: list[CheckResult | None] = [None] * len(specs)
+    return SuiteReport(name, params, [_execute(spec) for spec in SUITES[name](params)])
 
-    def execute(spec: CheckSpec) -> CheckResult:
-        t0 = time.perf_counter()
-        try:
-            computed = spec.compute()
-        except Exception as exc:  # recorded as a failing check, not a crash
-            computed = f"error: {type(exc).__name__}: {exc}"
-        ms = int(round((time.perf_counter() - t0) * 1000))
-        return CheckResult(spec.claim, spec.description, spec.expected, computed, ms)
 
-    if workers > 1 and len(specs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(execute, s): i for i, s in enumerate(specs)}
-            for fut, i in futures.items():
-                results[i] = fut.result()
-    else:
-        for i, spec in enumerate(specs):
-            results[i] = execute(spec)
-    return SuiteReport(name, params, [r for r in results if r is not None])
+def _execute(spec: CheckSpec) -> CheckResult:
+    t0 = time.perf_counter()
+    try:
+        computed = spec.compute()
+    except Exception as exc:  # recorded as a failing check, not a crash
+        computed = f"error: {type(exc).__name__}: {exc}"
+    ms = int(round((time.perf_counter() - t0) * 1000))
+    return CheckResult(spec.claim, spec.description, spec.expected, computed, ms)
 
 
 # -- the individual suites -----------------------------------------------------
@@ -370,19 +358,10 @@ def _suite_symbols(params: dict) -> list[CheckSpec]:
                 )
                 if any(all(x == 0 for x in v) for v in vectors):
                     continue
-                sym = zsymbols.ApartmentSymbol.from_vectors(vectors)
                 trace: list = []
-                terms = zsymbols.ash_rudolph(sym, trace=trace)
-                for coeff, out in terms:
-                    if abs(out.det()) != 1:
-                        not_unimodular += 1
-                lhs = zsymbols.apartment_eval(sym)
-                rhs: dict = {}
-                for coeff, out in terms:
-                    for key, v in zsymbols.apartment_eval(out).items():
-                        rhs[key] = rhs.get(key, 0) + coeff * v
-                rhs = {k: v for k, v in rhs.items() if v}
-                if lhs != rhs:
+                red = zsymbols.reduce_and_verify(vectors, trace=trace)
+                not_unimodular += red.not_unimodular
+                if not red.evaluation_matches:
                     eval_mismatch += 1
                 if any(child >= parent for parent, child in trace):
                     no_descent += 1

@@ -488,7 +488,6 @@ def is_saturated(a: SparseIntMatrix) -> bool:
     """True iff the column lattice of a is saturated in Z^rows."""
     want = rank(a)
     sat = saturation(a)
-    stacked = a.hstack(sat)
     # equal lattices iff every saturation basis vector solves over a
     solver = LatticeSolver(a)
     return rank(sat) == want and all(solver.solve(col) is not None for col in sat.columns())

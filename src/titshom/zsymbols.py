@@ -17,7 +17,13 @@ from itertools import combinations, permutations, product
 from math import gcd
 
 from .building import perm_sign
-from .complexes import SignedCanonical, ZERO_GENERATOR, canonical_generator
+from .complexes import (
+    SignedCanonical,
+    ZERO_GENERATOR,
+    add_term,
+    canonical_generator,
+    linear_extend,
+)
 from .errors import (
     BadCertificate,
     BudgetExceeded,
@@ -182,11 +188,7 @@ def apartment_eval(symbol) -> dict[Flag, int]:
     for perm in permutations(range(n)):
         sign = perm_sign(perm)
         flag = tuple(span_of(frozenset(perm[: k + 1])) for k in range(n - 1))
-        new = chain.get(flag, 0) + sign
-        if new:
-            chain[flag] = new
-        else:
-            del chain[flag]
+        add_term(chain, flag, sign)
     return chain
 
 
@@ -195,12 +197,7 @@ def flag_chain_boundary(chain: dict[Flag, int]) -> dict[Flag, int]:
     out: dict[Flag, int] = {}
     for flag, coeff in chain.items():
         for j in range(len(flag)):
-            sub = flag[:j] + flag[j + 1 :]
-            new = out.get(sub, 0) + coeff * (-1) ** j
-            if new:
-                out[sub] = new
-            else:
-                del out[sub]
+            add_term(out, flag[:j] + flag[j + 1 :], coeff * (-1) ** j)
     return out
 
 
@@ -211,7 +208,8 @@ def _round_half_toward_zero(p: int, q: int) -> int:
     return (2 * p + q - 1) // (2 * q)
 
 
-def _column_solver(vectors) -> LatticeSolver:
+def _lattice_solver(vectors) -> LatticeSolver:
+    """Solver for the lattice the given independent vectors span."""
     cols = SparseIntMatrix.from_dense([list(v) for v in vectors]).transpose()
     return LatticeSolver(cols)
 
@@ -220,7 +218,7 @@ def _descent_vector(vectors, d: int) -> Vector:
     """Primitive w outside no proper face: the rounded defect of the first
     standard basis vector missing from the symbol's lattice."""
     n = len(vectors)
-    solver = _column_solver(vectors)
+    solver = _lattice_solver(vectors)
     k = next(
         i for i in range(n) if solver.solve({i: 1}) is None
     )  # exists whenever |d| > 1
@@ -318,6 +316,29 @@ def ash_rudolph(symbol, trace: list | None = None) -> list[tuple[int, ApartmentS
         (coeff, ApartmentSymbol(key, (1,) * n))
         for key, coeff in sorted(leaves.items())
     ]
+
+
+@dataclass(frozen=True)
+class Reduction:
+    """Ash-Rudolph terms of a symbol and the checks they passed."""
+
+    terms: list[tuple[int, ApartmentSymbol]]
+    not_unimodular: int  # terms whose determinant is not +-1
+    evaluation_matches: bool  # the terms evaluate to the symbol's chain
+
+    @property
+    def verified(self) -> bool:
+        return not self.not_unimodular and self.evaluation_matches
+
+
+def reduce_and_verify(symbol, trace: list | None = None) -> Reduction:
+    """Run `ash_rudolph` and check its terms against the symbol's evaluation."""
+    if not isinstance(symbol, ApartmentSymbol):
+        symbol = ApartmentSymbol.from_vectors(symbol)
+    terms = ash_rudolph(symbol, trace=trace)
+    not_unimodular = sum(1 for _, term in terms if abs(term.det()) != 1)
+    rhs = linear_extend({term: coeff for coeff, term in terms}, apartment_eval)
+    return Reduction(terms, not_unimodular, apartment_eval(symbol) == rhs)
 
 
 # -- augmented partial frames and the X-degree complex -------------------------
@@ -486,38 +507,17 @@ def byk_delta(lines) -> dict[tuple[Vector, ...], int]:
         can = canonical_generator(rem)
         if can.is_zero:
             continue
-        coeff = (-1) ** j * can.sign
-        new = out.get(can.tokens, 0) + coeff
-        if new:
-            out[can.tokens] = new
-        else:
-            del out[can.tokens]
+        add_term(out, can.tokens, (-1) ** j * can.sign)
     return out
 
 
 def byk_delta_combination(comb: dict) -> dict[tuple[Vector, ...], int]:
-    out: dict[tuple[Vector, ...], int] = {}
-    for key, coeff in comb.items():
-        for sub, c in byk_delta(key).items():
-            new = out.get(sub, 0) + coeff * c
-            if new:
-                out[sub] = new
-            else:
-                del out[sub]
-    return out
+    return linear_extend(comb, byk_delta)
 
 
 def byk_psi(comb: dict) -> dict[Flag, int]:
     """Linear extension of apartment evaluation to degree-zero combinations."""
-    out: dict[Flag, int] = {}
-    for key, coeff in comb.items():
-        for flag, c in apartment_eval(key).items():
-            new = out.get(flag, 0) + coeff * c
-            if new:
-                out[flag] = new
-            else:
-                del out[flag]
-    return out
+    return linear_extend(comb, apartment_eval)
 
 
 def random_unimodular_basis(n: int, rng: random.Random) -> tuple[Vector, ...]:
@@ -536,11 +536,6 @@ def random_unimodular_basis(n: int, rng: random.Random) -> tuple[Vector, ...]:
 
 
 # -- adapted bases for a pair of flags -----------------------------------------
-
-
-def _lattice_solver(member: Lattice) -> LatticeSolver:
-    cols = SparseIntMatrix.from_dense([list(v) for v in member]).transpose()
-    return LatticeSolver(cols)
 
 
 def _member_contains(solver: LatticeSolver, v: Vector) -> bool:

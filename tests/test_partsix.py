@@ -25,7 +25,6 @@ from titshom.partsix import (
     w_poset_complex,
     x_localized,
     zcomplex,
-    zcomplex_homology_profile,
     zcomplex_is_spherical,
     zcomplex_poset_iso,
 )
@@ -38,15 +37,15 @@ O = HomologyGroup(0, ())
 def test_zcomplex_frozen_examples():
     zc = zcomplex("ab")
     assert zc.d == 2
-    assert zcomplex_homology_profile(zc) == {-1: O, 0: Z}
+    assert homology_profile(zc.cx) == {-1: O, 0: Z}
 
     zc = zcomplex("abc", [{"a", "b"}])
     assert zc.d == 2
-    assert zcomplex_homology_profile(zc) == {-1: O, 0: Z}
+    assert homology_profile(zc.cx) == {-1: O, 0: Z}
 
     zc = zcomplex("abc")
     assert zc.d == 3
-    assert zcomplex_homology_profile(zc) == {-1: O, 0: O, 1: Z}
+    assert homology_profile(zc.cx) == {-1: O, 0: O, 1: Z}
 
 
 def test_zcomplex_validation():
@@ -119,7 +118,24 @@ def test_x_localized_frame_matches_zcomplex():
     cx = x_localized(lines, 0)
     zc = zcomplex(range(3))
     assert {d: cx.dim(d) for d in cx.degrees} == {-1: 1, 0: 6, 1: 6}
-    assert homology_profile(cx) == zcomplex_homology_profile(zc)
+    assert homology_profile(cx) == homology_profile(zc.cx)
+
+
+@pytest.mark.parametrize(
+    "cx",
+    [
+        zcomplex("abcd").cx,
+        zcomplex(range(5), [{0, 1}, {2, 3}]).cx,
+        x_localized(shape_lines("x1-ii", 3, (1, -1, 1))[0], 1),
+        x_localized(shape_lines("x2-i", 3, (1, 1, -1))[0], 2),
+    ],
+    ids=["z4", "z5-restricted", "x1-ii", "x2-i"],
+)
+def test_assembled_columns_are_the_merge_differential(cx):
+    for d in cx.degrees:
+        lower = cx.basis.get(d - 1, [])
+        for lab, col in zip(cx.basis[d], cx.boundary_at(d).columns()):
+            assert {lower[i]: v for i, v in col.items()} == cell_bar_boundary(lab)
 
 
 def test_x_localized_validation():
