@@ -31,8 +31,8 @@ def st_action_matrix(st: StModel, g) -> SparseIntMatrix:
         pk_rows[perm[i]] = dict(row)
     pk = SparseIntMatrix(k.n_rows, k.n_cols, pk_rows)
     cols = []
-    for j in range(pk.n_cols):
-        x = st.solver.solve(pk.column(j))
+    for pcol in pk.columns():
+        x = st.solver.solve(pcol)
         if x is None:
             raise AssertionError("permuted kernel column left the lattice")
         cols.append(x)
@@ -60,8 +60,7 @@ def coinvariant_relations(rank: int, generator_matrices: Sequence[SparseIntMatri
     for m in generator_matrices:
         if m.shape != (rank, rank):
             raise ValueError("generator matrix has wrong shape")
-        for i in range(rank):
-            col = m.column(i)
+        for i, col in enumerate(m.columns()):
             w = col.get(i, 0) - 1
             if w:
                 col[i] = w

@@ -293,10 +293,8 @@ def rank2_e1_surjectivity(q: int) -> Rank2Report:
         raise AssertionError("chamber coinvariants are not rank one")
     phi = phi_mat.column(0)
 
-    k = st.kernel
     image_gcd = 0
-    for i in range(s):
-        ki = k.column(i)
+    for ki in st.kernel.columns():
         # phi paired with (column i of K) (x) e_j, for all j
         for j in range(s):
             val = sum(v * phi.get(a * s + j, 0) for a, v in ki.items())

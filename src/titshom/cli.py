@@ -44,8 +44,17 @@ def _read_config(path: str | None) -> dict:
 
 
 def _suite_params(config: dict, **flags) -> dict:
-    """Config fills in params the flags left unset; explicit flags win."""
-    params = {k: v for k, v in config.items() if k in _PARAM_KEYS}
+    """Config fills in params the flags left unset; explicit flags win.
+
+    A config key that names no suite parameter is an error, so a misspelt
+    key cannot silently leave its parameter at the default.
+    """
+    unknown = sorted(set(config) - set(_PARAM_KEYS))
+    if unknown:
+        raise click.UsageError(
+            f"unknown config key(s): {', '.join(unknown)}; valid keys: {', '.join(_PARAM_KEYS)}"
+        )
+    params = dict(config)
     for key, value in flags.items():
         if value is not None:
             params[key] = value

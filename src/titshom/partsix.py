@@ -531,8 +531,8 @@ def _class_report(cx: ChainComplexZ, vec: dict[int, int], degree: int) -> dict:
         raise CertificateFailure("cycle lies outside the kernel lattice")
     image = cx.boundary_at(degree + 1)
     img_cols = []
-    for j in range(image.n_cols):
-        col = ksolver.solve(image.column(j))
+    for icol in image.columns():
+        col = ksolver.solve(icol)
         if col is None:
             raise CertificateFailure("boundary image escapes the kernel lattice")
         img_cols.append(col)

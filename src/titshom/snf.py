@@ -1,9 +1,21 @@
 """Exact elimination over Z and F_p: Smith form, kernels, cokernels.
 
 All integer elimination uses unimodular row/column operations only, so
-divisors, kernels, and cokernel invariants are exact. Pivots prefer units
-and low Markowitz fill count ((nnz(row)-1)*(nnz(col)-1)); non-unit pivots
-shrink via nearest-integer Euclid steps, which bounds coefficient growth.
+divisors, kernels, and cokernel invariants are exact. One column-echelon
+engine (`_ColumnEngine`) serves ranks, kernels, lattice solves and the first
+phase of every divisors-only Smith form:
+
+1. Echelon. Column operations bring A to a column echelon E = A*V. The
+   minor of E on its pivot rows and pivot columns is lower triangular with
+   the pivots on its diagonal. If every pivot is +-1 that minor is +-1, so
+   the gcd of the r x r minors of A is 1 and all r divisors are 1; the
+   result is certified without further work.
+2. Full Smith form (`_RowColEngine`), for a non-unit echelon pivot and for
+   every call that asks for transforms. Pivots prefer units and low
+   Markowitz fill count ((nnz(row)-1)*(nnz(col)-1)); non-unit pivots shrink
+   via nearest-integer Euclid steps, which bounds coefficient growth. The
+   gcd/lcm fix-up that makes the diagonal a divisibility chain runs over the
+   non-unit pivots only, since a unit divides everything.
 """
 
 from __future__ import annotations
@@ -241,7 +253,19 @@ def smith_normal_form(a: SparseIntMatrix, transforms: bool = False) -> SNFResult
     Returns positive divisors d_1 | d_2 | ... | d_r. With transforms=True the
     result also carries U (rows x rows) and V (cols x cols) with U*A*V equal
     to the diagonal matrix of divisors padded with zeros.
+
+    Without transforms, one column-echelon pass runs first; when all its
+    pivots are units, the unit-diagonal triangular pivot minor certifies
+    that every divisor is 1 and the result is returned at once. Otherwise,
+    and always with transforms, the row/column engine computes the full
+    form, with its divisibility fix-up restricted to the non-unit pivots.
     """
+    if not transforms:
+        echelon = _ColumnEngine(a, track_v=False)
+        echelon_pivots, _ = echelon.reduce()
+        if all(echelon.cols[c][r] in (1, -1) for r, c in echelon_pivots):
+            return SNFResult((1,) * len(echelon_pivots), None, None)
+
     eng = _RowColEngine(a, track_u=transforms, track_v=transforms)
     rows, colidx = eng.rows, eng.colidx
     done_rows: set[int] = set()
@@ -318,14 +342,18 @@ def smith_normal_form(a: SparseIntMatrix, transforms: bool = False) -> SNFResult
         eng.dirty.clear()
 
     # divisibility fixup on the diagonal: (d_i, d_j) -> (gcd, lcm) via one
-    # unimodular column pair transform plus two row operations
+    # unimodular column pair transform plus two row operations. A unit
+    # divides every pivot, so units can stay where they are: only the
+    # non-unit pivots take part, and sorting puts the units first and keeps
+    # the chain of the rest.
+    chain = [(r, c) for r, c in pivots if rows[r][c] not in (1, -1)]
     changed = True
     while changed:
         changed = False
-        for i in range(len(pivots)):
-            ri, ci = pivots[i]
-            for j in range(i + 1, len(pivots)):
-                rj, cj = pivots[j]
+        for i in range(len(chain)):
+            ri, ci = chain[i]
+            for j in range(i + 1, len(chain)):
+                rj, cj = chain[j]
                 di, dj = rows[ri][ci], rows[rj][cj]
                 if dj % di == 0:
                     continue
@@ -389,22 +417,26 @@ class _ColumnEngine:
         if mult == 0:
             return
         dcol = self.cols[dst]
+        rowidx = self.rowidx  # holds every row that src has an entry in
         for r, v in self.cols[src].items():
-            w = dcol.get(r, 0) + mult * v
+            old = dcol.get(r)
+            if old is None:
+                dcol[r] = mult * v
+                rowidx[r].add(dst)
+                continue
+            w = old + mult * v
             if w:
-                if r not in dcol:
-                    self.rowidx.setdefault(r, set()).add(dst)
                 dcol[r] = w
-            elif r in dcol:
+            else:
                 del dcol[r]
-                self.rowidx[r].discard(dst)
+                rowidx[r].discard(dst)
         if self.v_cols is not None:
             vdst = self.v_cols[dst]
             for r, v in self.v_cols[src].items():
                 w = vdst.get(r, 0) + mult * v
                 if w:
                     vdst[r] = w
-                elif r in vdst:
+                else:
                     del vdst[r]
 
     def reduce(self) -> tuple[list[tuple[int, int]], list[int]]:

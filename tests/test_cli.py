@@ -124,6 +124,17 @@ def test_config_fills_unset_flags(tmp_path):
     assert payload["params"]["n"] == 4
 
 
+@pytest.mark.parametrize("line", ["cuont = 3", "workers = 4"])
+def test_config_rejects_unknown_keys(tmp_path, line):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"seed = 1\n{line}\n")
+    res = runner.invoke(main, ["suite", "bounds", "--config", str(cfg)])
+    assert res.exit_code == 2
+    key = line.split("=")[0].strip()
+    assert f"unknown config key(s): {key}" in res.output
+    assert "valid keys: n, q, seed, budget, count, bases, shape" in res.output
+
+
 def test_config_rejects_garbage(tmp_path):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("not a pair\n")

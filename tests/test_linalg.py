@@ -9,12 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from titshom import barres, building, partsix
 from titshom.intmat import SparseIntMatrix, emit_triplet_text, parse_triplet_text
 from titshom.snf import (
     GF,
     QQ,
     ZZ,
     LatticeSolver,
+    _ColumnEngine,
     cokernel_invariants,
     is_saturated,
     kernel_basis,
@@ -69,16 +71,97 @@ def test_snf_transforms_are_unimodular_and_diagonalize():
         m = rng.randint(1, 5)
         n = rng.randint(1, 5)
         dense, a = random_matrix(rng, m, n)
-        res = smith_normal_form(a, transforms=True)
-        u, v = res.left, res.right
-        assert u is not None and v is not None
-        assert abs(bareiss_det(u.to_dense())) == 1
-        assert abs(bareiss_det(v.to_dense())) == 1
-        d = u.mul(a).mul(v)
-        for r in range(m):
-            for c in range(n):
-                want = res.divisors[r] if r == c and r < len(res.divisors) else 0
-                assert d.entry(r, c) == want
+        assert_unimodular_diagonalization(a, smith_normal_form(a, transforms=True))
+
+
+def assert_unimodular_diagonalization(a: SparseIntMatrix, res) -> None:
+    u, v = res.left, res.right
+    assert u is not None and v is not None
+    assert abs(bareiss_det(u.to_dense())) == 1
+    assert abs(bareiss_det(v.to_dense())) == 1
+    d = u.mul(a).mul(v)
+    for r in range(a.n_rows):
+        for c in range(a.n_cols):
+            want = res.divisors[r] if r == c and r < len(res.divisors) else 0
+            assert d.entry(r, c) == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=5).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(min_value=-9, max_value=9), min_size=n, max_size=n),
+            min_size=1,
+            max_size=5,
+        )
+    )
+)
+def test_divisors_only_matches_oracle_and_full_engine(dense):
+    # transforms=True always runs the row/column engine, so this compares
+    # the echelon certificate against an independent elimination
+    a = SparseIntMatrix.from_dense(dense)
+    divs = smith_normal_form(a).divisors
+    assert list(divs) == snf_divisors_oracle(dense)
+    assert divs == smith_normal_form(a, transforms=True).divisors
+
+
+@pytest.mark.parametrize(
+    "dense, pivots",
+    [
+        # a lone entry in the first row becomes a non-unit echelon pivot:
+        # the minor certificate fails and the full engine must find the 1s
+        ([[2], [1]], [2]),
+        ([[3], [2]], [3]),
+        ([[2, 0], [1, 1], [0, 1]], [2, 1]),
+        # Euclid steps inside the echelon reach a unit pivot
+        ([[2, 3]], [-1]),
+    ],
+)
+def test_all_unit_divisors_behind_non_unit_entries(dense, pivots):
+    a = SparseIntMatrix.from_dense(dense)
+    eng = _ColumnEngine(a, track_v=False)
+    found, _ = eng.reduce()
+    assert [eng.cols[c][r] for r, c in found] == pivots
+    want = (1,) * len(pivots)
+    assert smith_normal_form(a).divisors == want
+    assert smith_normal_form(a, transforms=True).divisors == want
+    assert list(want) == snf_divisors_oracle(dense)
+
+
+def diag(*entries: int) -> list[list[int]]:
+    n = len(entries)
+    return [[entries[i] if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize(
+    "dense, want",
+    [
+        (diag(1, 6, 1, 4), (1, 1, 2, 12)),
+        (diag(4, 1, 6, 1, 9), (1, 1, 1, 6, 36)),
+        (diag(-3, 1, 0, 5), (1, 1, 15)),
+        ([[1, 0, 0], [0, 2, 4], [0, 6, 8]], (1, 2, 4)),
+        ([[2, 1, 0], [0, 2, 0], [0, 0, 3]], (1, 1, 12)),
+    ],
+)
+def test_mixed_unit_and_torsion_divisors(dense, want):
+    a = SparseIntMatrix.from_dense(dense)
+    assert smith_normal_form(a).divisors == want
+    assert list(want) == snf_divisors_oracle(dense)
+    res = smith_normal_form(a, transforms=True)
+    assert res.divisors == want
+    assert_unimodular_diagonalization(a, res)
+
+
+def test_boundary_maps_divisors_only_match_full_engine():
+    complexes = [
+        building.steinberg(3, 2).cx,
+        barres.bar_complex_fq(3, 2).cx,
+        partsix.zcomplex(range(5)).cx,
+    ]
+    for cx in complexes:
+        for d, mat in sorted(cx.boundary.items()):
+            fast = smith_normal_form(mat).divisors
+            assert fast == smith_normal_form(mat, transforms=True).divisors, d
 
 
 def test_kernel_annihilates_and_is_saturated():
