@@ -250,7 +250,6 @@ class Rank2Report:
     chambers: int
     st_rank: int
     e110: HomologyGroup
-    e120: HomologyGroup
     image_gcd: int
     witness_value: int
     standard_coeff: int
@@ -283,10 +282,6 @@ def rank2_e1_surjectivity(q: int) -> Rank2Report:
     big = [tensor_matrix(_permutation_matrix_int(p), m) for p, m in zip(perms, acts)]
     rel = coinvariant_relations(c * s, big)
     e110 = HomologyGroup(*cokernel_invariants(rel))
-
-    small = [tensor_matrix(m, m) for m in acts]
-    rel2 = coinvariant_relations(s * s, small)
-    e120 = HomologyGroup(*cokernel_invariants(rel2))
 
     phi_mat = kernel_basis(rel.transpose())
     if phi_mat.n_cols != 1:
@@ -322,7 +317,6 @@ def rank2_e1_surjectivity(q: int) -> Rank2Report:
         chambers=c,
         st_rank=s,
         e110=e110,
-        e120=e120,
         image_gcd=image_gcd,
         witness_value=witness_value,
         standard_coeff=standard_coeff,

@@ -1,28 +1,31 @@
 """Exact elimination over Z and F_p: Smith form, kernels, cokernels.
 
-All integer elimination uses unimodular row/column operations only, so
+All integer elimination uses unimodular column operations only, so
 divisors, kernels, and cokernel invariants are exact. One column-echelon
-engine (`_ColumnEngine`) serves ranks, kernels, lattice solves and the first
-phase of every divisors-only Smith form:
+engine (`_ColumnEngine`) serves ranks, kernels, lattice solves and Smith
+divisors. It brings A to a column echelon E = A*V: in each row, in order,
+nearest-integer Euclid steps between the still-active columns leave one
+pivot, and a unit pivot clears the row in one sweep.
 
-1. Echelon. Column operations bring A to a column echelon E = A*V. The
-   minor of E on its pivot rows and pivot columns is lower triangular with
-   the pivots on its diagonal. If every pivot is +-1 that minor is +-1, so
-   the gcd of the r x r minors of A is 1 and all r divisors are 1; the
-   result is certified without further work.
-2. Full Smith form (`_RowColEngine`), for a non-unit echelon pivot and for
-   every call that asks for transforms. Pivots prefer units and low
-   Markowitz fill count ((nnz(row)-1)*(nnz(col)-1)); non-unit pivots shrink
-   via nearest-integer Euclid steps, which bounds coefficient growth. The
-   gcd/lcm fix-up that makes the diagonal a divisibility chain runs over the
-   non-unit pivots only, since a unit divides everything.
+Smith divisors (`smith_normal_form`) alternate echelons of a matrix and of
+the transpose of its pivot columns, in the spirit of Kannan-Bachem, until
+one of two certificates holds:
+
+- every pivot is +-1: the pivot-row by pivot-column minor of E is lower
+  triangular with a unit diagonal, so the gcd of the r x r minors is 1 and
+  all r divisors are 1;
+- every pivot column holds only its pivot: E is diagonal up to a
+  permutation, and gcd/lcm steps on the non-unit pivots give the chain.
+
+`_echelon_mod_p` is a separate GF(p) echelon; tests check Z ranks and
+divisors against its ranks.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
 
 from .intmat import SparseIntMatrix
 
@@ -65,342 +68,64 @@ def _nearest_quotient(a: int, b: int) -> int:
     return (2 * a + b) // (2 * b)
 
 
-# -- row-major elimination engine (for SNF) ---------------------------------
-
-
-class _RowColEngine:
-    """Mutable elimination state with optional transform tracking.
-
-    Invariant kept throughout: a finished pivot row has a single nonzero
-    entry (its pivot column) and vice versa, so later operations never
-    touch finished rows or columns.
-    """
-
-    def __init__(self, a: SparseIntMatrix, track_u: bool, track_v: bool):
-        self.m, self.n = a.shape
-        self.rows: list[dict[int, int]] = [dict(row) for row in a.rows]
-        self.colidx: dict[int, set[int]] = {}
-        for r, row in enumerate(self.rows):
-            for c in row:
-                self.colidx.setdefault(c, set()).add(r)
-        self.u_rows = [{i: 1} for i in range(self.m)] if track_u else None
-        self.v_cols = [{i: 1} for i in range(self.n)] if track_v else None
-        # positions that gained or changed a nonzero value since last drain;
-        # the pivot heap needs these to stay complete
-        self.dirty: list[tuple[int, int]] = []
-
-    # row ops (left transform)
-
-    def row_axpy(self, dst: int, src: int, mult: int) -> None:
-        if mult == 0:
-            return
-        drow = self.rows[dst]
-        dirty = self.dirty
-        for c, v in self.rows[src].items():
-            w = drow.get(c, 0) + mult * v
-            if w:
-                if c not in drow:
-                    self.colidx.setdefault(c, set()).add(dst)
-                drow[c] = w
-                dirty.append((dst, c))
-            elif c in drow:
-                del drow[c]
-                self.colidx[c].discard(dst)
-        if self.u_rows is not None:
-            udst = self.u_rows[dst]
-            for c, v in self.u_rows[src].items():
-                w = udst.get(c, 0) + mult * v
-                if w:
-                    udst[c] = w
-                elif c in udst:
-                    del udst[c]
-
-    def swap_rows(self, i: int, j: int) -> None:
-        if i == j:
-            return
-        for c in set(self.rows[i]) | set(self.rows[j]):
-            s = self.colidx[c]
-            has_i, has_j = i in s, j in s
-            if has_i != has_j:
-                if has_i:
-                    s.discard(i)
-                    s.add(j)
-                else:
-                    s.discard(j)
-                    s.add(i)
-            self.dirty.append((i, c))
-            self.dirty.append((j, c))
-        self.rows[i], self.rows[j] = self.rows[j], self.rows[i]
-        if self.u_rows is not None:
-            self.u_rows[i], self.u_rows[j] = self.u_rows[j], self.u_rows[i]
-
-    def negate_row(self, i: int) -> None:
-        self.rows[i] = {c: -v for c, v in self.rows[i].items()}
-        if self.u_rows is not None:
-            self.u_rows[i] = {c: -v for c, v in self.u_rows[i].items()}
-
-    # column ops (right transform)
-
-    def col_axpy(self, dst: int, src: int, mult: int) -> None:
-        if mult == 0:
-            return
-        dirty = self.dirty
-        for r in list(self.colidx.get(src, ())):
-            row = self.rows[r]
-            w = row.get(dst, 0) + mult * row[src]
-            if w:
-                if dst not in row:
-                    self.colidx.setdefault(dst, set()).add(r)
-                row[dst] = w
-                dirty.append((r, dst))
-            elif dst in row:
-                del row[dst]
-                self.colidx[dst].discard(r)
-        if self.v_cols is not None:
-            vdst = self.v_cols[dst]
-            for r, v in self.v_cols[src].items():
-                w = vdst.get(r, 0) + mult * v
-                if w:
-                    vdst[r] = w
-                elif r in vdst:
-                    del vdst[r]
-
-    def swap_cols(self, i: int, j: int) -> None:
-        if i == j:
-            return
-        rows_i = self.colidx.get(i, set())
-        rows_j = self.colidx.get(j, set())
-        for r in rows_i | rows_j:
-            row = self.rows[r]
-            vi, vj = row.get(i), row.get(j)
-            if vi is not None:
-                del row[i]
-            if vj is not None:
-                del row[j]
-            if vj is not None:
-                row[i] = vj
-            if vi is not None:
-                row[j] = vi
-            self.dirty.append((r, i))
-            self.dirty.append((r, j))
-        self.colidx[i], self.colidx[j] = set(rows_j), set(rows_i)
-        if self.v_cols is not None:
-            self.v_cols[i], self.v_cols[j] = self.v_cols[j], self.v_cols[i]
-
-    def negate_col(self, c: int) -> None:
-        for r in self.colidx.get(c, ()):
-            self.rows[r][c] = -self.rows[r][c]
-        if self.v_cols is not None:
-            self.v_cols[c] = {r: -v for r, v in self.v_cols[c].items()}
-
-    def col_pair_transform(self, c1: int, c2: int, a: int, b: int, s: int, t: int) -> None:
-        """(col c1, col c2) <- (a*c1 + b*c2, s*c1 + t*c2); a*t - b*s = +-1."""
-        for r in self.colidx.get(c1, set()) | self.colidx.get(c2, set()):
-            row = self.rows[r]
-            v1, v2 = row.get(c1, 0), row.get(c2, 0)
-            n1, n2 = a * v1 + b * v2, s * v1 + t * v2
-            for c, nv in ((c1, n1), (c2, n2)):
-                if nv:
-                    row[c] = nv
-                    self.colidx.setdefault(c, set()).add(r)
-                    self.dirty.append((r, c))
-                elif c in row:
-                    del row[c]
-                    self.colidx[c].discard(r)
-        if self.v_cols is not None:
-            w1, w2 = self.v_cols[c1], self.v_cols[c2]
-            keys = set(w1) | set(w2)
-            new1, new2 = {}, {}
-            for r in keys:
-                v1, v2 = w1.get(r, 0), w2.get(r, 0)
-                n1, n2 = a * v1 + b * v2, s * v1 + t * v2
-                if n1:
-                    new1[r] = n1
-                if n2:
-                    new2[r] = n2
-            self.v_cols[c1], self.v_cols[c2] = new1, new2
-
-
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with x*a + y*b = g = gcd(a, b), g >= 0."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    if old_r < 0:
-        old_r, old_x, old_y = -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
-
-
 @dataclass(frozen=True)
 class SNFResult:
     divisors: tuple[int, ...]
-    left: SparseIntMatrix | None
-    right: SparseIntMatrix | None
 
     @property
     def rank(self) -> int:
         return len(self.divisors)
 
 
-def smith_normal_form(a: SparseIntMatrix, transforms: bool = False) -> SNFResult:
-    """Diagonalize by unimodular row/column operations.
+def smith_normal_form(a: SparseIntMatrix) -> SNFResult:
+    """Smith divisors d_1 | d_2 | ... | d_r of a, all positive.
 
-    Returns positive divisors d_1 | d_2 | ... | d_r. With transforms=True the
-    result also carries U (rows x rows) and V (cols x cols) with U*A*V equal
-    to the diagonal matrix of divisors padded with zeros.
+    Each pass runs the column echelon E = M*V of the current matrix M
+    (M = a at first). If every pivot is +-1 the divisors are r ones. If
+    every pivot column holds only its pivot, E is diagonal up to a
+    permutation and the divisors follow from its pivots by gcd/lcm. Else
+    the next M is the transpose of E's pivot columns. Passes are unimodular,
+    so the divisors never change.
 
-    Without transforms, one column-echelon pass runs first; when all its
-    pivots are units, the unit-diagonal triangular pivot minor certifies
-    that every divisor is 1 and the result is returned at once. Otherwise,
-    and always with transforms, the row/column engine computes the full
-    form, with its divisibility fix-up restricted to the non-unit pivots.
+    The loop ends. After a pass, let p be the first pivot, in row order,
+    whose column holds more than p; by the echelon shape every earlier
+    pivot is alone in its row and column, and stays so. In the next pass
+    the row of p, now p's column, is the first row with more than one
+    entry, and p's own entry in it sits in a singleton column. If p divides
+    that row, the (non-unit, |v|, nnz) tie-break picks the singleton
+    column and the row clears in one sweep, leaving p alone; otherwise the
+    row's pivot becomes a gcd smaller than |p|. So each pass either adds a
+    leading lone pivot or shrinks the first pivot after them.
     """
-    if not transforms:
-        echelon = _ColumnEngine(a, track_v=False)
-        echelon_pivots, _ = echelon.reduce()
-        if all(echelon.cols[c][r] in (1, -1) for r, c in echelon_pivots):
-            return SNFResult((1,) * len(echelon_pivots), None, None)
-
-    eng = _RowColEngine(a, track_u=transforms, track_v=transforms)
-    rows, colidx = eng.rows, eng.colidx
-    done_rows: set[int] = set()
-    done_cols: set[int] = set()
-    pivots: list[tuple[int, int]] = []
-
-    heap: list[tuple[tuple[int, int, int], int, int]] = []
-
-    def priority(r: int, c: int, v: int) -> tuple[int, int, int]:
-        av = -v if v < 0 else v
-        return (0 if av == 1 else 1, (len(rows[r]) - 1) * (len(colidx[c]) - 1), av)
-
-    for r, row in enumerate(rows):
-        for c, v in row.items():
-            heapq.heappush(heap, (priority(r, c, v), r, c))
-
-    def pivot_cleanup(r: int, c: int) -> None:
-        # Alternate column and row clearing; pivot magnitude strictly drops
-        # whenever a remainder survives, so this terminates.
-        while True:
-            # clear column c
-            while True:
-                others = [r2 for r2 in colidx.get(c, ()) if r2 != r]
-                if not others:
-                    break
-                v = rows[r][c]
-                for r2 in others:
-                    q = _nearest_quotient(rows[r2][c], v)
-                    eng.row_axpy(r2, r, -q)
-                rem = [(abs(rows[r2][c]), r2) for r2 in others if c in rows[r2]]
-                if not rem:
-                    break
-                eng.swap_rows(r, min(rem)[1])
-            # clear row r
-            refill = False
-            while True:
-                others = [c2 for c2 in rows[r] if c2 != c]
-                if not others:
-                    break
-                v = rows[r][c]
-                for c2 in others:
-                    q = _nearest_quotient(rows[r][c2], v)
-                    eng.col_axpy(c2, c, -q)
-                rem = [(abs(rows[r][c2]), c2) for c2 in others if c2 in rows[r]]
-                if not rem:
-                    break
-                eng.swap_cols(c, min(rem)[1])
-                refill = True
-            if len(colidx.get(c, ())) <= 1 and not refill:
-                break
-
-    while heap:
-        pri, r, c = heapq.heappop(heap)
-        if r in done_rows or c in done_cols:
-            continue
-        v = rows[r].get(c)
-        if not v:
-            continue
-        cur = priority(r, c, v)
-        if cur != pri:
-            heapq.heappush(heap, (cur, r, c))
-            continue
-        pivot_cleanup(r, c)
-        done_rows.add(r)
-        done_cols.add(c)
-        pivots.append((r, c))
-        # cleanup may have created entries at fresh positions
-        for r2, c2 in eng.dirty:
-            if r2 in done_rows or c2 in done_cols:
-                continue
-            v2 = rows[r2].get(c2)
-            if v2:
-                heapq.heappush(heap, (priority(r2, c2, v2), r2, c2))
-        eng.dirty.clear()
-
-    # divisibility fixup on the diagonal: (d_i, d_j) -> (gcd, lcm) via one
-    # unimodular column pair transform plus two row operations. A unit
-    # divides every pivot, so units can stay where they are: only the
-    # non-unit pivots take part, and sorting puts the units first and keeps
-    # the chain of the rest.
-    chain = [(r, c) for r, c in pivots if rows[r][c] not in (1, -1)]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(chain)):
-            ri, ci = chain[i]
-            for j in range(i + 1, len(chain)):
-                rj, cj = chain[j]
-                di, dj = rows[ri][ci], rows[rj][cj]
-                if dj % di == 0:
-                    continue
-                changed = True
-                g, x, y = _ext_gcd(di, dj)
-                eng.row_axpy(ri, rj, 1)
-                eng.col_pair_transform(ci, cj, x, y, -(dj // g), di // g)
-                eng.row_axpy(rj, ri, -(y * dj) // g)
-
-    divisors: list[int] = []
-    for r, c in pivots:
-        if rows[r][c] < 0:
-            eng.negate_row(r)
-        divisors.append(rows[r][c])
-
-    order = sorted(range(len(pivots)), key=lambda i: divisors[i])
-    divisors_sorted = tuple(divisors[i] for i in order)
-
-    left = right = None
-    if transforms:
-        # permute pivots onto the leading diagonal in divisor order
-        perm = [list(pivots[i]) for i in order]
-        for k in range(len(perm)):
-            r = perm[k][0]
-            if r != k:
-                eng.swap_rows(k, r)
-                for p in perm:
-                    if p[0] == k:
-                        p[0] = r
-                    elif p[0] == r:
-                        p[0] = k
-            c = perm[k][1]
-            if c != k:
-                eng.swap_cols(k, c)
-                for p in perm:
-                    if p[1] == k:
-                        p[1] = c
-                    elif p[1] == c:
-                        p[1] = k
-        assert all(p == [k, k] for k, p in enumerate(perm))
-        assert eng.u_rows is not None and eng.v_cols is not None
-        left = SparseIntMatrix(eng.m, eng.m, [dict(x) for x in eng.u_rows])
-        right = SparseIntMatrix.from_columns(eng.n, [dict(x) for x in eng.v_cols])
-    return SNFResult(divisors_sorted, left, right)
+    m = a
+    while True:
+        eng = _ColumnEngine(m, track_v=False)
+        pivots, _ = eng.reduce()
+        cols = eng.cols
+        values = [cols[c][r] for r, c in pivots]
+        if all(v in (1, -1) for v in values):
+            return SNFResult((1,) * len(values))
+        if all(len(cols[c]) == 1 for _, c in pivots):
+            return SNFResult(_diagonal_divisors(values))
+        m = SparseIntMatrix(len(pivots), m.n_rows, [cols[c] for _, c in pivots])
 
 
-# -- column-major engine (kernels, echelon solving) --------------------------
+def _diagonal_divisors(values: list[int]) -> tuple[int, ...]:
+    """Smith divisors of a diagonal matrix with these nonzero entries.
+
+    (d_i, d_j) -> (gcd, lcm) is unimodular on a diagonal; after row i of
+    the double loop, d_i holds the gcd of d_i..d_end, so each prime's
+    exponents end sorted. A unit divides everything, so units stay out.
+    """
+    chain = [abs(v) for v in values if v not in (1, -1)]
+    for i in range(len(chain)):
+        for j in range(i + 1, len(chain)):
+            g = gcd(chain[i], chain[j])
+            chain[i], chain[j] = g, chain[i] // g * chain[j]
+    return (1,) * (len(values) - len(chain)) + tuple(chain)
+
+
+# -- column-major engine (ranks, kernels, solving, Smith passes) -------------
 
 
 class _ColumnEngine:
@@ -517,12 +242,11 @@ def saturation(a: SparseIntMatrix) -> SparseIntMatrix:
 
 
 def is_saturated(a: SparseIntMatrix) -> bool:
-    """True iff the column lattice of a is saturated in Z^rows."""
-    want = rank(a)
-    sat = saturation(a)
-    # equal lattices iff every saturation basis vector solves over a
-    solver = LatticeSolver(a)
-    return rank(sat) == want and all(solver.solve(col) is not None for col in sat.columns())
+    """True iff the column lattice of a is saturated in Z^rows.
+
+    Z^rows / lattice is torsion-free exactly when every Smith divisor is 1.
+    """
+    return all(d == 1 for d in smith_normal_form(a).divisors)
 
 
 class LatticeSolver:

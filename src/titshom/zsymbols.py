@@ -33,7 +33,7 @@ from .errors import (
     ZeroVector,
 )
 from .intmat import SparseIntMatrix
-from .snf import LatticeSolver, rank, smith_normal_form
+from .snf import LatticeSolver, _ColumnEngine, rank, smith_normal_form
 from .snf import saturation as column_saturation
 
 Vector = tuple[int, ...]
@@ -587,20 +587,27 @@ def _member_vectors(member: Lattice, bound: int) -> list[Vector]:
 
 
 def _complete_basis(chosen: list[Vector], n: int) -> list[Vector] | None:
-    """Extend a saturated independent set to a basis of Z^n, if possible."""
+    """Extend a saturated independent set to a basis of Z^n, if possible.
+
+    The column echelon E = A*V of the chosen rows A has one pivot per row
+    of A exactly when they are independent, and its pivot minor is then
+    all of E's nonzero part, so A is saturated exactly when every pivot is
+    a unit. In that case A = [T | 0]*V^-1 with T unimodular, and the rows
+    of V^-1 at E's zero columns complete A to a basis; row j of V^-1 is
+    the solution x of V^T x = e_j.
+    """
     if not chosen:
         return [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
-    mat = SparseIntMatrix.from_dense([list(v) for v in chosen])
-    res = smith_normal_form(mat, transforms=True)
-    if len(res.divisors) < len(chosen) or any(d != 1 for d in res.divisors):
+    eng = _ColumnEngine(SparseIntMatrix.from_dense([list(v) for v in chosen]), track_v=True)
+    pivots, free = eng.reduce()
+    if len(pivots) < len(chosen) or any(eng.cols[c][r] not in (1, -1) for r, c in pivots):
         return None
-    vinv_solver = LatticeSolver(res.right)
+    assert eng.v_cols is not None
+    vt_solver = LatticeSolver(SparseIntMatrix(n, n, eng.v_cols))
     tail = []
-    for j in range(len(chosen), n):
-        col = vinv_solver.solve({j: 1})
-        if col is None:
-            return None
-        tail.append(tuple(col.get(i, 0) for i in range(n)))
+    for j in free:
+        row = vt_solver.solve({j: 1})
+        tail.append(tuple(row.get(i, 0) for i in range(n)))
     basis = list(chosen) + tail
     if abs(det_int(basis)) != 1:
         return None

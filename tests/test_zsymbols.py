@@ -17,6 +17,7 @@ from titshom.errors import (
 )
 from titshom.zsymbols import (
     ApartmentSymbol,
+    _complete_basis,
     ApfCertificate,
     AugItem,
     apartment_eval,
@@ -34,6 +35,8 @@ from titshom.zsymbols import (
     row_hnf,
     saturate_rows,
 )
+
+from oracle_linalg import bareiss_det
 
 
 def test_normalize_line():
@@ -271,3 +274,28 @@ def test_common_basis_search_cross_flags():
     assert abs(det_int(basis)) == 1
     inside = [v for v in basis if v[0] == v[1]]  # members of the W plane
     assert saturate_rows(inside) == ((1, 1, 0), (0, 0, 1))
+
+
+@pytest.mark.parametrize(
+    "flag_a, flag_b, want",
+    [
+        ([((2, 3),)], [((2, 3),)], ((2, 3), (1, 2))),
+        ([((1, 2, 0),)], [((0, 0, 1),)], ((0, 0, 1), (1, 2, 0), (0, 1, 0))),
+    ],
+)
+def test_common_basis_search_completes_off_axis_lines(flag_a, flag_b, want):
+    assert common_basis_search(flag_a, flag_b) == want
+
+
+def test_complete_basis_extends_saturated_sets():
+    rng = random.Random(2968)
+    for _ in range(300):
+        n = rng.randint(2, 6)
+        k = rng.randint(1, n)
+        chosen = list(random_unimodular_basis(n, rng)[:k])
+        basis = _complete_basis(chosen, n)
+        assert basis is not None and basis[:k] == chosen
+        assert abs(bareiss_det([list(v) for v in basis])) == 1
+        # a non-saturated or dependent set has no completion
+        assert _complete_basis([tuple(2 * x for x in chosen[0])] + chosen[1:], n) is None
+        assert _complete_basis(chosen + [chosen[0]], n) is None
