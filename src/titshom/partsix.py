@@ -32,12 +32,13 @@ from .errors import (
     ShapeUnavailable,
 )
 from .intmat import SparseIntMatrix
-from .snf import LatticeSolver, cokernel_invariants, rank
+from .snf import LatticeSolver, cokernel_invariants
 from .zsymbols import (
     Vector,
     det_int,
     normalize_line,
     random_unimodular_basis,
+    rank_rows,
     recognize_apf,
     row_hnf,
     saturate_rows,
@@ -270,8 +271,7 @@ def x_localized(lines, q: int | None = None) -> ChainComplexZ:
     if len(set(normalized)) != len(normalized):
         raise ValueError("lines must be distinct")
     n = len(normalized[0])
-    mat = SparseIntMatrix.from_dense([list(v) for v in normalized])
-    if rank(mat) < n:
+    if rank_rows(normalized) < n:
         raise NotSpanning("the lines do not span")
     if q is not None and len(normalized) - n != q:
         raise ValueError("X-degree does not match the number of lines")
@@ -311,15 +311,13 @@ def cell_canonical(blocks) -> tuple[tuple | None, int]:
 
 def block_delta(block: tuple[Vector, ...]) -> dict[tuple[Vector, ...], int]:
     """Deletion differential of one block, keeping only span-preserving terms."""
-    mat = SparseIntMatrix.from_dense([list(v) for v in block])
-    r = rank(mat)
+    r = rank_rows(block)
     out: dict[tuple[Vector, ...], int] = {}
     if len(block) <= r:
         return out
     for u in range(len(block)):
         rem = block[:u] + block[u + 1 :]
-        rem_mat = SparseIntMatrix.from_dense([list(v) for v in rem])
-        if rank(rem_mat) < r:
+        if rank_rows(rem) < r:
             continue
         can = canonical_generator(rem)
         if can.is_zero:

@@ -6,6 +6,11 @@ descent rewrites any symbol as a sum of unimodular ones. The X-degree
 machinery (augmented partial frames, deletion differential, the map to
 Steinberg chains) lives here too, as does the adapted-basis search for a
 pair of flags.
+
+Rank, saturation, the summand test and basis completion for a few rows in
+Z^n run on one small dense column echelon over tuples (`_echelon`), which
+tracks V^-1 as it goes; only lattice membership (`_lattice_solver`) still
+goes through the sparse `snf.LatticeSolver`.
 """
 
 from __future__ import annotations
@@ -33,8 +38,7 @@ from .errors import (
     ZeroVector,
 )
 from .intmat import SparseIntMatrix
-from .snf import LatticeSolver, _ColumnEngine, rank, smith_normal_form
-from .snf import saturation as column_saturation
+from .snf import LatticeSolver, _nearest_quotient
 
 Vector = tuple[int, ...]
 Lattice = tuple[Vector, ...]  # rows in Hermite normal form
@@ -125,20 +129,77 @@ def row_hnf(rows) -> Lattice:
     return tuple(tuple(row) for row in work[:r])
 
 
+def _echelon(rows) -> tuple[list[tuple[int, int]], list[int], list[list[int]]]:
+    """Column echelon E = A*V of the row matrix A, with the rows of W = V^-1.
+
+    Row by row, nearest-integer Euclid steps between the still-active
+    columns leave one pivot, the source being a unit first, then the
+    smallest entry, then the sparsest column (the tie-break of
+    `snf._ColumnEngine`). Each step col_c -= q*col_src is mirrored as
+    W[src] += q*W[c], so A = E*W throughout.
+
+    Returns (pivots, free, w): pivots lists (value, column) in row order,
+    free lists the columns that ended zero, and w holds the rows of W. The
+    rows of A are integer combinations of the W rows at the pivot columns,
+    and those rows extend to the basis W of Z^n.
+    """
+    k = len(rows)
+    n = len(rows[0]) if rows else 0
+    if any(len(row) != n for row in rows):
+        raise ValueError("rows of different lengths")
+    cols = [[row[j] for row in rows] for j in range(n)]
+    w = [[int(i == j) for j in range(n)] for i in range(n)]
+    active = list(range(n))  # columns with no pivot yet; zero above row r
+    pivots: list[tuple[int, int]] = []
+    for r in range(k):
+        cands = [c for c in active if cols[c][r]]
+        if not cands:
+            continue
+        while len(cands) > 1:
+            src = min(
+                cands,
+                key=lambda c: (
+                    abs(cols[c][r]) != 1,
+                    abs(cols[c][r]),
+                    sum(1 for x in cols[c] if x),
+                ),
+            )
+            scol, wsrc = cols[src], w[src]
+            for c in cands:
+                if c == src:
+                    continue
+                q = _nearest_quotient(cols[c][r], scol[r])
+                if not q:
+                    continue
+                col, wc = cols[c], w[c]
+                for i in range(r, k):
+                    col[i] -= q * scol[i]
+                for t in range(n):
+                    wsrc[t] += q * wc[t]
+            cands = [c for c in cands if cols[c][r]]
+        pivot = cands[0]
+        active.remove(pivot)
+        pivots.append((cols[pivot][r], pivot))
+    return pivots, active, w
+
+
 def saturate_rows(rows) -> Lattice:
     """Hermite basis of the saturation of the row span inside Z^n."""
-    cols = SparseIntMatrix.from_dense([list(v) for v in rows]).transpose()
-    sat = column_saturation(cols)
-    vecs = [
-        tuple(sat.entry(i, j) for i in range(sat.n_rows)) for j in range(sat.n_cols)
-    ]
-    return row_hnf(vecs)
+    pivots, _, w = _echelon(rows)
+    return row_hnf([w[c] for _, c in pivots])
 
 
 def is_saturated_rows(rows) -> bool:
-    mat = SparseIntMatrix.from_dense([list(v) for v in rows])
-    res = smith_normal_form(mat)
-    return len(res.divisors) == mat.n_rows and all(d == 1 for d in res.divisors)
+    """True when the rows are independent and span a saturated summand:
+    one echelon pivot per row, each +-1 (A = E*W with E's pivot block
+    unit lower triangular)."""
+    pivots, _, _ = _echelon(rows)
+    return len(pivots) == len(rows) and all(v in (1, -1) for v, _ in pivots)
+
+
+def rank_rows(rows) -> int:
+    """Rank of the row span."""
+    return len(_echelon(rows)[0])
 
 
 @dataclass(frozen=True)
@@ -173,14 +234,18 @@ def apartment_eval(symbol) -> dict[Flag, int]:
     n = symbol.ambient
     if len(vectors) != n:
         raise ValueError("symbol length must match the ambient rank")
-    if det_int(vectors) == 0:
+    d = det_int(vectors)
+    if d == 0:
         return {}
+    # the lines of a unimodular symbol are a basis of Z^n, so every subset
+    # of them already spans a saturated summand
+    span = row_hnf if d in (1, -1) else saturate_rows
     memo: dict[frozenset, Lattice] = {}
 
     def span_of(idx: frozenset) -> Lattice:
         got = memo.get(idx)
         if got is None:
-            got = saturate_rows([vectors[i] for i in sorted(idx)])
+            got = span([vectors[i] for i in sorted(idx)])
             memo[idx] = got
         return got
 
@@ -421,8 +486,7 @@ def byk_generator(lines, cert: ApfCertificate) -> SignedCanonical:
     if sorted(produced) != sorted(normalized):
         raise BadCertificate("certificate does not reproduce the lines")
     n = len(normalized[0])
-    mat = SparseIntMatrix.from_dense([list(v) for v in normalized])
-    if rank(mat) < n:
+    if rank_rows(normalized) < n:
         return ZERO_GENERATOR
     return canonical_generator(normalized)
 
@@ -501,8 +565,7 @@ def byk_delta(lines) -> dict[tuple[Vector, ...], int]:
     out: dict[tuple[Vector, ...], int] = {}
     for j in range(len(normalized)):
         rem = normalized[:j] + normalized[j + 1 :]
-        mat = SparseIntMatrix.from_dense([list(v) for v in rem])
-        if rank(mat) < n:
+        if rank_rows(rem) < n:
             continue
         can = canonical_generator(rem)
         if can.is_zero:
@@ -589,26 +652,17 @@ def _member_vectors(member: Lattice, bound: int) -> list[Vector]:
 def _complete_basis(chosen: list[Vector], n: int) -> list[Vector] | None:
     """Extend a saturated independent set to a basis of Z^n, if possible.
 
-    The column echelon E = A*V of the chosen rows A has one pivot per row
-    of A exactly when they are independent, and its pivot minor is then
-    all of E's nonzero part, so A is saturated exactly when every pivot is
-    a unit. In that case A = [T | 0]*V^-1 with T unimodular, and the rows
-    of V^-1 at E's zero columns complete A to a basis; row j of V^-1 is
-    the solution x of V^T x = e_j.
+    With A = E*W from `_echelon`, the chosen rows A are saturated and
+    independent exactly when the echelon has one unit pivot per row. Then
+    they span the same lattice as the W rows at the pivot columns, and the
+    W rows at the free columns complete them to a basis.
     """
     if not chosen:
         return [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
-    eng = _ColumnEngine(SparseIntMatrix.from_dense([list(v) for v in chosen]), track_v=True)
-    pivots, free = eng.reduce()
-    if len(pivots) < len(chosen) or any(eng.cols[c][r] not in (1, -1) for r, c in pivots):
+    pivots, free, w = _echelon(chosen)
+    if len(pivots) < len(chosen) or any(v not in (1, -1) for v, _ in pivots):
         return None
-    assert eng.v_cols is not None
-    vt_solver = LatticeSolver(SparseIntMatrix(n, n, eng.v_cols))
-    tail = []
-    for j in free:
-        row = vt_solver.solve({j: 1})
-        tail.append(tuple(row.get(i, 0) for i in range(n)))
-    basis = list(chosen) + tail
+    basis = list(chosen) + [tuple(w[c]) for c in free]
     if abs(det_int(basis)) != 1:
         return None
     return basis
@@ -677,8 +731,7 @@ def common_basis_search(flag_a, flag_b, budget: int = 20_000):
                     )
                 cand = candidates[ci]
                 stack = inside + acc + [cand]
-                mat = SparseIntMatrix.from_dense([list(v) for v in stack])
-                if rank(mat) < len(stack):
+                if rank_rows(stack) < len(stack):
                     continue
                 got = pick(take - 1, ci + 1, acc + [cand])
                 if got is not None:

@@ -204,11 +204,17 @@ def test_lattice_solver_roundtrip():
         x = solver.solve(b)
         assert x is not None
         assert a.mul_vec(x) == b
-        # and a vector outside the lattice (append a fresh unit direction)
+        # a shifted vector: either an exact preimage or rejected, and
+        # always rejected when it leaves the Q-span of the columns
         off = dict(b)
         off[m - 1] = off.get(m - 1, 0) + 1
-        if a.mul_vec(solver.solve(off) or {}) != off:
-            assert True
+        got = solver.solve(off)
+        assert got is None or a.mul_vec(got) == off
+        with_off = SparseIntMatrix.from_dense(
+            [row + [off.get(i, 0)] for i, row in enumerate(dense)]
+        )
+        if rank(with_off) > k:
+            assert got is None
 
 
 def test_lattice_solver_rejects_outside_vectors():

@@ -1,12 +1,14 @@
 """Integral modular symbols, descent, and the X-degree presentation."""
 
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from titshom.complexes import ZERO_GENERATOR
+from titshom.building import perm_sign
+from titshom.complexes import ZERO_GENERATOR, add_term
 from titshom.errors import (
     BadCertificate,
     BudgetExceeded,
@@ -15,6 +17,8 @@ from titshom.errors import (
     NotSaturated,
     ZeroVector,
 )
+from titshom.intmat import SparseIntMatrix
+from titshom.snf import rank, saturation, smith_normal_form
 from titshom.zsymbols import (
     ApartmentSymbol,
     _complete_basis,
@@ -30,7 +34,9 @@ from titshom.zsymbols import (
     det_int,
     flag_chain_boundary,
     normalize_line,
+    is_saturated_rows,
     random_unimodular_basis,
+    rank_rows,
     recognize_apf,
     row_hnf,
     saturate_rows,
@@ -52,6 +58,85 @@ def test_row_hnf_and_saturation():
     assert saturate_rows([(1, 2, 0), (0, 0, 3)]) == ((1, 2, 0), (0, 0, 1))
     # shuffling and negating rows leaves the canonical form alone
     assert row_hnf([(0, 1), (-2, 0)]) == ((2, 0), (0, 1))
+
+
+def _sparse_saturate(rows):
+    """Reference saturation through the sparse core: the Hermite form of
+    the columns `snf.saturation` returns for the transposed rows."""
+    sat = saturation(SparseIntMatrix.from_dense([list(v) for v in rows]).transpose())
+    return row_hnf(
+        [tuple(col.get(i, 0) for i in range(sat.n_rows)) for col in sat.columns()]
+    )
+
+
+def _random_row_set(rng, n, k, bound):
+    rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(k)]
+    for _ in range(rng.randint(0, 2)):
+        i, j = rng.randrange(k), rng.randrange(k)
+        kind = rng.random()
+        if kind < 0.3:
+            rows[i] = [0] * n
+        elif i != j:  # a row dependent on another
+            c = rng.choice((-3, -2, 2, 3))
+            rows[i] = [c * x for x in rows[j]]
+    return [tuple(r) for r in rows]
+
+
+def test_dense_echelon_matches_sparse_core():
+    rng = random.Random(4471)
+    for trial in range(600):
+        n = rng.randint(1, 6)
+        k = rng.randint(1, n + 2)
+        rows = _random_row_set(rng, n, k, rng.choice((1, 3, 50)))
+        mat = SparseIntMatrix.from_dense([list(v) for v in rows])
+        divisors = smith_normal_form(mat).divisors
+        assert saturate_rows(rows) == _sparse_saturate(rows), rows
+        assert is_saturated_rows(rows) == (
+            len(divisors) == k and all(d == 1 for d in divisors)
+        ), rows
+        assert rank_rows(rows) == rank(mat), rows
+    assert saturate_rows([]) == () and is_saturated_rows([]) and rank_rows([]) == 0
+    assert saturate_rows([(0, 0)]) == () and not is_saturated_rows([(0, 0)])
+    assert saturate_rows([(1, 2), (2, 4)]) == ((1, 2),)
+    assert not is_saturated_rows([(1, 2), (2, 4)]) and rank_rows([(1, 2), (2, 4)]) == 1
+    # an independent but non-saturated pair, and a saturated one
+    assert not is_saturated_rows([(1, 1, 0), (1, -1, 0)])
+    assert is_saturated_rows([(1, 1, 0), (0, 1, 0)])
+    for ragged in ([(1, 2), (1,)], [(1, 2), (1, 2, 3)]):
+        with pytest.raises(ValueError):
+            saturate_rows(ragged)
+
+
+def _eval_saturating_every_prefix(vecs):
+    """`apartment_eval` without the unimodular shortcut, through the sparse core."""
+    lines = ApartmentSymbol.from_vectors(vecs).lines
+    n = len(lines)
+    if det_int(lines) == 0:
+        return {}
+    chain = {}
+    for perm in permutations(range(n)):
+        flag = tuple(
+            _sparse_saturate([lines[i] for i in sorted(perm[: k + 1])])
+            for k in range(n - 1)
+        )
+        add_term(chain, flag, perm_sign(perm))
+    return chain
+
+
+def test_apartment_eval_shortcut_matches_saturated_prefixes():
+    rng = random.Random(818)
+    for n in (2, 3, 4):
+        for _ in range(6):
+            basis = random_unimodular_basis(n, rng)
+            assert abs(det_int(basis)) == 1
+            assert apartment_eval(basis) == _eval_saturating_every_prefix(basis)
+        done = 0
+        while done < 6:
+            vecs = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(n)]
+            if any(not any(v) for v in vecs) or abs(det_int(vecs)) < 2:
+                continue
+            done += 1
+            assert apartment_eval(vecs) == _eval_saturating_every_prefix(vecs)
 
 
 def test_apartment_eval_standard():
