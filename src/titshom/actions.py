@@ -18,26 +18,28 @@ from .snf import ZZ, CoefficientRing, cokernel_invariants
 DEFAULT_GROUP_BUDGET = 2_000_000
 
 
-def st_action_matrix(st: StModel, g) -> SparseIntMatrix:
-    """Matrix of g on the Steinberg lattice in the kernel basis.
+def permutation_matrix_int(perm: list[int]) -> SparseIntMatrix:
+    """Matrix sending e_i to e_{perm[i]}."""
+    out = SparseIntMatrix(len(perm), len(perm))
+    for i, j in enumerate(perm):
+        out.rows[j][i] = 1
+    return out
 
-    Solves K * M = P_g * K exactly; the kernel is saturated, so M is the
-    unique integer solution. Verified by multiplication before returning.
+
+def st_action_matrix(st: StModel, g) -> SparseIntMatrix:
+    """Matrix of g on the Steinberg lattice in the unipotent apartment basis.
+
+    Column u is g applied to the apartment class A_u, whose coordinates are
+    read off at the chambers opposite C0: M = opp_sign * (P_g * A)
+    restricted to the opposite rows. Verified as A * M == P_g * A before
+    returning.
     """
-    perm = chamber_permutation(st, g)
-    k = st.kernel
-    pk_rows: list[dict[int, int]] = [dict() for _ in range(k.n_rows)]
-    for i, row in enumerate(k.rows):
-        pk_rows[perm[i]] = dict(row)
-    pk = SparseIntMatrix(k.n_rows, k.n_cols, pk_rows)
-    cols = []
-    for pcol in pk.columns():
-        x = st.solver.solve(pcol)
-        if x is None:
-            raise AssertionError("permuted kernel column left the lattice")
-        cols.append(x)
-    m = SparseIntMatrix.from_columns(k.n_cols, cols)
-    if k.mul(m) != pk:
+    a, opposite = st.basis
+    pa = permutation_matrix_int(chamber_permutation(st, g)).mul(a)
+    sign = st.opp_sign
+    rows = [{u: sign * v for u, v in pa.rows[c].items()} for c in opposite]
+    m = SparseIntMatrix(a.n_cols, a.n_cols, rows)
+    if a.mul(m) != pa:
         raise AssertionError("action matrix failed verification")
     return m
 

@@ -10,13 +10,11 @@ resulting apartment class in the basis of the merged subspace.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd
 
-from .actions import coinvariant_relations, st_action_matrix, tensor_matrix
+from .actions import coinvariant_relations, permutation_matrix_int, st_action_matrix, tensor_matrix
 from .building import (
     Matrix,
-    StModel,
     Subspace,
     Vector,
     apartment_class_fq,
@@ -33,7 +31,7 @@ from .complexes import ChainComplexZ, HomologyGroup, assemble_complex, cycle_spa
 from .errors import BudgetExceeded, NonComplementary
 from .fqfield import FieldTable, field
 from .intmat import SparseIntMatrix
-from .snf import LatticeSolver, cokernel_invariants, kernel_basis
+from .snf import cokernel_invariants, kernel_basis
 
 DEFAULT_BAR_BUDGET = 2_000_000
 
@@ -42,32 +40,6 @@ def lines_to_matrix(vectors: list[Vector]) -> Matrix:
     """Matrix whose j-th column is the j-th line vector."""
     d = len(vectors)
     return tuple(tuple(vectors[j][i] for j in range(d)) for i in range(d))
-
-
-@dataclass
-class DimModel:
-    """Steinberg model of F_q^d with its unipotent apartment basis."""
-
-    st: StModel
-    units: list[Matrix]
-    apartment_matrix: SparseIntMatrix
-    solver: LatticeSolver
-
-    def expand(self, chain: dict[int, int]) -> dict[int, int]:
-        """Coordinates of a chamber chain in the unipotent apartment basis."""
-        x = self.solver.solve(chain)
-        if x is None:
-            raise NonComplementary("chain not in the Steinberg lattice")
-        return x
-
-
-@lru_cache(maxsize=None)
-def dim_model(q: int, d: int) -> DimModel:
-    st = steinberg(d, q)
-    units = unipotent_matrices(d, q)
-    cols = [apartment_class_fq(st, u) for u in units]
-    mat = SparseIntMatrix.from_columns(len(st.chambers), cols)
-    return DimModel(st, units, mat, LatticeSolver(mat))
 
 
 def subspace_pivots(sub: Subspace) -> list[int]:
@@ -119,12 +91,11 @@ def st_product(
     if len(rref(ft, list(left) + list(right))) != len(left) + len(right):
         raise NonComplementary("summands overlap")
     merged = rref(ft, list(left) + list(right))
-    lines = unit_lines(ft, left, dim_model(q, len(left)).units[left_unit])
-    lines += unit_lines(ft, right, dim_model(q, len(right)).units[right_unit])
+    lines = unit_lines(ft, left, steinberg(len(left), q).units[left_unit])
+    lines += unit_lines(ft, right, steinberg(len(right), q).units[right_unit])
     coord_lines = [coords_in(ft, merged, v) for v in lines]
-    model = dim_model(q, len(merged))
-    chain = apartment_class_fq(model.st, lines_to_matrix(coord_lines))
-    return merged, model.expand(chain)
+    st = steinberg(len(merged), q)
+    return merged, st.to_st_coords(apartment_class_fq(st, lines_to_matrix(coord_lines)))
 
 
 def ordered_decompositions(n: int, q: int, parts: int, budget: int) -> list[tuple[Subspace, ...]]:
@@ -256,13 +227,6 @@ class Rank2Report:
     surjective: bool
 
 
-def _permutation_matrix_int(perm: list[int]) -> SparseIntMatrix:
-    out = SparseIntMatrix(len(perm), len(perm))
-    for i, j in enumerate(perm):
-        out.rows[j][i] = 1
-    return out
-
-
 def rank2_e1_surjectivity(q: int) -> Rank2Report:
     """First-page surjectivity onto the chamber coinvariants for GL_3(F_q).
 
@@ -279,7 +243,7 @@ def rank2_e1_surjectivity(q: int) -> Rank2Report:
     perms = [chamber_permutation(st, g) for g in gens]
     acts = [st_action_matrix(st, g) for g in gens]
 
-    big = [tensor_matrix(_permutation_matrix_int(p), m) for p, m in zip(perms, acts)]
+    big = [tensor_matrix(permutation_matrix_int(p), m) for p, m in zip(perms, acts)]
     rel = coinvariant_relations(c * s, big)
     e110 = HomologyGroup(*cokernel_invariants(rel))
 
@@ -289,28 +253,24 @@ def rank2_e1_surjectivity(q: int) -> Rank2Report:
     phi = phi_mat.column(0)
 
     image_gcd = 0
-    for ki in st.kernel.columns():
-        # phi paired with (column i of K) (x) e_j, for all j
+    for ki in st.basis[0].columns():
+        # phi paired with (apartment class i) (x) e_j, for all j
         for j in range(s):
             val = sum(v * phi.get(a * s + j, 0) for a, v in ki.items())
             image_gcd = gcd(image_gcd, val)
 
     u = bruhat_witness(3, q)
     chain_id = apartment_class_fq(st, identity_matrix(3))
-    x_u = st.to_st_coords(apartment_class_fq(st, u))
+    chain_u = apartment_class_fq(st, u)
+    x_u = st.to_st_coords(chain_u)
     witness_value = 0
     for a, va in chain_id.items():
         for j, vj in x_u.items():
             witness_value += va * vj * phi.get(a * s + j, 0)
 
     # the unipotent apartment chain carries the standard flag once
-    std_flag = []
-    sofar = []
-    for j in range(2):
-        sofar.append(tuple(1 if i == j else 0 for i in range(3)))
-        std_flag.append(rref(st.ft, sofar))
-    std_idx = st.chamber_index[tuple(std_flag)]
-    standard_coeff = apartment_class_fq(st, u).get(std_idx, 0)
+    std_idx = st.chamber_index[tuple(identity_matrix(3)[: k + 1] for k in range(2))]
+    standard_coeff = chain_u.get(std_idx, 0)
 
     return Rank2Report(
         q=q,

@@ -4,20 +4,22 @@ Subspaces are canonical reduced-row-echelon bases (tuples of row tuples),
 flags are dimension-increasing tuples of subspaces, and the building is the
 reduced order complex of the proper nonzero subspace poset: one empty
 simplex in degree -1, flags of k+1 subspaces in degree k. The Steinberg
-lattice is the integer kernel of the top boundary map.
+lattice is the integer kernel of the top boundary map, with the certified
+apartment classes of the unipotent matrices as its basis (Solomon-Tits).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from itertools import combinations, permutations, product
+from typing import Callable, Hashable
 
 from .complexes import ChainComplexZ, add_term, assemble_complex, cycle_space
 from .errors import BudgetExceeded, FieldTooLarge, NotSpanning
 from .fqfield import FieldTable, field
 from .intmat import SparseIntMatrix
-from .snf import LatticeSolver
+from .snf import LatticeSolver, nullity
 
 Vector = tuple[int, ...]
 Subspace = tuple[Vector, ...]
@@ -216,7 +218,8 @@ def building_complex(n: int, q: int, budget: int = DEFAULT_CELL_BUDGET) -> Chain
 
 @dataclass
 class StModel:
-    """Steinberg lattice of F_q^n inside top-degree chamber coordinates."""
+    """Steinberg lattice of F_q^n in chamber coordinates, with the apartment
+    classes of `units` as its basis (coordinates follow their order)."""
 
     n: int
     q: int
@@ -224,23 +227,56 @@ class StModel:
     cx: ChainComplexZ
     chambers: list
     chamber_index: dict
-    kernel: SparseIntMatrix
-    _solver: LatticeSolver | None = dc_field(default=None, repr=False)
+    units: list[Matrix]
 
     @property
     def rank(self) -> int:
-        return self.kernel.n_cols
+        return self.basis[0].n_cols
 
     @property
-    def solver(self) -> LatticeSolver:
-        if self._solver is None:
-            self._solver = LatticeSolver(self.kernel)
-        return self._solver
+    def opp_sign(self) -> int:
+        """Sign of the ordering that reverses n columns."""
+        return perm_sign(tuple(reversed(range(self.n))))
+
+    @cached_property
+    def basis(self) -> tuple[SparseIntMatrix, list[int]]:
+        """(A, opposite): the unit apartment classes as the columns of A, and
+        per unit the chamber of its apartment opposite C0, the flag of its
+        columns taken in reverse.
+
+        Certified to be a Z-basis of ker d_top, or NotSpanning is raised:
+        every class is a cycle; the opposite chambers are distinct and each
+        class meets them in its own one only, with coefficient opp_sign, so
+        the span is saturated; and there are nullity(d_top) units.
+        """
+        ft, n, index = self.ft, self.n, self.chamber_index
+        cols = [apartment_class_fq(self, u) for u in self.units]
+        a = SparseIntMatrix.from_columns(len(self.chambers), cols)
+        opposite = []
+        for u in self.units:
+            lines = matrix_columns(u)
+            opposite.append(index[tuple(rref(ft, lines[n - 1 - k :]) for k in range(n - 1))])
+        d_top = self.cx.boundary_at(n - 2)
+        if not d_top.mul(a).is_zero():
+            raise NotSpanning("an apartment class is not a top cycle")
+        at_opposite = set(opposite)
+        if len(at_opposite) != len(opposite):
+            raise NotSpanning("two units share their opposite chamber")
+        sign = self.opp_sign
+        for c, col in zip(opposite, cols):
+            if {r: v for r, v in col.items() if r in at_opposite} != {c: sign}:
+                raise NotSpanning("classes are not opp_sign * I at the opposite chambers")
+        if len(self.units) != nullity(d_top):
+            raise NotSpanning("the unit count is not the rank of ker d_top")
+        return a, opposite
 
     def to_st_coords(self, chain: dict[int, int]) -> dict[int, int]:
-        """Express a chamber-coordinate cycle in the kernel basis."""
-        x = self.solver.solve(chain)
-        if x is None:
+        """Coordinates of a chamber-coordinate cycle, read off at the opposite
+        chambers and checked by multiplying back."""
+        a, opposite = self.basis
+        sign = self.opp_sign
+        x = {u: sign * chain[c] for u, c in enumerate(opposite) if c in chain}
+        if a.mul_vec(x) != chain:
             raise NotSpanning("chain is not in the Steinberg lattice")
         return x
 
@@ -248,9 +284,7 @@ class StModel:
 @lru_cache(maxsize=None)
 def steinberg(n: int, q: int, budget: int = DEFAULT_CELL_BUDGET) -> StModel:
     cx = building_complex(n, q, budget=budget)
-    top = n - 2
-    chambers = list(cx.basis[top])
-    kernel = cycle_space(cx, top)
+    chambers = list(cx.basis[n - 2])
     return StModel(
         n=n,
         q=q,
@@ -258,7 +292,7 @@ def steinberg(n: int, q: int, budget: int = DEFAULT_CELL_BUDGET) -> StModel:
         cx=cx,
         chambers=chambers,
         chamber_index={c: i for i, c in enumerate(chambers)},
-        kernel=kernel,
+        units=unipotent_matrices(n, q),
     )
 
 
@@ -284,6 +318,29 @@ def matrix_columns(g: Matrix) -> list[Vector]:
     return [tuple(g[i][j] for i in range(n)) for j in range(n)]
 
 
+@lru_cache(maxsize=None)
+def _orderings(n: int) -> list[tuple[int, tuple[tuple[int, ...], ...]]]:
+    """Every ordering of range(n) as its sign and its n-1 sorted prefixes."""
+    return [
+        (perm_sign(perm), tuple(tuple(sorted(perm[: k + 1])) for k in range(n - 1)))
+        for perm in permutations(range(n))
+    ]
+
+
+def apartment_chain(n: int, span: Callable[[tuple[int, ...]], Hashable]) -> dict:
+    """Signed sum over all orderings of n lines of the flags of their prefix
+    spans, keyed by flag.
+
+    `span` maps a sorted tuple of line indices to the subspace they span; it
+    is called once per proper nonempty subset.
+    """
+    spans = {idx: span(idx) for k in range(1, n) for idx in combinations(range(n), k)}
+    chain: dict = {}
+    for sign, prefixes in _orderings(n):
+        add_term(chain, tuple(spans[idx] for idx in prefixes), sign)
+    return chain
+
+
 def apartment_class_fq(st: StModel, g: Matrix) -> dict[int, int]:
     """Chamber-coordinate cycle of the apartment indexed by g's columns.
 
@@ -291,20 +348,11 @@ def apartment_class_fq(st: StModel, g: Matrix) -> dict[int, int]:
     the flag of their partial spans; it lies in the Steinberg lattice.
     """
     ft = st.ft
-    n = st.n
     cols = matrix_columns(g)
-    if len(rref(ft, cols)) < n:
+    if len(rref(ft, cols)) < st.n:
         raise NotSpanning("matrix columns do not span")
-    chain: dict[int, int] = {}
-    for perm in permutations(range(n)):
-        sign = perm_sign(perm)
-        flag = []
-        sofar: list[Vector] = []
-        for j in range(n - 1):
-            sofar.append(cols[perm[j]])
-            flag.append(rref(ft, sofar))
-        add_term(chain, st.chamber_index[tuple(flag)], sign)
-    return chain
+    chain = apartment_chain(st.n, lambda idx: rref(ft, [cols[i] for i in idx]))
+    return {st.chamber_index[flag]: c for flag, c in chain.items()}
 
 
 def unipotent_matrices(n: int, q: int) -> list[Matrix]:
@@ -320,19 +368,22 @@ def unipotent_matrices(n: int, q: int) -> list[Matrix]:
 
 
 def unipotent_basis_matrix(st: StModel) -> tuple[list[Matrix], SparseIntMatrix]:
-    """Change of basis from unipotent apartment classes to the kernel basis.
+    """Unipotent apartment classes in the coordinates of a generic kernel basis.
 
-    Returns (units, X) with kernel * X = apartment matrix; X is square of
-    size q^{n(n-1)/2}. X unimodular means the apartment classes form a
-    Z-basis of the Steinberg lattice.
+    Returns (units, X) with K * X = apartment matrix, where K is the
+    saturated `cycle_space` basis of the top cycles; X is square of size
+    q^{n(n-1)/2}. X unimodular means the apartment classes form a Z-basis of
+    the Steinberg lattice. This check is independent of `StModel.basis`.
     """
-    units = unipotent_matrices(st.n, st.q)
+    kernel = cycle_space(st.cx, st.n - 2)
+    solver = LatticeSolver(kernel)
     cols = []
-    for u in units:
-        chain = apartment_class_fq(st, u)
-        cols.append(st.to_st_coords(chain))
-    x = SparseIntMatrix.from_columns(st.rank, cols)
-    return units, x
+    for u in st.units:
+        x = solver.solve(apartment_class_fq(st, u))
+        if x is None:
+            raise NotSpanning("apartment class is not in the Steinberg lattice")
+        cols.append(x)
+    return st.units, SparseIntMatrix.from_columns(kernel.n_cols, cols)
 
 
 def bruhat_witness(n: int, q: int) -> Matrix:

@@ -197,9 +197,9 @@ def cycle_space(cx: ChainComplexZ, d: int) -> SparseIntMatrix:
     return kernel_basis(cx.boundary_at(d))
 
 
-def exactness_report(cx: ChainComplexZ, ring: CoefficientRing = ZZ) -> dict:
+def exactness_report(cx: ChainComplexZ) -> dict:
     """Homology at every degree plus the Euler characteristic."""
-    by_degree = {d: homology(cx, d, ring) for d in cx.degrees}
+    by_degree = homology_profile(cx)
     euler = sum((-1) ** d * cx.dim(d) for d in cx.degrees)
     return {
         "euler": euler,

@@ -18,10 +18,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 from math import gcd
 
-from .building import perm_sign
+from .building import apartment_chain
 from .complexes import (
     SignedCanonical,
     ZERO_GENERATOR,
@@ -240,21 +240,7 @@ def apartment_eval(symbol) -> dict[Flag, int]:
     # the lines of a unimodular symbol are a basis of Z^n, so every subset
     # of them already spans a saturated summand
     span = row_hnf if d in (1, -1) else saturate_rows
-    memo: dict[frozenset, Lattice] = {}
-
-    def span_of(idx: frozenset) -> Lattice:
-        got = memo.get(idx)
-        if got is None:
-            got = span([vectors[i] for i in sorted(idx)])
-            memo[idx] = got
-        return got
-
-    chain: dict[Flag, int] = {}
-    for perm in permutations(range(n)):
-        sign = perm_sign(perm)
-        flag = tuple(span_of(frozenset(perm[: k + 1])) for k in range(n - 1))
-        add_term(chain, flag, sign)
-    return chain
+    return apartment_chain(n, lambda idx: span([vectors[i] for i in idx]))
 
 
 def flag_chain_boundary(chain: dict[Flag, int]) -> dict[Flag, int]:

@@ -16,6 +16,7 @@ from titshom.actions import (
 from titshom.building import (
     borel_generators,
     gl_generators,
+    identity_matrix,
     mat_mul,
     steinberg,
 )
@@ -26,12 +27,14 @@ from oracle_linalg import abelian_invariants_oracle
 
 
 def test_st_action_is_homomorphism():
-    st = steinberg(2, 2)
-    g1, g2 = gl_generators(2, 2)[:2]
-    m1 = st_action_matrix(st, g1)
-    m2 = st_action_matrix(st, g2)
-    m12 = st_action_matrix(st, mat_mul(st.ft, g1, g2))
-    assert m1.mul(m2) == m12
+    for n, q in [(2, 2), (3, 2), (2, 3)]:
+        st = steinberg(n, q)
+        g1, g2 = gl_generators(n, q)[:2]
+        m1 = st_action_matrix(st, g1)
+        m2 = st_action_matrix(st, g2)
+        m12 = st_action_matrix(st, mat_mul(st.ft, g1, g2))
+        assert m1.mul(m2) == m12, (n, q)
+        assert st_action_matrix(st, identity_matrix(n)) == SparseIntMatrix.identity(st.rank)
 
 
 def test_steinberg_coinvariants_gl_2_2_vanish():

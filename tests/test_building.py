@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import os
+from dataclasses import replace
+from itertools import permutations
 
 import pytest
 
 from titshom.building import (
     act_on_subspace,
+    apartment_chain,
     apartment_class_fq,
     borel_generators,
     bruhat_witness,
@@ -18,6 +21,7 @@ from titshom.building import (
     identity_matrix,
     is_upper_triangular,
     mat_mul,
+    perm_sign,
     permutation_matrix,
     rref,
     sl2_generators,
@@ -27,9 +31,10 @@ from titshom.building import (
     unipotent_basis_matrix,
     unipotent_matrices,
 )
-from titshom.complexes import exactness_report, homology
+from titshom.complexes import ChainComplexZ, exactness_report, homology
 from titshom.errors import BudgetExceeded, FieldTooLarge, NotSpanning
 from titshom.fqfield import field
+from titshom.intmat import SparseIntMatrix
 from titshom.snf import smith_normal_form
 
 
@@ -108,23 +113,57 @@ def test_apartment_class_is_cycle_in_lattice():
     assert sorted(abs(v) for v in chain.values()) == [1] * 6
     bd = st.cx.boundary_at(1)
     assert bd.mul_vec(chain) == {}
-    assert st.to_st_coords(chain) is not None
+    # the identity is the first unit
+    assert st.to_st_coords(chain) == {0: 1}
+    with pytest.raises(NotSpanning):
+        st.to_st_coords({0: 1})
     with pytest.raises(NotSpanning):
         apartment_class_fq(st, ((1, 0, 0), (0, 1, 0), (1, 0, 0)))
 
 
-def test_unipotent_basis_is_z_basis_2_2():
-    st = steinberg(2, 2)
+def test_apartment_chain_spans_each_subset_once():
+    calls = []
+
+    def span(idx):
+        calls.append(idx)
+        return frozenset(idx)
+
+    chain = apartment_chain(4, span)
+    assert sorted(calls) == sorted(set(calls)) and len(calls) == 2**4 - 2
+    naive = {}
+    for perm in permutations(range(4)):
+        naive[tuple(frozenset(perm[: k + 1]) for k in range(3))] = perm_sign(perm)
+    assert chain == naive
+
+
+@pytest.mark.parametrize("n, q", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)])
+def test_unipotent_basis_is_z_basis(n, q):
+    st = steinberg(n, q)
     units, x = unipotent_basis_matrix(st)
-    assert len(units) == 2 and x.shape == (2, 2)
-    assert smith_normal_form(x).divisors == (1, 1)
+    assert len(units) == q ** (n * (n - 1) // 2) == st.rank
+    assert x.shape == (st.rank, st.rank)
+    assert smith_normal_form(x).divisors == (1,) * st.rank
 
 
-def test_unipotent_basis_is_z_basis_3_2():
+def test_certificate_rejects_wrong_units():
     st = steinberg(3, 2)
-    units, x = unipotent_basis_matrix(st)
-    assert len(units) == 8
-    assert smith_normal_form(x).divisors == (1,) * 8
+    units = st.units
+    assert st.rank == len(units) == 8
+    swapped = permutation_matrix((1, 0, 2))
+    for bad in (units[:-1], units[:-1] + [units[1]], units[:-1] + [swapped]):
+        with pytest.raises(NotSpanning):
+            replace(st, units=bad).basis
+    # a fresh model over the same units certifies again
+    assert replace(st, units=list(units)).basis[1] == st.basis[1]
+
+
+def test_certificate_rejects_classes_that_are_not_cycles():
+    # a top boundary of the same nullity that the apartment classes escape
+    st = steinberg(2, 2)
+    bent = SparseIntMatrix.from_dense([[1, 2, 3]])
+    cx = ChainComplexZ(st.cx.basis, {**st.cx.boundary, 0: bent})
+    with pytest.raises(NotSpanning):
+        replace(st, cx=cx).basis
 
 
 def test_bruhat_witness_small():

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -82,6 +83,16 @@ def test_reports_byte_stable_across_runs():
     a = run_suite("bounds").to_json(stable_timings=True)
     b = run_suite("bounds").to_json(stable_timings=True)
     assert a == b
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("name", sorted(reports.SUITES))
+def test_suite_report_matches_golden(name):
+    """Default-parameter reports stay byte-identical to the committed ones."""
+    got = run_suite(name).to_json(stable_timings=True).encode()
+    assert got == (GOLDEN / f"{name}.json").read_bytes()
 
 
 @pytest.mark.parametrize(
