@@ -470,6 +470,15 @@ def borel_generators(n: int, q: int) -> list[Matrix]:
     return gens
 
 
+# group kind -> generators of that group of n x n matrices over F_q; the
+# special linear generators are wired for n = 2 only
+GROUP_GENERATORS = {
+    "gl": gl_generators,
+    "sl": lambda n, q: sl2_generators(q),
+    "borel": borel_generators,
+}
+
+
 def group_closure(ft: FieldTable, gens: list[Matrix], limit: int = 1_000_000) -> set[Matrix]:
     seen: set[Matrix] = set()
     frontier = [identity_matrix(len(gens[0]))]

@@ -159,12 +159,7 @@ def coinv(group_spec, module_spec, report, stable_timings, config):
     if kind == "sl" and n != 2:
         raise click.BadParameter("special linear generators are only wired for rank 2")
     st = building_mod.steinberg(n, q)
-    if kind == "gl":
-        gens = building_mod.gl_generators(n, q)
-    elif kind == "sl":
-        gens = building_mod.sl2_generators(q)
-    else:
-        gens = building_mod.borel_generators(n, q)
+    gens = building_mod.GROUP_GENERATORS[kind](n, q)
     if module_spec == "trivial":
         rank, mats = 1, [actions.trivial_action(1)(g) for g in gens]
     else:

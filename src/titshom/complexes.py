@@ -82,16 +82,6 @@ class ChainComplexZ:
         rows = self.dim(d - 1)
         return SparseIntMatrix(rows, self.dim(d))
 
-    def index_of(self, d: int, label: Label) -> int:
-        return self._index_maps().setdefault(d, {lab: i for i, lab in enumerate(self.basis[d])})[label]
-
-    def _index_maps(self) -> dict[int, dict[Label, int]]:
-        maps = getattr(self, "_idx", None)
-        if maps is None:
-            maps = {}
-            object.__setattr__(self, "_idx", maps)
-        return maps
-
 
 def add_term(chain: dict, key, coeff: int) -> None:
     """Add coeff * key to a sparse chain, dropping the key when it cancels."""

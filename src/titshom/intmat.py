@@ -176,14 +176,6 @@ class SparseIntMatrix:
                     del trow[c]
         return out
 
-    def submatrix(self, row_ids: list[int], col_ids: list[int]) -> "SparseIntMatrix":
-        cmap = {c: j for j, c in enumerate(col_ids)}
-        out = SparseIntMatrix(len(row_ids), len(col_ids))
-        for i, r in enumerate(row_ids):
-            row = self.rows[r]
-            out.rows[i] = {cmap[c]: v for c, v in row.items() if c in cmap}
-        return out
-
 
 # -- triplet text format ----------------------------------------------------
 # Line 1: "<n_rows> <n_cols>"; following lines: "<row> <col> <value>" with

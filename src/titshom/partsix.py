@@ -35,12 +35,12 @@ from .intmat import SparseIntMatrix
 from .snf import LatticeSolver, cokernel_invariants
 from .zsymbols import (
     Vector,
+    _combo,
     det_int,
     normalize_line,
     random_unimodular_basis,
     rank_rows,
     recognize_apf,
-    row_hnf,
     saturate_rows,
 )
 
@@ -416,11 +416,7 @@ def _random_shape_lines(n: int, basis, rng: random.Random):
         members = rng.sample(free, k)
         used.update(members)
         signs = [rng.choice((1, -1)) for _ in members]
-        vec = tuple(
-            sum(s * basis[m][t] for s, m in zip(signs, members))
-            for t in range(n)
-        )
-        lines.append(normalize_line(vec)[0])
+        lines.append(normalize_line(_combo(basis, members, signs))[0])
         unit = sorted(members) + [len(lines) - 1]
         groups = [g for g in groups if g[0] not in members] + [unit]
     return tuple(lines), [tuple(g) for g in groups]
@@ -446,78 +442,54 @@ def _random_valid_cell(lines, groups, rng: random.Random):
 # -- shapes, claims, and the kappa/eta certificate ------------------------------
 
 
-SHAPE_MIN_N = {
-    "x1-i": 2,
-    "x1-ii": 3,
-    "x2-i": 3,
-    "x2-ii": 4,
-    "x2-iii": 5,
-    "x2-iv": 6,
-}
-
-SHAPE_EPS_ARITY = {
-    "x1-i": 2,
-    "x1-ii": 3,
-    "x2-i": 3,
-    "x2-ii": 4,
-    "x2-iii": 5,
-    "x2-iv": 6,
+# tag -> member positions of each augmenting line, appended after the frame;
+# a line's signs are eps[m] at its own members
+SHAPES: dict[str, tuple[tuple[int, ...], ...]] = {
+    "x0": (),
+    "x1-i": ((0, 1),),
+    "x1-ii": ((0, 1, 2),),
+    "x2-i": ((0, 1), (0, 1, 2)),
+    "x2-ii": ((0, 1), (2, 3)),
+    "x2-iii": ((0, 1, 2), (3, 4)),
+    "x2-iv": ((0, 1, 2), (3, 4, 5)),
 }
 
 
-def _combo_line(basis, members, signs) -> Vector:
-    n = len(basis[0])
-    return normalize_line(
-        tuple(sum(s * basis[m][t] for m, s in zip(members, signs)) for t in range(n))
-    )[0]
+def shape_arity(shape: str) -> int:
+    """Minimum rank of a shape, which is also the length of its sign pattern."""
+    if shape not in SHAPES:
+        raise ValueError(f"unknown shape {shape!r}")
+    return max((m for members in SHAPES[shape] for m in members), default=-1) + 1
 
 
 def shape_lines(shape: str, n: int, eps, basis=None):
     """Representative line set for a shape plus its restriction groups.
 
     Returns (lines, groups) where groups lists, per restriction unit, the
-    indices into lines that must stay within one block.
+    indices into lines that must stay within one block: an augmenting line
+    with its members, merged with every unit it shares a member with.
     """
-    if shape not in SHAPE_MIN_N:
-        raise ValueError(f"unknown shape {shape!r}")
-    if n < SHAPE_MIN_N[shape]:
+    arity = shape_arity(shape)
+    if n < arity:
         raise ShapeUnavailable(n)
-    if len(eps) != SHAPE_EPS_ARITY[shape]:
+    if len(eps) != arity:
         raise ValueError("sign pattern has the wrong arity")
     if basis is None:
         basis = tuple(
             tuple(1 if i == j else 0 for j in range(n)) for i in range(n)
         )
     lines = [normalize_line(v)[0] for v in basis]
-    groups: list[tuple[int, ...]] = []
-    if shape == "x1-i":
-        lines.append(_combo_line(basis, (0, 1), eps[:2]))
-        groups.append((0, 1, n))
-    elif shape == "x1-ii":
-        lines.append(_combo_line(basis, (0, 1, 2), eps[:3]))
-        groups.append((0, 1, 2, n))
-    elif shape == "x2-i":
-        lines.append(_combo_line(basis, (0, 1), eps[:2]))
-        lines.append(_combo_line(basis, (0, 1, 2), eps[:3]))
-        groups.append((0, 1, 2, n, n + 1))
-    elif shape == "x2-ii":
-        lines.append(_combo_line(basis, (0, 1), eps[:2]))
-        lines.append(_combo_line(basis, (2, 3), eps[2:4]))
-        groups.append((0, 1, n))
-        groups.append((2, 3, n + 1))
-    elif shape == "x2-iii":
-        lines.append(_combo_line(basis, (0, 1, 2), eps[:3]))
-        lines.append(_combo_line(basis, (3, 4), eps[3:5]))
-        groups.append((0, 1, 2, n))
-        groups.append((3, 4, n + 1))
-    else:  # x2-iv
-        lines.append(_combo_line(basis, (0, 1, 2), eps[:3]))
-        lines.append(_combo_line(basis, (3, 4, 5), eps[3:6]))
-        groups.append((0, 1, 2, n))
-        groups.append((3, 4, 5, n + 1))
-    covered = {i for g in groups for i in g}
-    groups.extend((i,) for i in range(len(lines)) if i not in covered)
-    return tuple(lines), tuple(sorted(groups))
+    units: list[set[int]] = []
+    for members in SHAPES[shape]:
+        lines.append(normalize_line(_combo(basis, members, [eps[m] for m in members]))[0])
+        unit = set(members) | {len(lines) - 1}
+        for other in [u for u in units if u & unit]:
+            units.remove(other)
+            unit |= other
+        units.append(unit)
+    covered = set().union(*units)
+    units += [{i} for i in range(len(lines)) if i not in covered]
+    return tuple(lines), tuple(sorted(tuple(sorted(u)) for u in units))
 
 
 def _class_report(cx: ChainComplexZ, vec: dict[int, int], degree: int) -> dict:
@@ -527,37 +499,23 @@ def _class_report(cx: ChainComplexZ, vec: dict[int, int], degree: int) -> dict:
     coords = ksolver.solve(vec)
     if coords is None:
         raise CertificateFailure("cycle lies outside the kernel lattice")
-    image = cx.boundary_at(degree + 1)
     img_cols = []
-    for icol in image.columns():
+    for icol in cx.boundary_at(degree + 1).columns():
         col = ksolver.solve(icol)
         if col is None:
             raise CertificateFailure("boundary image escapes the kernel lattice")
         img_cols.append(col)
-    base = SparseIntMatrix(kernel.n_cols, len(img_cols))
-    for j, col in enumerate(img_cols):
-        for i, v in col.items():
-            base.rows[i][j] = v
-    quotient = HomologyGroup(*cokernel_invariants(base))
-    with_class = SparseIntMatrix(kernel.n_cols, len(img_cols) + 1)
-    for j, col in enumerate(img_cols):
-        for i, v in col.items():
-            with_class.rows[i][j] = v
-    for i, v in coords.items():
-        with_class.rows[i][len(img_cols)] = v
-    after = HomologyGroup(*cokernel_invariants(with_class))
-    # image columns may be dependent; membership needs an independent basis
-    img_rows = row_hnf(
-        [tuple(r.get(j, 0) for j in range(base.n_rows)) for r in base.transpose().rows]
+    quotient = HomologyGroup(
+        *cokernel_invariants(SparseIntMatrix.from_columns(kernel.n_cols, img_cols))
     )
-    if img_rows:
-        img_basis = SparseIntMatrix.from_dense([list(r) for r in img_rows]).transpose()
-        class_is_zero = LatticeSolver(img_basis).solve(coords) is not None
-    else:
-        class_is_zero = not coords
+    after = HomologyGroup(
+        *cokernel_invariants(SparseIntMatrix.from_columns(kernel.n_cols, img_cols + [coords]))
+    )
+    # Z^k/L maps onto Z^k/(L + Zc), and a finitely generated abelian group
+    # is Hopfian, so the two are isomorphic exactly when c already lies in L
     return {
         "homology": quotient,
-        "class_is_zero": class_is_zero,
+        "class_is_zero": after == quotient,
         "class_generates": after == HomologyGroup(0, ()),
     }
 
@@ -570,10 +528,6 @@ def _cell_vector(cx: ChainComplexZ, comb: dict, degree: int) -> dict[int, int]:
     return out
 
 
-def _eps_patterns(k: int):
-    return list(product((1, -1), repeat=k))
-
-
 def part6_claims(n: int, shapes: str | tuple = "all") -> list[dict]:
     """Claim-by-claim verification for the given rank.
 
@@ -581,50 +535,14 @@ def part6_claims(n: int, shapes: str | tuple = "all") -> list[dict]:
     profile, the predicted concentration degree, and the pass flag.
     """
     if shapes == "all":
-        wanted = ["x0"] + [s for s, m in SHAPE_MIN_N.items() if n >= m]
+        wanted = [s for s in SHAPES if n >= shape_arity(s)]
     else:
         wanted = list(shapes) if not isinstance(shapes, str) else [shapes]
-    checks: list[dict] = []
-    for shape in wanted:
-        if shape == "x0":
-            checks.append(_claim0_check(n))
-            continue
-        if shape not in SHAPE_MIN_N:
-            raise ValueError(f"unknown shape {shape!r}")
-        if n < SHAPE_MIN_N[shape]:
-            raise ShapeUnavailable(n)
-        for eps in _eps_patterns(SHAPE_EPS_ARITY[shape]):
-            checks.append(_shape_check(shape, n, eps))
-    return checks
-
-
-def _claim0_check(n: int) -> dict:
-    lines = tuple(
-        normalize_line(tuple(1 if i == j else 0 for j in range(n)))[0]
-        for i in range(n)
-    )
-    cx = x_localized(lines, 0)
-    zc = zcomplex(range(n), ())
-    prof = homology_profile(cx)
-    zprof = homology_profile(zc.cx)
-    ranks_match = _same_ranks(cx, zc.cx)
-    ok = (
-        ranks_match
-        and prof == zprof
-        and all(
-            h == HomologyGroup(1 if d == n - 2 else 0, ())
-            for d, h in prof.items()
-        )
-    )
-    return {
-        "claim": "bar-partition-frame-vanishing",
-        "shape": "x0",
-        "n": n,
-        "eps": (),
-        "d": n,
-        "profile": prof,
-        "ok": ok,
-    }
+    return [
+        _shape_check(shape, n, eps)
+        for shape in wanted
+        for eps in product((1, -1), repeat=shape_arity(shape))
+    ]
 
 
 def _same_ranks(a: ChainComplexZ, b: ChainComplexZ) -> bool:
@@ -646,7 +564,7 @@ def _shape_check(shape: str, n: int, eps) -> dict:
         h == HomologyGroup(1 if deg == d - 2 else 0, ()) for deg, h in prof.items()
     )
     result = {
-        "claim": f"localized-{shape}",
+        "claim": "bar-partition-frame-vanishing" if shape == "x0" else f"localized-{shape}",
         "shape": shape,
         "n": n,
         "eps": eps,
@@ -693,8 +611,8 @@ def kappa_eta_certificate(basis=None, eps=(1, 1, 1), eta_comb=None) -> dict:
     if len(eps) != 3:
         raise ValueError("three signs required")
     v = [normalize_line(b)[0] for b in basis]
-    l12 = _combo_line(basis, (0, 1), eps[:2])
-    l123 = _combo_line(basis, (0, 1, 2), eps)
+    l12 = normalize_line(_combo(basis, (0, 1), eps[:2]))[0]
+    l123 = normalize_line(_combo(basis, (0, 1, 2), eps))[0]
     l4 = v[3]
     core = (v[0], v[1], v[2], l123)
 

@@ -14,6 +14,7 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Callable
 
 from . import actions, barres, bounds, building, partsix, snf, zsymbols
@@ -305,7 +306,7 @@ def _suite_coinv(params: dict) -> list[CheckSpec]:
     def coinv_for(kind: str, n: int, q: int) -> Callable[[], str]:
         def run() -> str:
             st = building.steinberg(n, q)
-            gens = building.sl2_generators(q) if kind == "sl" else building.gl_generators(n, q)
+            gens = building.GROUP_GENERATORS[kind](n, q)
             mats = [actions.st_action_matrix(st, g) for g in gens]
             return str(actions.coinvariants(st.rank, mats))
 
@@ -320,25 +321,15 @@ def _suite_coinv(params: dict) -> list[CheckSpec]:
         )
         for kind, n, q in cases
     ]
-
-    def borel_for(n: int, q: int) -> Callable[[], str]:
-        def run() -> str:
-            st = building.steinberg(n, q)
-            gens = building.borel_generators(n, q)
-            mats = [actions.st_action_matrix(st, g) for g in gens]
-            return str(actions.coinvariants(st.rank, mats))
-
-        return run
-
-    for n, q in [(2, 2), (2, 3), (3, 2)]:
-        specs.append(
-            CheckSpec(
-                "borel-coinvariants-are-integers",
-                f"upper-triangular coinvariants of St for n={n} q={q} equal Z",
-                "Z",
-                borel_for(n, q),
-            )
+    specs += [
+        CheckSpec(
+            "borel-coinvariants-are-integers",
+            f"upper-triangular coinvariants of St for n={n} q={q} equal Z",
+            "Z",
+            coinv_for("borel", n, q),
         )
+        for n, q in [(2, 2), (2, 3), (3, 2)]
+    ]
     return specs
 
 
@@ -407,7 +398,7 @@ def _suite_bykovskii(params: dict) -> list[CheckSpec]:
         dd_failures = 0
         psi_failures = 0
         shapes = 0
-        for n, lines in _x2_instances(rng):
+        for lines in _x2_instances(rng):
             shapes += 1
             second = zsymbols.byk_delta_combination(zsymbols.byk_delta(lines))
             if second:
@@ -437,51 +428,21 @@ def _suite_bykovskii(params: dict) -> list[CheckSpec]:
 
 
 def _x1_instances(n: int, basis) -> list[tuple]:
-    out = []
-    for eps in _sign_tuples(2):
-        lines = list(basis) + [zsymbols._combo(basis, (0, 1), eps)]
-        out.append(tuple(lines))
-    if n >= 3:
-        for eps in _sign_tuples(3):
-            lines = list(basis) + [zsymbols._combo(basis, (0, 1, 2), eps)]
-            out.append(tuple(lines))
-    return out
+    return [
+        partsix.shape_lines(shape, n, eps, basis)[0]
+        for shape in ("x1-i", "x1-ii")
+        if n >= partsix.shape_arity(shape)
+        for eps in product((1, -1), repeat=partsix.shape_arity(shape))
+    ]
 
 
 def _x2_instances(rng: random.Random):
     for reps in range(5):
-        for shape, n in (("pair+triple", 3), ("two-pairs", 4), ("triple+pair", 5), ("two-triples", 6)):
+        for shape in ("x2-i", "x2-ii", "x2-iii", "x2-iv"):
+            n = partsix.shape_arity(shape)
             basis = zsymbols.random_unimodular_basis(n, rng)
             eps = tuple(rng.choice((1, -1)) for _ in range(6))
-            lines = list(basis)
-            if shape == "pair+triple":
-                lines += [
-                    zsymbols._combo(basis, (0, 1), eps[:2]),
-                    zsymbols._combo(basis, (0, 1, 2), eps[:3]),
-                ]
-            elif shape == "two-pairs":
-                lines += [
-                    zsymbols._combo(basis, (0, 1), eps[:2]),
-                    zsymbols._combo(basis, (2, 3), eps[2:4]),
-                ]
-            elif shape == "triple+pair":
-                lines += [
-                    zsymbols._combo(basis, (0, 1, 2), eps[:3]),
-                    zsymbols._combo(basis, (3, 4), eps[3:5]),
-                ]
-            else:
-                lines += [
-                    zsymbols._combo(basis, (0, 1, 2), eps[:3]),
-                    zsymbols._combo(basis, (3, 4, 5), eps[3:6]),
-                ]
-            yield n, tuple(lines)
-
-
-def _sign_tuples(k: int):
-    out = [()]
-    for _ in range(k):
-        out = [t + (s,) for t in out for s in (1, -1)]
-    return out
+            yield partsix.shape_lines(shape, n, eps[:n], basis)[0]
 
 
 def _suite_barset(params: dict) -> list[CheckSpec]:

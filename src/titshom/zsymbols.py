@@ -7,10 +7,11 @@ machinery (augmented partial frames, deletion differential, the map to
 Steinberg chains) lives here too, as does the adapted-basis search for a
 pair of flags.
 
-Rank, saturation, the summand test and basis completion for a few rows in
-Z^n run on one small dense column echelon over tuples (`_echelon`), which
-tracks V^-1 as it goes; only lattice membership (`_lattice_solver`) still
-goes through the sparse `snf.LatticeSolver`.
+Rank, saturation, the summand test, basis completion and lattice membership
+for a few rows in Z^n run on one small dense column echelon over tuples
+(`_echelon`), which tracks V^-1 as it goes, and on determinants: a vector
+lies in a saturated member exactly when it adds no rank, and in a full-rank
+lattice exactly when Cramer's rule gives integer coordinates.
 """
 
 from __future__ import annotations
@@ -37,8 +38,7 @@ from .errors import (
     NotSaturated,
     ZeroVector,
 )
-from .intmat import SparseIntMatrix
-from .snf import LatticeSolver, _nearest_quotient
+from .snf import _nearest_quotient
 
 Vector = tuple[int, ...]
 Lattice = tuple[Vector, ...]  # rows in Hermite normal form
@@ -259,30 +259,27 @@ def _round_half_toward_zero(p: int, q: int) -> int:
     return (2 * p + q - 1) // (2 * q)
 
 
-def _lattice_solver(vectors) -> LatticeSolver:
-    """Solver for the lattice the given independent vectors span."""
-    cols = SparseIntMatrix.from_dense([list(v) for v in vectors]).transpose()
-    return LatticeSolver(cols)
-
-
 def _descent_vector(vectors, d: int) -> Vector:
     """Primitive w outside no proper face: the rounded defect of the first
-    standard basis vector missing from the symbol's lattice."""
+    standard basis vector missing from the symbol's lattice.
+
+    By Cramer's rule e_k = sum x_i v_i with x_i = det(v with row i replaced
+    by e_k) / d, so e_k lies in the lattice exactly when d divides all n of
+    those determinants; some e_k is missing whenever |d| > 1.
+    """
     n = len(vectors)
-    solver = _lattice_solver(vectors)
-    k = next(
-        i for i in range(n) if solver.solve({i: 1}) is None
-    )  # exists whenever |d| > 1
-    target = tuple(1 if i == k else 0 for i in range(n))
     absd = abs(d)
+    for k in range(n):
+        target = tuple(1 if i == k else 0 for i in range(n))
+        nums = [
+            det_int([target if j == i else v for j, v in enumerate(vectors)])
+            for i in range(n)
+        ]
+        if any(num % absd for num in nums):
+            break
     w0 = list(target)
-    for i in range(n):
-        replaced = list(vectors)
-        replaced[i] = target
-        num = det_int(replaced)
-        if d < 0:
-            num = -num
-        m = _round_half_toward_zero(num, absd)
+    for i, num in enumerate(nums):
+        m = _round_half_toward_zero(-num if d < 0 else num, absd)
         if m:
             for t in range(n):
                 w0[t] -= m * vectors[i][t]
@@ -442,13 +439,9 @@ def certificate_lines(cert: ApfCertificate) -> list[Vector]:
     out = [normalize_line(v)[0] for v in cert.frame]
     for item in cert.items:
         f, m, s = cert.frame, item.members, item.signs
-        if item.kind == "pair":
-            out.append(normalize_line(_combo(f, m, s))[0])
-        elif item.kind == "triple":
-            out.append(normalize_line(_combo(f, m, s))[0])
-        else:
+        if item.kind == "triple_pair":
             out.append(normalize_line(_combo(f, m[:2], s[:2]))[0])
-            out.append(normalize_line(_combo(f, m, s))[0])
+        out.append(normalize_line(_combo(f, m, s))[0])
     return out
 
 
@@ -587,8 +580,10 @@ def random_unimodular_basis(n: int, rng: random.Random) -> tuple[Vector, ...]:
 # -- adapted bases for a pair of flags -----------------------------------------
 
 
-def _member_contains(solver: LatticeSolver, v: Vector) -> bool:
-    return solver.solve({i: x for i, x in enumerate(v) if x}) is not None
+def _member_contains(member: Lattice, v: Vector) -> bool:
+    """Membership in a saturated member: v lies in it exactly when it adds
+    no rank."""
+    return rank_rows(member + (v,)) == len(member)
 
 
 def _validate_flag(flag) -> list[Lattice]:
@@ -603,8 +598,7 @@ def _validate_flag(flag) -> list[Lattice]:
     for small, big in zip(members, members[1:]):
         if len(small) >= len(big):
             raise ValueError("flag members must strictly increase in rank")
-        solver = _lattice_solver(big)
-        if not all(_member_contains(solver, v) for v in small):
+        if not all(_member_contains(big, v) for v in small):
             raise ValueError("flag members must be nested")
     return members
 
@@ -671,12 +665,11 @@ def common_basis_search(flag_a, flag_b, budget: int = 20_000):
         (abs(x) for m in members for row in m for x in row), default=1
     )
     bound = max(bound, 1)
-    solvers = {m: _lattice_solver(m) for m in members}
     nodes = 0
 
     def verify(basis: list[Vector]) -> bool:
         for m in members:
-            inside = [v for v in basis if _member_contains(solvers[m], v)]
+            inside = [v for v in basis if _member_contains(m, v)]
             if row_hnf(inside) != m:
                 return False
         return True
@@ -689,7 +682,7 @@ def common_basis_search(flag_a, flag_b, budget: int = 20_000):
                 return basis
             return None
         m = members[idx]
-        inside = [v for v in chosen if _member_contains(solvers[m], v)]
+        inside = [v for v in chosen if _member_contains(m, v)]
         need = len(m) - len(inside)
         if need < 0:
             return None

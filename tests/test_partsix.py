@@ -5,14 +5,17 @@ from itertools import product
 
 import pytest
 
-from titshom.complexes import HomologyGroup, homology_profile
+from titshom.complexes import ChainComplexZ, HomologyGroup, add_term, cycle_space, homology_profile
 from titshom.errors import (
     BudgetExceeded,
     CertificateFailure,
     NotSpanning,
     ShapeUnavailable,
 )
+from titshom.intmat import SparseIntMatrix
 from titshom.partsix import (
+    _cell_vector,
+    _class_report,
     block_delta,
     cell_bar_boundary,
     cell_canonical,
@@ -28,7 +31,8 @@ from titshom.partsix import (
     zcomplex_is_spherical,
     zcomplex_poset_iso,
 )
-from titshom.zsymbols import random_unimodular_basis
+from titshom.snf import LatticeSolver
+from titshom.zsymbols import random_unimodular_basis, row_hnf
 
 Z = HomologyGroup(1, ())
 O = HomologyGroup(0, ())
@@ -183,21 +187,118 @@ def test_double_complex_identities():
     assert out["ok"] and out["cells"] == 60 and out["leibniz"] > 0
 
 
-def test_shape_lines_and_availability():
-    lines, groups = shape_lines("x1-i", 3, (1, -1))
-    assert lines[3] == (1, -1, 0)
-    assert (0, 1, 3) in groups
-    with pytest.raises(ShapeUnavailable):
-        shape_lines("x2-iv", 5, (1, 1, 1, 1, 1, 1))
+def _frame(n):
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
+# tag -> (rank, [(eps, augmenting lines, groups)]) at the identity basis
+SHAPE_CATALOGUE = {
+    "x0": (3, [((), (), ((0,), (1,), (2,)))]),
+    "x1-i": (2, [
+        ((1, 1), ((1, 1),), ((0, 1, 2),)),
+        ((1, -1), ((1, -1),), ((0, 1, 2),)),
+    ]),
+    "x1-ii": (3, [
+        ((1, 1, 1), ((1, 1, 1),), ((0, 1, 2, 3),)),
+        ((1, -1, 1), ((1, -1, 1),), ((0, 1, 2, 3),)),
+    ]),
+    "x2-i": (3, [
+        ((1, 1, 1), ((1, 1, 0), (1, 1, 1)), ((0, 1, 2, 3, 4),)),
+        ((1, -1, 1), ((1, -1, 0), (1, -1, 1)), ((0, 1, 2, 3, 4),)),
+    ]),
+    "x2-ii": (4, [
+        ((1, 1, 1, 1), ((1, 1, 0, 0), (0, 0, 1, 1)), ((0, 1, 4), (2, 3, 5))),
+        ((1, -1, 1, -1), ((1, -1, 0, 0), (0, 0, 1, -1)), ((0, 1, 4), (2, 3, 5))),
+    ]),
+    "x2-iii": (5, [
+        ((1, 1, 1, 1, 1), ((1, 1, 1, 0, 0), (0, 0, 0, 1, 1)), ((0, 1, 2, 5), (3, 4, 6))),
+        ((1, -1, 1, -1, 1), ((1, -1, 1, 0, 0), (0, 0, 0, 1, -1)), ((0, 1, 2, 5), (3, 4, 6))),
+    ]),
+    "x2-iv": (6, [
+        ((1, 1, 1, 1, 1, 1), ((1, 1, 1, 0, 0, 0), (0, 0, 0, 1, 1, 1)), ((0, 1, 2, 6), (3, 4, 5, 7))),
+        ((1, -1, 1, -1, 1, -1), ((1, -1, 1, 0, 0, 0), (0, 0, 0, 1, -1, 1)), ((0, 1, 2, 6), (3, 4, 5, 7))),
+    ]),
+}
+
+
+@pytest.mark.parametrize("shape", list(SHAPE_CATALOGUE))
+def test_shape_lines_and_availability(shape):
+    n, cases = SHAPE_CATALOGUE[shape]
+    for eps, extra, groups in cases:
+        assert shape_lines(shape, n, eps) == (_frame(n) + extra, groups)
+        with pytest.raises(ValueError):
+            shape_lines(shape, n, eps + (1,))
+        if extra:  # the catalogued rank is the shape's minimum
+            with pytest.raises(ShapeUnavailable):
+                shape_lines(shape, n - 1, eps)
     with pytest.raises(ValueError):
         shape_lines("x9", 4, (1, 1))
-    with pytest.raises(ValueError):
-        shape_lines("x1-i", 4, (1, 1, 1))
+
+
+def _is_boundary_reference(cx, vec, degree):
+    """Membership in the image of d_{degree+1}, solved directly in chain
+    coordinates on a Hermite basis of that image."""
+    dim = cx.dim(degree)
+    cols = cx.boundary_at(degree + 1).columns()
+    rows = row_hnf([tuple(col.get(i, 0) for i in range(dim)) for col in cols])
+    if not rows:
+        return not vec
+    image = SparseIntMatrix.from_dense([list(r) for r in rows]).transpose()
+    return LatticeSolver(image).solve(vec) is not None
+
+
+def _combine(*terms):
+    out = {}
+    for coeff, vec in terms:
+        for i, v in vec.items():
+            add_term(out, i, coeff * v)
+    return out
+
+
+def test_class_report_separates_zero_and_nonzero_classes():
+    # the badcase: H_0 = Z generated by kappa, so m*kappa is zero only at m = 0
+    lines, _ = shape_lines("x1-ii", 4, (1, 1, 1))
+    badcase = x_localized(lines, 1)
+    rest = tuple(sorted(set(lines) - {lines[3]}))
+    kappa = _cell_vector(badcase, {((lines[3],), rest): 1, (rest, (lines[3],)): -1}, 0)
+    cases = [(badcase, 0, _combine((m, kappa)), m == 0, abs(m) == 1) for m in (0, 1, -1, 2, -3)]
+    # the frame complex is exact below its top degree, where H_1 = Z; in an
+    # exact degree the zero class generates
+    frame = x_localized(_frame(3), 0)
+    d1 = frame.boundary_at(1).columns()
+    top = cycle_space(frame, 1).column(0)
+    cases += [
+        (frame, 0, d1[0], True, True),
+        (frame, 0, _combine((2, d1[0]), (-1, d1[3])), True, True),
+        (frame, 1, top, False, True),
+        (frame, 1, _combine((3, top)), False, False),
+    ]
+    # H_0 = Z/2 + Z
+    torsion = ChainComplexZ({0: ["a", "b"], 1: ["x"]}, {1: SparseIntMatrix.from_dense([[2], [0]])})
+    cases += [
+        (torsion, 0, {0: 1}, False, False),
+        (torsion, 0, {0: 2}, True, False),
+        (torsion, 0, {0: -4}, True, False),
+        (torsion, 0, {0: 3, 1: 1}, False, False),
+        (torsion, 0, {1: 2}, False, False),
+    ]
+    for cx, degree, vec, zero, generates in cases:
+        rep = _class_report(cx, vec, degree)
+        assert rep["class_is_zero"] == zero == _is_boundary_reference(cx, vec, degree), vec
+        assert rep["class_generates"] == generates, vec
+    assert _class_report(badcase, kappa, 0)["homology"] == Z
+    assert str(_class_report(torsion, {}, 0)["homology"]) == "Z + Z/2"
 
 
 def test_part6_claims_rank_four():
     checks = part6_claims(4)
-    assert len(checks) == 1 + 4 + 8 + 8 + 16
+    assert [(c["claim"], c["shape"], c["eps"]) for c in checks] == [
+        ("bar-partition-frame-vanishing", "x0", ())
+    ] + [
+        (f"localized-{shape}", shape, eps)
+        for shape, arity in (("x1-i", 2), ("x1-ii", 3), ("x2-i", 3), ("x2-ii", 4))
+        for eps in product((1, -1), repeat=arity)
+    ]
     assert all(c["ok"] for c in checks)
     bad = [c for c in checks if "badcase" in c]
     assert len(bad) == 8

@@ -2,6 +2,7 @@
 
 import random
 from itertools import permutations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -18,10 +19,13 @@ from titshom.errors import (
     ZeroVector,
 )
 from titshom.intmat import SparseIntMatrix
-from titshom.snf import rank, saturation, smith_normal_form
+from titshom.snf import LatticeSolver, rank, saturation, smith_normal_form
 from titshom.zsymbols import (
     ApartmentSymbol,
     _complete_basis,
+    _descent_vector,
+    _member_contains,
+    _round_half_toward_zero,
     ApfCertificate,
     AugItem,
     apartment_eval,
@@ -202,6 +206,66 @@ def test_ash_rudolph_random():
             assert all(child < parent for parent, child in trace)
             assert all(abs(det_int(s.lines)) == 1 for _, s in out)
             assert _eval_combination(out) == apartment_eval(vecs)
+
+
+def _column_solver(rows) -> LatticeSolver:
+    return LatticeSolver(SparseIntMatrix.from_dense([list(r) for r in rows]).transpose())
+
+
+def _descent_vector_reference(vectors, d):
+    """The descent vector with the first missing e_k found by sparse lattice
+    solving instead of Cramer's rule."""
+    n = len(vectors)
+    solver = _column_solver(vectors)
+    k = next(i for i in range(n) if solver.solve({i: 1}) is None)
+    target = tuple(1 if i == k else 0 for i in range(n))
+    w0 = list(target)
+    for i in range(n):
+        num = det_int(vectors[:i] + (target,) + vectors[i + 1 :])
+        m = _round_half_toward_zero(num if d > 0 else -num, abs(d))
+        w0 = [x - m * y for x, y in zip(w0, vectors[i])]
+    g = gcd(*w0)
+    return k, tuple(x // g for x in w0)
+
+
+def test_descent_vector_matches_lattice_solver_reference():
+    rng = random.Random(7177)
+    picked = set()
+    done = 0
+    while done < 600:
+        n = rng.randint(2, 4)
+        bound = rng.choice((3, 9, 30))
+        vectors = tuple(
+            tuple(rng.randint(-bound, bound) for _ in range(n)) for _ in range(n)
+        )
+        d = det_int(vectors)
+        if abs(d) <= 1:
+            continue
+        done += 1
+        k, want = _descent_vector_reference(vectors, d)
+        picked.add(k)
+        assert _descent_vector(vectors, d) == want, vectors
+    # e_0 (and e_0, e_1) lie in some of the lattices, so later e_k get picked
+    assert picked >= {0, 1, 2}
+
+
+def test_member_contains_matches_lattice_solver():
+    rng = random.Random(3301)
+    seen = {True: 0, False: 0}
+    for _ in range(150):
+        n = rng.randint(2, 5)
+        member = row_hnf(random_unimodular_basis(n, rng)[: rng.randint(1, n - 1)])
+        solver = _column_solver(member)
+        for _ in range(8):
+            if rng.random() < 0.5:
+                coeffs = [rng.randint(-3, 3) for _ in member]
+                v = tuple(sum(c * row[t] for c, row in zip(coeffs, member)) for t in range(n))
+            else:
+                v = tuple(rng.randint(-3, 3) for _ in range(n))
+            want = solver.solve({i: x for i, x in enumerate(v) if x}) is not None
+            assert _member_contains(member, v) == want, (member, v)
+            seen[want] += 1
+    assert min(seen.values()) > 300
 
 
 @settings(max_examples=40, deadline=None)
