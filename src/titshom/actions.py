@@ -10,12 +10,10 @@ from __future__ import annotations
 from typing import Callable, Hashable, Sequence
 
 from .building import StModel, chamber_permutation
-from .complexes import ChainComplexZ, HomologyGroup, assemble_complex, homology
+from .complexes import CELL_BUDGET, HomologyGroup, assemble_complex, homology
 from .errors import BudgetExceeded
 from .intmat import SparseIntMatrix
-from .snf import ZZ, CoefficientRing, cokernel_invariants
-
-DEFAULT_GROUP_BUDGET = 2_000_000
+from .snf import cokernel_invariants
 
 
 def permutation_matrix_int(perm: list[int]) -> SparseIntMatrix:
@@ -89,8 +87,7 @@ def group_homology(
     action: Callable[[Hashable], SparseIntMatrix],
     rank: int,
     degree: int,
-    budget: int = DEFAULT_GROUP_BUDGET,
-    ring: CoefficientRing = ZZ,
+    budget: int = CELL_BUDGET,
 ) -> HomologyGroup:
     """H_degree(G; M) for degree <= 2 via the inhomogeneous bar complex.
 
@@ -138,7 +135,7 @@ def group_homology(
         return out
 
     cx = assemble_complex(bases, rule)
-    return homology(cx, degree, ring)
+    return homology(cx, degree)
 
 
 def trivial_action(rank: int) -> Callable[[Hashable], SparseIntMatrix]:

@@ -27,13 +27,11 @@ from .building import (
     subspaces,
     unipotent_matrices,
 )
-from .complexes import ChainComplexZ, HomologyGroup, assemble_complex, cycle_space, homology
+from .complexes import CELL_BUDGET, ChainComplexZ, HomologyGroup, assemble_complex, cycle_space, homology
 from .errors import BudgetExceeded, NonComplementary
 from .fqfield import FieldTable, field
 from .intmat import SparseIntMatrix
 from .snf import cokernel_invariants, kernel_basis
-
-DEFAULT_BAR_BUDGET = 2_000_000
 
 
 def lines_to_matrix(vectors: list[Vector]) -> Matrix:
@@ -88,9 +86,9 @@ def st_product(
     unipotent apartment basis. Raises NonComplementary if V and W overlap.
     """
     ft = field(q)
-    if len(rref(ft, list(left) + list(right))) != len(left) + len(right):
-        raise NonComplementary("summands overlap")
     merged = rref(ft, list(left) + list(right))
+    if len(merged) != len(left) + len(right):
+        raise NonComplementary("summands overlap")
     lines = unit_lines(ft, left, steinberg(len(left), q).units[left_unit])
     lines += unit_lines(ft, right, steinberg(len(right), q).units[right_unit])
     coord_lines = [coords_in(ft, merged, v) for v in lines]
@@ -134,7 +132,7 @@ class BarModel:
         return self.n - 1
 
 
-def bar_complex_fq(n: int, q: int, budget: int = DEFAULT_BAR_BUDGET) -> BarModel:
+def bar_complex_fq(n: int, q: int, budget: int = CELL_BUDGET) -> BarModel:
     """Bar resolution with the kernel-realized tensor-square term on top.
 
     Degrees -1..n-2 are assembled from decompositions; the degree n-1 term
@@ -187,7 +185,7 @@ def bar_complex_fq(n: int, q: int, budget: int = DEFAULT_BAR_BUDGET) -> BarModel
     return BarModel(n, q, full_cx, kernel)
 
 
-def verify_bar_exactness(n: int, q: int, budget: int = DEFAULT_BAR_BUDGET) -> dict:
+def verify_bar_exactness(n: int, q: int, budget: int = CELL_BUDGET) -> dict:
     """Exactness below the top degree plus the tensor-square rank on top."""
     bm = bar_complex_fq(n, q, budget)
     cx = bm.cx

@@ -15,8 +15,8 @@ from functools import cached_property, lru_cache
 from itertools import combinations, permutations, product
 from typing import Callable, Hashable
 
-from .complexes import ChainComplexZ, add_term, assemble_complex, cycle_space
-from .errors import BudgetExceeded, FieldTooLarge, NotSpanning
+from .complexes import CELL_BUDGET, ChainComplexZ, add_term, cycle_space, order_complex
+from .errors import BudgetExceeded, NotSpanning
 from .fqfield import FieldTable, field
 from .intmat import SparseIntMatrix
 from .snf import LatticeSolver, nullity
@@ -24,9 +24,6 @@ from .snf import LatticeSolver, nullity
 Vector = tuple[int, ...]
 Subspace = tuple[Vector, ...]
 Matrix = tuple[Vector, ...]
-
-DEFAULT_CELL_BUDGET = 2_000_000
-DEFAULT_MAX_Q = 16
 
 
 # -- F_q vectors and matrices ------------------------------------------------
@@ -137,15 +134,30 @@ def span_vectors(ft: FieldTable, basis: Subspace) -> frozenset[Vector]:
     return frozenset(out)
 
 
+def gaussian_binomial(n: int, d: int, q: int) -> int:
+    """Number of d-dimensional subspaces of F_q^n."""
+    if d < 0 or d > n:
+        return 0
+    num = den = 1
+    for i in range(d):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
 def subspaces(n: int, q: int, d: int) -> list[Subspace]:
     """All d-dimensional subspaces of F_q^n as canonical echelon bases.
 
     Enumerates pivot column choices, then free entries; each subspace
-    appears exactly once, in a deterministic order.
+    appears exactly once, in a deterministic order. q must be a field order
+    that `field` accepts, and BudgetExceeded is raised, before anything is
+    enumerated, when there are more than CELL_BUDGET subspaces.
     """
-    if q > DEFAULT_MAX_Q:
-        raise FieldTooLarge(f"q = {q} exceeds the bound {DEFAULT_MAX_Q}")
-    if d < 0 or d > n:
+    field(q)
+    count = gaussian_binomial(n, d, q)
+    if count > CELL_BUDGET:
+        raise BudgetExceeded(f"{count} subspaces exceed budget {CELL_BUDGET}")
+    if count == 0:
         return []
     if d == 0:
         return [()]
@@ -171,49 +183,18 @@ def subspaces(n: int, q: int, d: int) -> list[Subspace]:
 # -- the building ------------------------------------------------------------
 
 
-def building_complex(n: int, q: int, budget: int = DEFAULT_CELL_BUDGET) -> ChainComplexZ:
+def building_complex(n: int, q: int, budget: int = CELL_BUDGET) -> ChainComplexZ:
     """Reduced flag complex of proper nonzero subspaces of F_q^n."""
     ft = field(q)
     verts: list[Subspace] = []
     for d in range(1, n):
         verts.extend(subspaces(n, q, d))
     vecs = {v: span_vectors(ft, v) for v in verts}
-
-    def contains(big: Subspace, small: Subspace) -> bool:
-        target = vecs[big]
-        return all(row in target for row in small)
-
-    by_dim: dict[int, list[Subspace]] = {}
-    for v in verts:
-        by_dim.setdefault(len(v), []).append(v)
-
-    bases: dict[int, list] = {-1: [()]}
-    total = 1
-    frontier: list[tuple[Subspace, ...]] = [(v,) for v in verts]
-    degree = 0
-    while frontier:
-        total += len(frontier)
-        if total > budget:
-            raise BudgetExceeded(f"building cells exceed budget {budget}")
-        bases[degree] = frontier
-        nxt: list[tuple[Subspace, ...]] = []
-        for flag in frontier:
-            top = flag[-1]
-            for d in range(len(top) + 1, n):
-                for cand in by_dim.get(d, ()):
-                    if contains(cand, top):
-                        nxt.append(flag + (cand,))
-        frontier = nxt
-        degree += 1
-
-    def rule(d: int, lab):
-        if d == -1:
-            return []
-        if d == 0:
-            return [(1, ())]
-        return [((-1) ** j, lab[:j] + lab[j + 1 :]) for j in range(len(lab))]
-
-    return assemble_complex(bases, rule)
+    above = {
+        v: [w for w in verts if len(w) > len(v) and all(row in vecs[w] for row in v)]
+        for v in verts
+    }
+    return order_complex(verts, above, budget)
 
 
 @dataclass
@@ -282,8 +263,8 @@ class StModel:
 
 
 @lru_cache(maxsize=None)
-def steinberg(n: int, q: int, budget: int = DEFAULT_CELL_BUDGET) -> StModel:
-    cx = building_complex(n, q, budget=budget)
+def steinberg(n: int, q: int) -> StModel:
+    cx = building_complex(n, q)
     chambers = list(cx.basis[n - 2])
     return StModel(
         n=n,

@@ -7,15 +7,17 @@ basis). Assembly always checks boundary-squared-is-zero.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Sequence
 
-from .errors import DDNotZero, DegreeOutOfRange
+from .errors import BudgetExceeded, DDNotZero, DegreeOutOfRange
 from .intmat import SparseIntMatrix
-from .snf import ZZ, CoefficientRing, kernel_basis, nullity, rank, smith_normal_form
+from .snf import kernel_basis, nullity, smith_normal_form
 
 Label = Hashable
+
+# cells an enumeration may produce before it raises BudgetExceeded
+CELL_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -144,24 +146,45 @@ def assemble_complex(
     return cx
 
 
-def homology(cx: ChainComplexZ, d: int, ring: CoefficientRing = ZZ) -> HomologyGroup:
+def order_complex(vertices: list[Label], above: dict[Label, list[Label]], budget: int) -> ChainComplexZ:
+    """Reduced order complex of a finite poset.
+
+    Degree -1 holds the empty chain and degree k the chains v_0 < ... < v_k,
+    grown from `vertices` by appending each member of `above[v_k]` (every
+    vertex strictly above v_k) in list order. The boundary deletes one
+    vertex at a time with alternating signs. Raises BudgetExceeded, before
+    building the degree that would do so, once the cells exceed `budget`.
+    """
+    bases: dict[int, list] = {-1: [()]}
+    total = 1 + len(vertices)
+    frontier = [(v,) for v in vertices]
+    while frontier:
+        bases[len(bases) - 1] = frontier
+        total += sum(len(above[chain[-1]]) for chain in frontier)
+        if total > budget:
+            raise BudgetExceeded(f"order complex cells exceed budget {budget}")
+        frontier = [chain + (w,) for chain in frontier for w in above[chain[-1]]]
+    return assemble_complex(bases, _face_rule)
+
+
+def _face_rule(d: int, chain: tuple):
+    return [((-1) ** j, chain[:j] + chain[j + 1 :]) for j in range(len(chain))]
+
+
+def homology(cx: ChainComplexZ, d: int) -> HomologyGroup:
     """Homology at degree d.
 
-    Over Z: betti = nullity(d_d) - rank(d_{d+1}) and torsion comes from the
-    Smith divisors of d_{d+1}; this is valid because the kernel of an
-    integer matrix is saturated, so ker/im splits off the torsion of im
-    inside the full lattice.
+    betti = nullity(d_d) - rank(d_{d+1}) and torsion comes from the Smith
+    divisors of d_{d+1}; this is valid because the kernel of an integer
+    matrix is saturated, so ker/im splits off the torsion of im inside the
+    full lattice.
     """
     if d not in cx.basis:
         raise DegreeOutOfRange(f"degree {d} not in complex")
-    dn = cx.boundary_at(d)
     up = cx.boundary_at(d + 1) if (d + 1) in cx.basis else SparseIntMatrix(cx.dim(d), 0)
-    if ring.tag == "ZZ":
-        res = smith_normal_form(up)
-        torsion = tuple(t for t in res.divisors if t > 1)
-        return HomologyGroup(nullity(dn) - res.rank, torsion)
-    betti = nullity(dn, ring) - rank(up, ring)
-    return HomologyGroup(betti, ())
+    res = smith_normal_form(up)
+    torsion = tuple(t for t in res.divisors if t > 1)
+    return HomologyGroup(nullity(cx.boundary_at(d)) - res.rank, torsion)
 
 
 def homology_profile(cx: ChainComplexZ) -> dict[int, HomologyGroup]:
@@ -196,36 +219,3 @@ def exactness_report(cx: ChainComplexZ) -> dict:
         "homology": by_degree,
         "exact_at": sorted(d for d, h in by_degree.items() if h.betti == 0 and not h.torsion),
     }
-
-
-# -- serialization -----------------------------------------------------------
-
-
-def complex_to_json(cx: ChainComplexZ) -> str:
-    payload = {
-        "schema": 1,
-        "degrees": cx.degrees,
-        "basis": {str(d): [str(lab) for lab in cx.basis[d]] for d in cx.degrees},
-        "boundary": {
-            str(d): {
-                "shape": list(cx.boundary_at(d).shape),
-                "triplets": [list(t) for t in cx.boundary_at(d).to_triplets()],
-            }
-            for d in cx.degrees
-        },
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def complex_from_json(text: str) -> ChainComplexZ:
-    payload = json.loads(text)
-    if payload.get("schema") != 1:
-        raise ValueError("unsupported schema")
-    bases = {int(d): list(labs) for d, labs in payload["basis"].items()}
-    boundary = {}
-    for d, desc in payload["boundary"].items():
-        rows, cols = desc["shape"]
-        boundary[int(d)] = SparseIntMatrix.from_triplets(
-            rows, cols, [tuple(t) for t in desc["triplets"]]
-        )
-    return ChainComplexZ(bases, boundary)

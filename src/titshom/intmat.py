@@ -6,8 +6,6 @@ unbounded exact arithmetic, so nothing here can overflow or round.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
-
 
 class SparseIntMatrix:
     __slots__ = ("n_rows", "n_cols", "rows")
@@ -22,21 +20,6 @@ class SparseIntMatrix:
             raise ValueError("row list length mismatch")
 
     # -- construction ------------------------------------------------------
-
-    @classmethod
-    def from_triplets(cls, n_rows: int, n_cols: int, triplets: Iterable[tuple[int, int, int]]) -> "SparseIntMatrix":
-        m = cls(n_rows, n_cols)
-        for r, c, v in triplets:
-            if not (0 <= r < n_rows and 0 <= c < n_cols):
-                raise ValueError(f"triplet ({r},{c}) out of range")
-            if v:
-                row = m.rows[r]
-                w = row.get(c, 0) + v
-                if w:
-                    row[c] = w
-                elif c in row:
-                    del row[c]
-        return m
 
     @classmethod
     def from_dense(cls, dense: list[list[int]]) -> "SparseIntMatrix":
@@ -98,9 +81,6 @@ class SparseIntMatrix:
         out.sort()
         return out
 
-    def copy(self) -> "SparseIntMatrix":
-        return SparseIntMatrix(self.n_rows, self.n_cols, [dict(row) for row in self.rows])
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SparseIntMatrix):
             return NotImplemented
@@ -156,54 +136,3 @@ class SparseIntMatrix:
             if s:
                 acc[r] = s
         return acc
-
-    def scaled(self, k: int) -> "SparseIntMatrix":
-        if k == 0:
-            return SparseIntMatrix(self.n_rows, self.n_cols)
-        return SparseIntMatrix(self.n_rows, self.n_cols, [{c: k * v for c, v in row.items()} for row in self.rows])
-
-    def added(self, other: "SparseIntMatrix") -> "SparseIntMatrix":
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch in add")
-        out = self.copy()
-        for r, row in enumerate(other.rows):
-            trow = out.rows[r]
-            for c, v in row.items():
-                s = trow.get(c, 0) + v
-                if s:
-                    trow[c] = s
-                elif c in trow:
-                    del trow[c]
-        return out
-
-
-# -- triplet text format ----------------------------------------------------
-# Line 1: "<n_rows> <n_cols>"; following lines: "<row> <col> <value>" with
-# 0-based indices. Blank lines and lines starting with '#' are ignored.
-
-
-def parse_triplet_text(text: str) -> SparseIntMatrix:
-    lines: Iterator[str] = (ln.strip() for ln in text.splitlines())
-    header = None
-    trips: list[tuple[int, int, int]] = []
-    for ln in lines:
-        if not ln or ln.startswith("#"):
-            continue
-        parts = ln.split()
-        if header is None:
-            if len(parts) != 2:
-                raise ValueError("triplet header must be '<rows> <cols>'")
-            header = (int(parts[0]), int(parts[1]))
-        else:
-            if len(parts) != 3:
-                raise ValueError(f"bad triplet line: {ln!r}")
-            trips.append((int(parts[0]), int(parts[1]), int(parts[2])))
-    if header is None:
-        raise ValueError("empty triplet text")
-    return SparseIntMatrix.from_triplets(header[0], header[1], trips)
-
-
-def emit_triplet_text(m: SparseIntMatrix) -> str:
-    out = [f"{m.n_rows} {m.n_cols}"]
-    out.extend(f"{r} {c} {v}" for r, c, v in m.to_triplets())
-    return "\n".join(out) + "\n"

@@ -15,14 +15,15 @@ from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
 from .complexes import (
+    CELL_BUDGET,
     ChainComplexZ,
     HomologyGroup,
     add_term,
     assemble_complex,
     canonical_generator,
-    cycle_space,
     homology_profile,
     linear_extend,
+    order_complex,
 )
 from .errors import (
     BudgetExceeded,
@@ -32,7 +33,7 @@ from .errors import (
     ShapeUnavailable,
 )
 from .intmat import SparseIntMatrix
-from .snf import LatticeSolver, cokernel_invariants
+from .snf import cokernel_invariants, rank
 from .zsymbols import (
     Vector,
     _combo,
@@ -114,34 +115,12 @@ def zcomplex(labels, restriction=()) -> ZSetComplex:
 
 def w_poset_complex(d: int) -> ChainComplexZ:
     """Reduced chain complex of the poset of nonempty proper subsets of [d]."""
-    subsets = [
-        frozenset(c)
-        for k in range(1, d)
-        for c in combinations(range(d), k)
-    ]
-    bases: dict[int, list] = {-1: [()]}
-    frontier = [(s,) for s in sorted(subsets, key=sorted)]
-    degree = 0
-    while frontier:
-        bases[degree] = frontier
-        nxt = []
-        for chain in frontier:
-            top = chain[-1]
-            for cand in subsets:
-                if top < cand:
-                    nxt.append(chain + (cand,))
-        nxt.sort(key=lambda ch: [sorted(s) for s in ch])
-        frontier = nxt
-        degree += 1
-
-    def rule(deg: int, lab):
-        if deg == -1:
-            return []
-        if deg == 0:
-            return [(1, ())]
-        return [((-1) ** t, lab[:t] + lab[t + 1 :]) for t in range(len(lab))]
-
-    return assemble_complex(bases, rule)
+    subsets = sorted(
+        (frozenset(c) for k in range(1, d) for c in combinations(range(d), k)),
+        key=sorted,
+    )
+    above = {s: [t for t in subsets if s < t] for s in subsets}
+    return order_complex(subsets, above, CELL_BUDGET)
 
 
 def zcomplex_poset_iso(zc: ZSetComplex) -> dict:
@@ -268,6 +247,8 @@ def x_localized(lines, q: int | None = None) -> ChainComplexZ:
     adjacent blocks with the alternating sign.
     """
     normalized = tuple(sorted(normalize_line(v)[0] for v in lines))
+    if not normalized:
+        raise ValueError("no lines given")
     if len(set(normalized)) != len(normalized):
         raise ValueError("lines must be distinct")
     n = len(normalized[0])
@@ -493,30 +474,26 @@ def shape_lines(shape: str, n: int, eps, basis=None):
 
 
 def _class_report(cx: ChainComplexZ, vec: dict[int, int], degree: int) -> dict:
-    """Position of a cycle's class in the degree's homology lattice."""
-    kernel = cycle_space(cx, degree)
-    ksolver = LatticeSolver(kernel)
-    coords = ksolver.solve(vec)
-    if coords is None:
+    """Position of a cycle's class in the degree's homology lattice.
+
+    With B = im d_{k+1} and Z = ker d_k saturated, C_k/B = Z/B + C_k/Z and
+    C_k/Z is free of rank rank(d_k), so the homology is coker(d_{k+1}) less
+    rank(d_k) free summands. C_k/B maps onto C_k/(B + Zc), and a finitely
+    generated abelian group is Hopfian, so the two are isomorphic exactly
+    when c already lies in B; c generates Z/B exactly when C_k/(B + Zc) is
+    the free part C_k/Z alone.
+    """
+    down = cx.boundary_at(degree)
+    if down.mul_vec(vec):
         raise CertificateFailure("cycle lies outside the kernel lattice")
-    img_cols = []
-    for icol in cx.boundary_at(degree + 1).columns():
-        col = ksolver.solve(icol)
-        if col is None:
-            raise CertificateFailure("boundary image escapes the kernel lattice")
-        img_cols.append(col)
-    quotient = HomologyGroup(
-        *cokernel_invariants(SparseIntMatrix.from_columns(kernel.n_cols, img_cols))
-    )
-    after = HomologyGroup(
-        *cokernel_invariants(SparseIntMatrix.from_columns(kernel.n_cols, img_cols + [coords]))
-    )
-    # Z^k/L maps onto Z^k/(L + Zc), and a finitely generated abelian group
-    # is Hopfian, so the two are isomorphic exactly when c already lies in L
+    free = rank(down)
+    img_cols = cx.boundary_at(degree + 1).columns()
+    betti, torsion = cokernel_invariants(SparseIntMatrix.from_columns(cx.dim(degree), img_cols))
+    after = cokernel_invariants(SparseIntMatrix.from_columns(cx.dim(degree), img_cols + [vec]))
     return {
-        "homology": quotient,
-        "class_is_zero": after == quotient,
-        "class_generates": after == HomologyGroup(0, ()),
+        "homology": HomologyGroup(betti - free, torsion),
+        "class_is_zero": after == (betti, torsion),
+        "class_generates": after == (free, ()),
     }
 
 
@@ -534,6 +511,8 @@ def part6_claims(n: int, shapes: str | tuple = "all") -> list[dict]:
     Each entry records the shape, sign pattern, the computed homology
     profile, the predicted concentration degree, and the pass flag.
     """
+    if n < 1:
+        raise ValueError(f"rank n = {n} must be at least 1")
     if shapes == "all":
         wanted = [s for s in SHAPES if n >= shape_arity(s)]
     else:

@@ -1,4 +1,4 @@
-"""Exact elimination over Z and F_p: Smith form, kernels, cokernels.
+"""Exact elimination over Z: Smith form, ranks, kernels, cokernels.
 
 All integer elimination uses unimodular column operations only, so
 divisors, kernels, and cokernel invariants are exact. One column-echelon
@@ -17,48 +17,17 @@ one of two certificates holds:
 - every pivot column holds only its pivot: E is diagonal up to a
   permutation, and gcd/lcm steps on the non-unit pivots give the chain.
 
-`_echelon_mod_p` is a separate GF(p) echelon; tests check Z ranks and
-divisors against its ranks.
+`rank_mod_p` runs a separate GF(p) echelon (`_echelon_mod_p`) and is no
+part of the Z path: tests check Z ranks, Smith divisors and homology
+against its ranks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd
 
 from .intmat import SparseIntMatrix
-
-
-# -- coefficient rings -------------------------------------------------------
-
-
-class CoefficientRing:
-    __slots__ = ("tag", "p")
-
-    def __init__(self, tag: str, p: int | None = None):
-        self.tag = tag
-        self.p = p
-
-    def __repr__(self) -> str:
-        return self.tag if self.p is None else f"GF({self.p})"
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, CoefficientRing) and (self.tag, self.p) == (other.tag, other.p)
-
-    def __hash__(self) -> int:
-        return hash((self.tag, self.p))
-
-
-ZZ = CoefficientRing("ZZ")
-QQ = CoefficientRing("QQ")
-
-
-@lru_cache(maxsize=None)
-def GF(p: int) -> CoefficientRing:
-    if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
-        raise ValueError(f"{p} is not prime")
-    return CoefficientRing("GF", p)
 
 
 def _nearest_quotient(a: int, b: int) -> int:
@@ -198,33 +167,28 @@ class _ColumnEngine:
         return pivots, free
 
 
-def rank(a: SparseIntMatrix, ring: CoefficientRing = ZZ) -> int:
-    if ring.tag == "GF":
-        return _rank_mod_p(a, ring.p)  # type: ignore[arg-type]
+def rank(a: SparseIntMatrix) -> int:
     eng = _ColumnEngine(a, track_v=False)
     pivots, _ = eng.reduce()
     return len(pivots)
 
 
-def kernel_basis(a: SparseIntMatrix, ring: CoefficientRing = ZZ) -> SparseIntMatrix:
+def kernel_basis(a: SparseIntMatrix) -> SparseIntMatrix:
     """Columns form a basis of ker(a) acting on column vectors.
 
-    Over ZZ the basis spans a saturated lattice: with V tracking column ops,
+    The basis spans a saturated lattice: with V tracking column ops,
     E = A*V is column echelon and the V-columns over zero E-columns span
     {x : A x = 0} exactly (any kernel x = V*y forces y supported on the zero
-    columns since the nonzero ones are echelon-independent). QQ reuses the
-    integral basis; GF(p) reduces mod p.
+    columns since the nonzero ones are echelon-independent).
     """
-    if ring.tag == "GF":
-        return _kernel_mod_p(a, ring.p)  # type: ignore[arg-type]
     eng = _ColumnEngine(a, track_v=True)
     _, free = eng.reduce()
     assert eng.v_cols is not None
     return SparseIntMatrix.from_columns(a.n_cols, [eng.v_cols[c] for c in free])
 
 
-def nullity(a: SparseIntMatrix, ring: CoefficientRing = ZZ) -> int:
-    return a.n_cols - rank(a, ring)
+def nullity(a: SparseIntMatrix) -> int:
+    return a.n_cols - rank(a)
 
 
 def cokernel_invariants(a: SparseIntMatrix) -> tuple[int, tuple[int, ...]]:
@@ -297,21 +261,14 @@ class LatticeSolver:
 # -- mod-p elimination -------------------------------------------------------
 
 
-def _rank_mod_p(a: SparseIntMatrix, p: int) -> int:
+def rank_mod_p(a: SparseIntMatrix, p: int) -> int:
+    """Rank of a over GF(p), for p prime, by a separate mod-p echelon."""
     cols = [{r: v % p for r, v in col.items() if v % p} for col in a.columns()]
-    return len(_echelon_mod_p(cols, p)[0])
+    return len(_echelon_mod_p(cols, p))
 
 
-def _kernel_mod_p(a: SparseIntMatrix, p: int) -> SparseIntMatrix:
-    cols = [{r: v % p for r, v in col.items() if v % p} for col in a.columns()]
-    v_cols = [{i: 1} for i in range(len(cols))]
-    pivots, free = _echelon_mod_p(cols, p, v_cols)
-    return SparseIntMatrix.from_columns(a.n_cols, [v_cols[c] for c in free])
-
-
-def _echelon_mod_p(
-    cols: list[dict[int, int]], p: int, v_cols: list[dict[int, int]] | None = None
-) -> tuple[list[tuple[int, int]], list[int]]:
+def _echelon_mod_p(cols: list[dict[int, int]], p: int) -> list[tuple[int, int]]:
+    """Pivots (row, col), in row order, of a column echelon over GF(p)."""
     rowidx: dict[int, set[int]] = {}
     for c, col in enumerate(cols):
         for r in col:
@@ -328,14 +285,6 @@ def _echelon_mod_p(
             elif r in dcol:
                 del dcol[r]
                 rowidx[r].discard(dst)
-        if v_cols is not None:
-            vd = v_cols[dst]
-            for r, v in v_cols[src].items():
-                w = (vd.get(r, 0) + mult * v) % p
-                if w:
-                    vd[r] = w
-                elif r in vd:
-                    del vd[r]
 
     active = set(range(len(cols)))
     pivots: list[tuple[int, int]] = []
@@ -351,5 +300,4 @@ def _echelon_mod_p(
                 axpy(c, src, (-cols[c][r] * inv) % p)
         active.discard(src)
         pivots.append((r, src))
-    free = sorted(c for c in active if not cols[c])
-    return pivots, free
+    return pivots

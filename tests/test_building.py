@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 from dataclasses import replace
 from itertools import permutations
 
@@ -16,6 +15,7 @@ from titshom.building import (
     bruhat_witness,
     building_complex,
     chamber_permutation,
+    gaussian_binomial,
     gl_generators,
     group_closure,
     identity_matrix,
@@ -75,6 +75,19 @@ def test_subspace_counts_frozen():
     assert len(subspaces(3, 3, 2)) == 13
     assert len(subspaces(4, 2, 2)) == 35
     assert subspaces(3, 2, 0) == [()]
+    assert len(subspaces(2, 17, 1)) == 18
+    for n, q, d in [(2, 3, 1), (3, 2, 1), (4, 3, 2), (5, 2, 3), (4, 4, 0), (3, 2, 4)]:
+        assert len(subspaces(n, q, d)) == gaussian_binomial(n, d, q)
+
+
+def test_subspaces_reject_non_fields_and_huge_counts():
+    with pytest.raises(ValueError):
+        subspaces(2, 6, 1)
+    with pytest.raises(FieldTooLarge):
+        subspaces(2, 512, 1)
+    # about 2.8e14 planes: raised from the count, nothing is enumerated
+    with pytest.raises(BudgetExceeded):
+        subspaces(5, 256, 2)
 
 
 def test_building_cell_counts():
@@ -82,6 +95,18 @@ def test_building_cell_counts():
     assert cx32.dim(0) == 14 and cx32.dim(1) == 21
     cx33 = building_complex(3, 3)
     assert cx33.dim(0) == 26 and cx33.dim(1) == 52
+
+
+@pytest.mark.parametrize("n, q, chambers", [(2, 2, 3), (3, 2, 21), (3, 3, 52), (4, 2, 315), (5, 2, 9765)])
+def test_building_chambers_are_q_factorial(n, q, chambers):
+    # complete flags number [n]_q! = prod_k (q^k - 1)/(q - 1)
+    q_factorial = 1
+    for k in range(1, n + 1):
+        q_factorial *= (q**k - 1) // (q - 1)
+    assert q_factorial == chambers
+    cx = building_complex(n, q)
+    assert cx.dim(n - 2) == chambers
+    assert cx.dim(-1) == 1 and cx.dim(n - 1) == 0
 
 
 def test_building_budget():

@@ -166,6 +166,18 @@ def test_part6_claim_table():
     assert unavailable.exit_code != 0
 
 
+def test_part6_rejects_rank_below_one(tmp_path):
+    for n in ("0", "-2"):
+        res = runner.invoke(main, ["part6", "--n", n])
+        assert res.exit_code == 2, res.output
+        assert "must be at least 1" in res.output
+    rep_path = tmp_path / "r.json"
+    res = runner.invoke(main, ["suite", "part6", "--n", "0", "--count", "5",
+                               "--report", str(rep_path), "--stable-timings"])
+    assert res.exit_code != 0
+    assert json.loads(rep_path.read_text())["all_pass"] is False
+
+
 def test_coinv_direct_group():
     res = runner.invoke(main, ["coinv", "--group", "gl(2,2)"])
     assert res.exit_code == 0

@@ -1,21 +1,24 @@
-"""Chain complex assembly, homology, and serialization."""
+"""Chain complex assembly and homology."""
 
 from __future__ import annotations
 
 import pytest
 
+from titshom.building import building_complex
 from titshom.complexes import (
     ZERO_GENERATOR,
+    ChainComplexZ,
     assemble_complex,
     canonical_generator,
-    complex_from_json,
-    complex_to_json,
     cycle_space,
     exactness_report,
     homology,
+    homology_profile,
 )
 from titshom.errors import DDNotZero, DegreeOutOfRange
-from titshom.snf import GF, QQ
+from titshom.intmat import SparseIntMatrix
+from titshom.partsix import shape_lines, x_localized, zcomplex
+from titshom.snf import rank_mod_p
 
 
 def test_canonical_generator_frozen():
@@ -57,10 +60,32 @@ def test_torsion_homology():
     assert str(h0) == "Z/2"
     h1 = homology(cx, 1)
     assert h1.betti == 0 and h1.torsion == ()
-    # over F_2 the dimensions jump, over Q they vanish
-    assert homology(cx, 0, GF(2)).betti == 1
-    assert homology(cx, 1, GF(2)).betti == 1
-    assert homology(cx, 0, QQ).betti == 0
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: assemble_complex({0: ["x"], 1: ["y"]}, lambda d, lab: [(2, "x")] if d == 1 else []),
+        # H_0 = Z/2 + Z
+        lambda: ChainComplexZ({0: ["a", "b"], 1: ["x"]}, {1: SparseIntMatrix.from_dense([[2], [0]])}),
+        lambda: building_complex(3, 2),
+        lambda: zcomplex(range(4)).cx,
+        lambda: x_localized(shape_lines("x1-ii", 3, (1, -1, 1))[0], 1),
+    ],
+    ids=["z-2z", "z2-plus-z", "building-3-2", "zcomplex-4", "x1-ii-3"],
+)
+def test_homology_obeys_universal_coefficients_mod_p(make):
+    # dim H_d(C; F_p) from the separate mod-p echelon must equal the Z
+    # homology's betti number plus the torsion p divides in degrees d, d-1
+    cx = make()
+    prof = homology_profile(cx)
+    for d in cx.degrees:
+        assert homology(cx, d) == prof[d], d
+        below = prof[d - 1].torsion if d - 1 in prof else ()
+        for p in (2, 3, 5):
+            mod_p = cx.dim(d) - rank_mod_p(cx.boundary_at(d), p) - rank_mod_p(cx.boundary_at(d + 1), p)
+            divides = sum(1 for t in prof[d].torsion + below if t % p == 0)
+            assert mod_p == prof[d].betti + divides, (d, p)
 
 
 def test_dd_not_zero_detected():
@@ -99,15 +124,3 @@ def test_negative_degrees_supported():
     assert homology(cx, -1).betti == 0
     assert homology(cx, 0).betti == 0
     assert exactness_report(cx)["euler"] == 0
-
-
-def test_json_roundtrip():
-    cx = triangle_circle()
-    text = complex_to_json(cx)
-    back = complex_from_json(text)
-    assert back.degrees == cx.degrees
-    for d in cx.degrees:
-        assert back.boundary_at(d) == cx.boundary_at(d)
-    assert complex_to_json(back) == text
-    with pytest.raises(ValueError):
-        complex_from_json('{"schema": 2}')

@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from titshom import partsix
 from titshom.complexes import ChainComplexZ, HomologyGroup, add_term, cycle_space, homology_profile
 from titshom.errors import (
     BudgetExceeded,
@@ -67,6 +68,22 @@ def test_w_poset_complex_shape():
     wc = w_poset_complex(3)
     assert {d: wc.dim(d) for d in wc.degrees} == {-1: 1, 0: 6, 1: 6}
     assert homology_profile(wc) == {-1: O, 0: O, 1: Z}
+
+
+@pytest.mark.parametrize("d, fubini", [(1, 1), (2, 3), (3, 13), (4, 75), (5, 541), (6, 4683)])
+def test_w_poset_cells_count_ordered_partitions(d, fubini):
+    # a chain of k proper nonempty subsets is an ordered partition of [d]
+    # into k + 1 blocks, so the cells number the ordered set partitions
+    wc = w_poset_complex(d)
+    assert sum(wc.dim(k) for k in wc.degrees) == fubini
+
+
+def test_w_poset_complex_budget(monkeypatch):
+    monkeypatch.setattr(partsix, "CELL_BUDGET", 540)
+    with pytest.raises(BudgetExceeded):
+        w_poset_complex(5)
+    monkeypatch.setattr(partsix, "CELL_BUDGET", 541)
+    assert w_poset_complex(5).dim(3) == 120
 
 
 def test_zcomplex_poset_iso():
@@ -143,6 +160,8 @@ def test_assembled_columns_are_the_merge_differential(cx):
 
 
 def test_x_localized_validation():
+    with pytest.raises(ValueError):
+        x_localized(())
     with pytest.raises(NotSpanning):
         x_localized(((1, 0, 0), (0, 1, 0)))
     with pytest.raises(ValueError):
@@ -314,6 +333,9 @@ def test_part6_claims_rank_five_and_six():
     assert len(checks) == 64 and all(c["ok"] for c in checks)
     with pytest.raises(ShapeUnavailable):
         part6_claims(4, shapes=("x2-iii",))
+    for n in (0, -2):
+        with pytest.raises(ValueError):
+            part6_claims(n)
 
 
 def test_kappa_eta_certificate_all_eps():
