@@ -17,7 +17,7 @@ from typing import Callable, Hashable
 
 from .complexes import CELL_BUDGET, ChainComplexZ, add_term, cycle_space, order_complex
 from .errors import BudgetExceeded, NotSpanning
-from .fqfield import FieldTable, field
+from .fqfield import FieldTable, check_order, field
 from .intmat import SparseIntMatrix
 from .snf import LatticeSolver, nullity
 
@@ -150,10 +150,11 @@ def subspaces(n: int, q: int, d: int) -> list[Subspace]:
 
     Enumerates pivot column choices, then free entries; each subspace
     appears exactly once, in a deterministic order. q must be a field order
-    that `field` accepts, and BudgetExceeded is raised, before anything is
-    enumerated, when there are more than CELL_BUDGET subspaces.
+    that `check_order` accepts (the field's tables are never built), and
+    BudgetExceeded is raised, before anything is enumerated, when there are
+    more than CELL_BUDGET subspaces.
     """
-    field(q)
+    check_order(q)
     count = gaussian_binomial(n, d, q)
     if count > CELL_BUDGET:
         raise BudgetExceeded(f"{count} subspaces exceed budget {CELL_BUDGET}")

@@ -17,7 +17,14 @@ MAX_Q = 256
 EXHAUSTIVE_AXIOM_Q = 16
 
 
-def _prime_power(q: int) -> tuple[int, int]:
+def check_order(q: int) -> tuple[int, int]:
+    """(p, e) with q = p^e, without building the field's tables.
+
+    Raises FieldTooLarge above MAX_Q, then ValueError when q is not a prime
+    power.
+    """
+    if q > MAX_Q:
+        raise FieldTooLarge(f"q = {q} exceeds {MAX_Q}")
     if q < 2:
         raise ValueError(f"{q} is not a prime power")
     p = None
@@ -106,10 +113,8 @@ class FieldTable:
     __slots__ = ("q", "p", "e", "poly", "add", "mul", "neg", "inv", "primitive")
 
     def __init__(self, q: int):
-        if q > MAX_Q:
-            raise FieldTooLarge(f"q = {q} exceeds {MAX_Q}")
+        self.p, self.e = check_order(q)
         self.q = q
-        self.p, self.e = _prime_power(q)
         p, e = self.p, self.e
         self.poly = tuple(_smallest_irreducible(p, e))
 

@@ -85,9 +85,12 @@ def test_subspaces_reject_non_fields_and_huge_counts():
         subspaces(2, 6, 1)
     with pytest.raises(FieldTooLarge):
         subspaces(2, 512, 1)
-    # about 2.8e14 planes: raised from the count, nothing is enumerated
+    # about 2.8e14 planes: raised from the count, nothing is enumerated and
+    # the 256-element field's tables are never built
+    cached = field.cache_info().currsize
     with pytest.raises(BudgetExceeded):
         subspaces(5, 256, 2)
+    assert field.cache_info().currsize == cached
 
 
 def test_building_cell_counts():

@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
+import random
+from math import gcd
+from itertools import combinations
+
 import pytest
 
+from titshom import actions
+from titshom.actions import group_homology, trivial_action
+from titshom.barres import bar_complex_fq
 from titshom.building import building_complex
 from titshom.complexes import (
     ZERO_GENERATOR,
     ChainComplexZ,
+    HomologyGroup,
     assemble_complex,
     canonical_generator,
     cycle_space,
@@ -17,8 +25,8 @@ from titshom.complexes import (
 )
 from titshom.errors import DDNotZero, DegreeOutOfRange
 from titshom.intmat import SparseIntMatrix
-from titshom.partsix import shape_lines, x_localized, zcomplex
-from titshom.snf import rank_mod_p
+from titshom.partsix import SHAPES, shape_arity, shape_lines, x_localized, zcomplex
+from titshom.snf import rank_mod_p, smith_normal_form
 
 
 def test_canonical_generator_frozen():
@@ -124,3 +132,192 @@ def test_negative_degrees_supported():
     assert homology(cx, -1).betti == 0
     assert homology(cx, 0).betti == 0
     assert exactness_report(cx)["euler"] == 0
+
+
+# -- coreduction against the direct Smith route ----------------------------------
+
+
+def smith_oracle(cx):
+    """Homology at every degree from one Smith form per original boundary."""
+    res = {d: smith_normal_form(cx.boundary_at(d)) for d in cx.degrees}
+    out = {}
+    for d in cx.degrees:
+        up = res[d + 1] if d + 1 in res else None
+        betti = cx.dim(d) - res[d].rank - (up.rank if up else 0)
+        torsion = tuple(t for t in (up.divisors if up else ()) if t > 1)
+        out[d] = HomologyGroup(betti, torsion)
+    return out
+
+
+def assert_matches_oracle(cx):
+    want = smith_oracle(cx)
+    assert homology_profile(cx) == want
+    for d in cx.degrees:
+        assert homology(cx, d) == want[d], d
+
+
+def simplicial_complex(facets, reduced: bool) -> ChainComplexZ:
+    """Downward closure of the facets, with the empty simplex when reduced."""
+    simplices = {()} if reduced else set()
+    for facet in facets:
+        for k in range(1, len(facet) + 1):
+            simplices.update(combinations(sorted(facet), k))
+    bases: dict[int, list] = {}
+    for s in sorted(simplices):
+        bases.setdefault(len(s) - 1, []).append(s)
+
+    def rule(d, s):
+        if len(s) == 1 and not reduced:
+            return []
+        return [((-1) ** j, s[:j] + s[j + 1 :]) for j in range(len(s))]
+
+    return assemble_complex(bases, rule)
+
+
+def pm_two_complex() -> ChainComplexZ:
+    # every incidence is +-2, so nothing pairs: H_0 = Z/2, H_1 = Z/2, H_2 = 0
+    d1 = SparseIntMatrix.from_dense([[2, 2]])
+    d2 = SparseIntMatrix.from_dense([[2], [-2]])
+    return ChainComplexZ({0: ["p"], 1: ["e", "f"], 2: ["t"]}, {1: d1, 2: d2})
+
+
+def _x_localized_at_4(shape):
+    eps = tuple((-1) ** i for i in range(shape_arity(shape)))
+    lines = shape_lines(shape, 4, eps)[0]
+    return x_localized(lines, len(lines) - 4)
+
+
+CROSS_CHECKED = {
+    **{f"building-{n}-{q}": (lambda n=n, q=q: building_complex(n, q)) for n, q in [(2, 2), (3, 2), (3, 3), (4, 2)]},
+    **{f"zcomplex-{k}": (lambda k=k: zcomplex(range(k)).cx) for k in range(7)},
+    **{f"x-{s}-4": (lambda s=s: _x_localized_at_4(s)) for s in SHAPES if shape_arity(s) <= 4},
+    **{f"bar-{n}-{q}": (lambda n=n, q=q: bar_complex_fq(n, q).cx) for n, q in [(2, 2), (3, 2)]},
+    "pm-two": pm_two_complex,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CROSS_CHECKED))
+def test_coreduced_homology_matches_smith_oracle(name):
+    assert_matches_oracle(CROSS_CHECKED[name]())
+
+
+def test_coreduced_homology_matches_smith_oracle_on_random_simplicial_complexes():
+    rng = random.Random(20091)
+    for seed in range(200):
+        vertices = range(rng.randint(3, 8))
+        facets = [rng.sample(vertices, rng.randint(1, min(5, len(vertices)))) for _ in range(rng.randint(1, 12))]
+        cx = simplicial_complex(facets, reduced=seed % 2 == 0)
+        want = smith_oracle(cx)
+        assert homology_profile(cx) == want, seed
+        assert all(homology(cx, d) == want[d] for d in cx.degrees), seed
+
+
+
+def twisted_complex(rng: random.Random) -> tuple[ChainComplexZ, dict[int, HomologyGroup]]:
+    """Sum of pieces Z and Z --t--> Z in degrees 0..3, under random basis changes.
+
+    A change E of the degree-d basis sends d_d to d_d E and d_{d+1} to
+    E^-1 d_{d+1}; E adds c times basis vector j to basis vector i.
+    """
+    dims = [0] * 4
+    want = {d: [0, []] for d in range(4)}
+    entries = []
+    for _ in range(rng.randint(1, 6)):
+        d = rng.randrange(4)
+        if d == 3 or rng.random() < 0.3:
+            want[d][0] += 1
+            dims[d] += 1
+            continue
+        t = rng.choice((1, 1, 2, 3, 4, 6))
+        entries.append((d, dims[d], dims[d + 1], t))
+        if t > 1:
+            want[d][1].append(t)
+        dims[d] += 1
+        dims[d + 1] += 1
+    mats = {d: [[0] * dims[d] for _ in range(dims[d - 1])] for d in range(1, 4)}
+    for d, row, col, t in entries:
+        mats[d + 1][row][col] = t
+    for _ in range(rng.randint(0, 25)):
+        d = rng.randrange(4)
+        if dims[d] < 2:
+            continue
+        i, j = rng.sample(range(dims[d]), 2)
+        c = rng.choice((-1, 1, 2))
+        if d >= 1:
+            for row in mats[d]:
+                row[i] += c * row[j]
+        if d <= 2:
+            mats[d + 1][j] = [a - c * b for a, b in zip(mats[d + 1][j], mats[d + 1][i])]
+    bases = {d: [(d, i) for i in range(dims[d])] for d in range(4)}
+    boundary = {d: SparseIntMatrix.from_dense(m) if m else SparseIntMatrix(0, dims[d]) for d, m in mats.items()}
+    return ChainComplexZ(bases, boundary), {d: HomologyGroup(b, invariant_factors(t)) for d, (b, t) in want.items()}
+
+
+def invariant_factors(orders: list[int]) -> tuple[int, ...]:
+    """The divisor chain of a sum of cyclic groups Z/t."""
+    ts = list(orders)
+    for i in range(len(ts)):
+        for j in range(i + 1, len(ts)):
+            g = gcd(ts[i], ts[j])
+            ts[i], ts[j] = g, ts[i] * ts[j] // g
+    return tuple(t for t in ts if t > 1)
+
+
+def test_coreduced_homology_matches_smith_oracle_on_twisted_complexes():
+    rng = random.Random(2006)
+    for seed in range(200):
+        cx, want = twisted_complex(rng)
+        assert smith_oracle(cx) == want, seed
+        assert homology_profile(cx) == want, seed
+        assert all(homology(cx, d) == want[d] for d in cx.degrees), seed
+
+def _cyclic(n):
+    return list(range(n)), lambda a, b: (a + b) % n
+
+
+def _sign_action(g):
+    return SparseIntMatrix.from_dense([[-1 if g else 1]])
+
+
+@pytest.mark.parametrize(
+    "n, action, want",
+    [
+        *[(n, trivial_action(1), [(1, ()), (0, (n,)), (0, ())]) for n in (2, 3, 4, 6)],
+        (2, _sign_action, [(0, (2,)), (0, ()), (0, (2,))]),
+    ],
+    ids=["z2", "z3", "z4", "z6", "z2-sign"],
+)
+def test_group_homology_bar_complexes_match_smith_oracle(monkeypatch, n, action, want):
+    # every bar complex group_homology builds is checked against the oracle too
+    seen = []
+
+    def recording(cx, d):
+        seen.append(cx)
+        return homology(cx, d)
+
+    monkeypatch.setattr(actions, "homology", recording)
+    elements, mult = _cyclic(n)
+    got = [group_homology(elements, mult, action, 1, k) for k in range(3)]
+    assert [(h.betti, h.torsion) for h in got] == want
+    for cx in seen:
+        assert_matches_oracle(cx)
+
+
+def test_degree_with_no_cells():
+    cx = ChainComplexZ({0: ["a"], 1: [], 2: ["c"]}, {})
+    assert [homology(cx, d) for d in (0, 1, 2)] == [HomologyGroup(1, ()), HomologyGroup(0, ()), HomologyGroup(1, ())]
+    assert homology_profile(cx) == smith_oracle(cx)
+
+
+def test_complex_holding_only_degree_minus_one():
+    cx = zcomplex(range(1)).cx
+    assert cx.degrees == [-1]
+    assert homology(cx, -1) == HomologyGroup(1, ()) and homology_profile(cx) == {-1: HomologyGroup(1, ())}
+    with pytest.raises(DegreeOutOfRange):
+        homology(cx, 0)
+
+
+def test_pm_two_complex_keeps_its_torsion_at_every_window():
+    # degrees 0 and 2 are the ends, where the window holds two degrees
+    cx = pm_two_complex()
+    assert [homology(cx, d) for d in (0, 1, 2)] == [HomologyGroup(0, (2,)), HomologyGroup(0, (2,)), HomologyGroup(0, ())]
