@@ -186,6 +186,8 @@ def subspaces(n: int, q: int, d: int) -> list[Subspace]:
 
 def building_complex(n: int, q: int, budget: int = CELL_BUDGET) -> ChainComplexZ:
     """Reduced flag complex of proper nonzero subspaces of F_q^n."""
+    if n < 1:
+        raise ValueError(f"building needs n >= 1, got n={n}")
     ft = field(q)
     verts: list[Subspace] = []
     for d in range(1, n):

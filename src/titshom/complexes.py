@@ -119,7 +119,6 @@ def linear_extend(chain: dict, op: Callable[[Label], dict]) -> dict:
 def assemble_complex(
     bases: dict[int, list[Label]],
     rule: Callable[[int, Label], Iterable[tuple[int, Label]]],
-    check: bool = True,
 ) -> ChainComplexZ:
     """Build boundary matrices from a per-generator rule and verify d o d = 0.
 
@@ -146,14 +145,13 @@ def assemble_complex(
                 add_term(mat.rows[r], col, coeff)
         boundary[d] = mat
     cx = ChainComplexZ(bases, boundary)
-    if check:
-        for d in degrees:
-            if d - 1 not in index:
-                continue
-            prod = cx.boundary_at(d - 1).mul(cx.boundary_at(d))
-            if not prod.is_zero():
-                bad_col = min(c for _, c, _ in prod.to_triplets())
-                raise DDNotZero(d, bases[d][bad_col])
+    for d in degrees:
+        if d - 1 not in index:
+            continue
+        prod = cx.boundary_at(d - 1).mul(cx.boundary_at(d))
+        if not prod.is_zero():
+            bad_col = min(c for _, c, _ in prod.to_triplets())
+            raise DDNotZero(d, bases[d][bad_col])
     return cx
 
 

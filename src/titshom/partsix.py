@@ -37,6 +37,7 @@ from .snf import cokernel_invariants, rank
 from .zsymbols import (
     Vector,
     _combo,
+    deletion_sum,
     det_int,
     normalize_line,
     random_unimodular_basis,
@@ -51,17 +52,16 @@ MAX_SET_SIZE = 8
 # -- restricted bar complex of a finite set ------------------------------------
 
 
-def _unordered_partitions(items: tuple, max_blocks: int | None = None):
+def _unordered_partitions(items: tuple):
     """All unordered partitions, each block sorted, deterministic order."""
     if not items:
         yield ()
         return
     first, rest = items[0], items[1:]
-    for sub in _unordered_partitions(rest, max_blocks):
+    for sub in _unordered_partitions(rest):
         for i, block in enumerate(sub):
             yield sub[:i] + ((first,) + block,) + sub[i + 1 :]
-        if max_blocks is None or len(sub) < max_blocks:
-            yield ((first,),) + sub
+        yield ((first,),) + sub
 
 
 @dataclass
@@ -292,19 +292,7 @@ def cell_canonical(blocks) -> tuple[tuple | None, int]:
 
 def block_delta(block: tuple[Vector, ...]) -> dict[tuple[Vector, ...], int]:
     """Deletion differential of one block, keeping only span-preserving terms."""
-    r = rank_rows(block)
-    out: dict[tuple[Vector, ...], int] = {}
-    if len(block) <= r:
-        return out
-    for u in range(len(block)):
-        rem = block[:u] + block[u + 1 :]
-        if rank_rows(rem) < r:
-            continue
-        can = canonical_generator(rem)
-        if can.is_zero:
-            continue
-        add_term(out, can.tokens, (-1) ** u * can.sign)
-    return out
+    return deletion_sum(block, rank_rows(block))
 
 
 def cell_bar_boundary(cell) -> dict:

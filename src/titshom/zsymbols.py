@@ -541,10 +541,21 @@ def byk_delta(lines) -> dict[tuple[Vector, ...], int]:
     n = len(normalized[0])
     if len(normalized) <= n:
         raise DegreeZero("deletion differential needs X-degree >= 1")
+    return deletion_sum(normalized, n)
+
+
+def deletion_sum(rows: tuple[Vector, ...], rank: int) -> dict[tuple[Vector, ...], int]:
+    """Sum of (-1)^j times the canonical generator of rows without row j.
+
+    A deletion whose rows span less than `rank` is dropped, as is one with a
+    repeated row; both are zero generators.
+    """
     out: dict[tuple[Vector, ...], int] = {}
-    for j in range(len(normalized)):
-        rem = normalized[:j] + normalized[j + 1 :]
-        if rank_rows(rem) < n:
+    if len(rows) <= rank:
+        return out
+    for j in range(len(rows)):
+        rem = rows[:j] + rows[j + 1 :]
+        if rank_rows(rem) < rank:
             continue
         can = canonical_generator(rem)
         if can.is_zero:

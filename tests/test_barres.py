@@ -11,6 +11,7 @@ from titshom.barres import (
 )
 from titshom.complexes import HomologyGroup
 from titshom.errors import BudgetExceeded, NonComplementary
+from titshom.snf import kernel_basis, nullity
 
 
 def test_decomposition_counts():
@@ -67,12 +68,28 @@ def test_bar_ranks_3_2():
     assert rep["ok"]
 
 
-def test_top_term_is_a_kernel():
-    bm = bar_complex_fq(3, 2)
-    top = bm.cx.boundary_at(bm.top_degree)
-    below = bm.cx.boundary_at(bm.top_degree - 1)
-    assert below.mul(top).is_zero()
-    assert top is bm.top_kernel
+@pytest.mark.parametrize("n, q", [(2, 2), (2, 3), (3, 2)])
+def test_top_rank_matches_kernel_oracle(n, q):
+    # the top rank read from homology_profile against the kernel route
+    cx = bar_complex_fq(n, q)
+    assert cx.degrees == list(range(-1, n - 1))
+    top = cx.boundary_at(n - 2)
+    kernel = kernel_basis(top)
+    assert verify_bar_exactness(n, q)["top_kernel_rank"] == nullity(top) == kernel.n_cols
+    assert top.mul(kernel).is_zero()
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_bar_rejects_n_below_one(n):
+    with pytest.raises(ValueError, match=f"n={n}"):
+        bar_complex_fq(n, 2)
+
+
+def test_bar_ranks_1_2():
+    rep = verify_bar_exactness(1, 2)
+    assert rep["ranks"] == {-1: 1, 0: 1}
+    assert rep["homology_below_top"] == {}
+    assert rep["ok"]
 
 
 def test_bar_budget_enforced():

@@ -117,6 +117,12 @@ def test_building_budget():
         building_complex(4, 2, budget=10)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_building_rejects_n_below_one(n):
+    with pytest.raises(ValueError, match=f"n={n}"):
+        building_complex(n, 2)
+
+
 def test_solomon_tits_small():
     cx = building_complex(3, 2)
     rep = exactness_report(cx)

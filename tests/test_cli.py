@@ -178,6 +178,13 @@ def test_part6_rejects_rank_below_one(tmp_path):
     assert json.loads(rep_path.read_text())["all_pass"] is False
 
 
+@pytest.mark.parametrize("command", ["bar", "building"])
+def test_rank_below_one_names_the_input(command):
+    res = runner.invoke(main, [command, "--n", "0"])
+    assert res.exit_code != 0
+    assert "error: ValueError:" in res.output and "n=0" in res.output
+
+
 def test_coinv_direct_group():
     res = runner.invoke(main, ["coinv", "--group", "gl(2,2)"])
     assert res.exit_code == 0

@@ -191,7 +191,7 @@ CROSS_CHECKED = {
     **{f"building-{n}-{q}": (lambda n=n, q=q: building_complex(n, q)) for n, q in [(2, 2), (3, 2), (3, 3), (4, 2)]},
     **{f"zcomplex-{k}": (lambda k=k: zcomplex(range(k)).cx) for k in range(7)},
     **{f"x-{s}-4": (lambda s=s: _x_localized_at_4(s)) for s in SHAPES if shape_arity(s) <= 4},
-    **{f"bar-{n}-{q}": (lambda n=n, q=q: bar_complex_fq(n, q).cx) for n, q in [(2, 2), (3, 2)]},
+    **{f"bar-{n}-{q}": (lambda n=n, q=q: bar_complex_fq(n, q)) for n, q in [(2, 2), (3, 2)]},
     "pm-two": pm_two_complex,
 }
 
