@@ -14,7 +14,8 @@ homology of the complex yields directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from itertools import combinations, product
+from math import comb, gcd, prod
 
 from .actions import coinvariant_relations, permutation_matrix_int, st_action_matrix, tensor_matrix
 from .building import (
@@ -32,7 +33,7 @@ from .building import (
 )
 from .complexes import CELL_BUDGET, ChainComplexZ, HomologyGroup, assemble_complex, homology_profile
 from .errors import BudgetExceeded, NonComplementary
-from .fqfield import FieldTable, field
+from .fqfield import FieldTable, check_order, field
 from .snf import cokernel_invariants, kernel_basis
 
 
@@ -98,7 +99,7 @@ def st_product(
     return merged, st.to_st_coords(apartment_class_fq(st, lines_to_matrix(coord_lines)))
 
 
-def ordered_decompositions(n: int, q: int, parts: int, budget: int) -> list[tuple[Subspace, ...]]:
+def ordered_decompositions(n: int, q: int, parts: int) -> list[tuple[Subspace, ...]]:
     """All ordered tuples of subspaces with V_1 + ... + V_parts = F_q^n direct."""
     ft = field(q)
     pools = {d: subspaces(n, q, d) for d in range(1, n + 1)}
@@ -108,8 +109,6 @@ def ordered_decompositions(n: int, q: int, parts: int, budget: int) -> list[tupl
         if left == 0:
             if used == n:
                 out.append(prefix)
-                if len(out) > budget:
-                    raise BudgetExceeded("decomposition count exceeds budget")
             return
         remaining = n - used
         for d in range(1, remaining - left + 2):
@@ -122,37 +121,47 @@ def ordered_decompositions(n: int, q: int, parts: int, budget: int) -> list[tupl
     return out
 
 
+def _gl_order(n: int, q: int) -> int:
+    return prod(q**n - q**i for i in range(n))
+
+
+def bar_cell_count(n: int, q: int, parts: int) -> int:
+    """Cells of the bar complex in degree parts-2: decompositions with summand
+    dimensions n_1..n_k number |GL_n| / prod |GL_{n_j}|, each with
+    prod q^C(n_j, 2) unipotent basis tuples."""
+    total = 0
+    for cuts in combinations(range(1, n), parts - 1):
+        dims = [b - a for a, b in zip((0,) + cuts, cuts + (n,))]
+        count = _gl_order(n, q) // prod(_gl_order(m, q) for m in dims)
+        total += count * prod(q ** comb(m, 2) for m in dims)
+    return total
+
+
 def bar_complex_fq(n: int, q: int, budget: int = CELL_BUDGET) -> ChainComplexZ:
     """Bar resolution of St(F_q^n) in degrees -1..n-2.
 
-    Degree i >= 0 has one generator per ordered decomposition into i+2
-    summands and per choice of a unipotent basis element in each summand.
+    Degree i has one generator per ordered decomposition into i+2 summands
+    (F_q^n alone in degree -1) and per choice of a unipotent basis element
+    in each summand. BudgetExceeded is raised from `bar_cell_count`, before
+    anything is enumerated, when the cells exceed `budget`.
     """
     if n < 1:
         raise ValueError(f"bar complex needs n >= 1, got n={n}")
-    ft = field(q)
-    full = rref(ft, [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)])
+    check_order(q)
+    cells = sum(bar_cell_count(n, q, parts) for parts in range(1, n + 1))
+    if cells > budget:
+        raise BudgetExceeded(f"{cells} bar complex cells exceed budget {budget}")
     n_units = {d: len(steinberg(d, q).units) for d in range(1, n + 1)}
 
     bases: dict[int, list] = {}
-    bases[-1] = [((full,), (u,)) for u in range(n_units[n])]
-    total = len(bases[-1])
-    for degree in range(0, n - 1):
-        k = degree + 2
+    for parts in range(1, n + 1):
         gens: list = []
-        for decomp in ordered_decompositions(n, q, k, budget):
-            stack = [()]
-            for v in decomp:
-                stack = [s + (u,) for s in stack for u in range(n_units[len(v)])]
-            gens.extend((decomp, us) for us in stack)
-        total += len(gens)
-        if total > budget:
-            raise BudgetExceeded(f"bar complex size exceeds budget {budget}")
-        bases[degree] = gens
+        for decomp in ordered_decompositions(n, q, parts):
+            units = product(*(range(n_units[len(v)]) for v in decomp))
+            gens.extend((decomp, us) for us in units)
+        bases[parts - 2] = gens
 
     def rule(degree: int, lab):
-        if degree == -1:
-            return []
         decomp, units = lab
         k = len(decomp)
         terms = []

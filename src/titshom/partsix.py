@@ -2,10 +2,12 @@
 
 Z_*(S, r) is the restricted bar complex of a finite set: ordered partitions
 into ordered blocks, where every restriction set must stay inside a single
-block. Its homology is Z in one degree, certified against the subset-poset
-model through an explicit isomorphism. The same combinatorics drives the
-localized complexes X_{*,q}[S] whose blocks are augmented partial frames,
-with the bar-direction and X-degree differentials forming a double complex.
+block. Its cells, k!*S(d, k) with k blocks on d units, are counted before
+any is built, and the same count certifies an explicit isomorphism onto the
+subset-poset complex W(d) without building W(d); its homology is Z in one
+degree. The same combinatorics drives the localized complexes X_{*,q}[S]
+whose blocks are augmented partial frames, with the bar-direction and
+X-degree differentials forming a double complex.
 """
 
 from __future__ import annotations
@@ -13,9 +15,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
+from math import comb
 
 from .complexes import (
     CELL_BUDGET,
+    _face_rule,
     ChainComplexZ,
     HomologyGroup,
     add_term,
@@ -46,8 +50,6 @@ from .zsymbols import (
     saturate_rows,
 )
 
-MAX_SET_SIZE = 8
-
 
 # -- restricted bar complex of a finite set ------------------------------------
 
@@ -62,6 +64,11 @@ def _unordered_partitions(items: tuple):
         for i, block in enumerate(sub):
             yield sub[:i] + ((first,) + block,) + sub[i + 1 :]
         yield ((first,),) + sub
+
+
+def ordered_partition_count(d: int, k: int) -> int:
+    """k! * S(d, k): ordered partitions of d units into k nonempty blocks."""
+    return sum((-1) ** j * comb(k, j) * (k - j) ** d for j in range(k + 1))
 
 
 @dataclass
@@ -81,8 +88,6 @@ def zcomplex(labels, restriction=()) -> ZSetComplex:
     stored sorted, permutations contribute the product of per-block signs.
     """
     labels = tuple(sorted(labels))
-    if len(labels) > MAX_SET_SIZE:
-        raise BudgetExceeded(f"set size limited to {MAX_SET_SIZE}")
     if len(set(labels)) != len(labels):
         raise ValueError("labels must be distinct")
     rsets = tuple(frozenset(r) for r in restriction)
@@ -95,9 +100,11 @@ def zcomplex(labels, restriction=()) -> ZSetComplex:
         taken |= r
     units = [tuple(sorted(r)) for r in rsets]
     units += [(s,) for s in labels if s not in taken]
-    units.sort()
-    units = tuple(units)
+    units = tuple(sorted(units))
     d = len(units)
+    cells = sum(ordered_partition_count(d, k) for k in range(1, d + 1))
+    if cells > CELL_BUDGET:
+        raise BudgetExceeded(f"{cells} partition cells exceed budget {CELL_BUDGET}")
 
     bases: dict[int, list] = {}
     for part in _unordered_partitions(units):
@@ -124,63 +131,47 @@ def w_poset_complex(d: int) -> ChainComplexZ:
 
 
 def zcomplex_poset_iso(zc: ZSetComplex) -> dict:
-    """Check the explicit chain isomorphism onto the subset-poset complex.
+    """Check the explicit chain isomorphism onto the subset-poset complex W(d).
 
-    Each partition maps to the chain of its block-union prefixes, signed by
-    the parity of the concatenated blocks against the sorted label set.
-    Returns the per-degree rank table once bijectivity and the chain-map
-    property have been verified.
+    Each partition maps to the chain of its block-union prefixes, as bit
+    masks of unit indices, signed by the parity of the concatenated blocks
+    against the sorted label set. In every degree each image must be a
+    strict chain {} < P_1 < ... < P_k < [d], the map must be injective, and
+    the images must number `ordered_partition_count(d, k + 1)`, the count of
+    all such chains, so the map is onto. The commuting square is checked
+    against `_face_rule` of each image chain; W(d) itself is never built.
+    Returns the per-degree rank table.
     """
-    wc = w_poset_complex(zc.d)
-    unit_index = {u: i for i, u in enumerate(zc.units)}
-    phi_cache: dict = {}
-
-    def phi(lab) -> tuple[int, tuple]:
-        got = phi_cache.get(lab)
-        if got is not None:
-            return got
-        concat = tuple(x for blk in lab for x in blk)
-        eps = canonical_generator(concat).sign
-        prefixes = []
-        acc: set[int] = set()
-        for blk in lab[:-1]:
-            blk_set = set(blk)
-            acc |= {unit_index[u] for u in zc.units if set(u) <= blk_set}
-            prefixes.append(frozenset(acc))
-        got = (eps, tuple(prefixes))
-        phi_cache[lab] = got
-        return got
-
-    # bijectivity degreewise, then the commuting square on every generator
-    images: dict[int, dict] = {}
+    if zc.cx.degrees != list(range(-1, zc.d - 1)):
+        raise IdentityViolation(f"degrees {zc.cx.degrees} are not -1..{zc.d - 2}")
+    unit_bit = {x: 1 << i for i, u in enumerate(zc.units) for x in u}
+    below: list = []
     for deg in zc.cx.degrees:
-        seen = {}
+        images, seen = [], set()
         for lab in zc.cx.basis[deg]:
-            eps, chain = phi(lab)
+            acc, chain = 0, ()
+            for blk in lab[:-1]:
+                for x in blk:
+                    acc |= unit_bit[x]
+                chain += (acc,)
+            # the prefixes only grow, so the chain is strict when neighbours differ
+            if not all(a != b for a, b in zip((0,) + chain, chain + ((1 << zc.d) - 1,))):
+                raise IdentityViolation(f"poset map image of {lab} is not a strict chain")
             if chain in seen:
                 raise IdentityViolation(f"poset map not injective at {lab}")
-            seen[chain] = (eps, lab)
-        if set(seen.keys()) != set(wc.basis.get(deg, [])):
+            seen.add(chain)
+            images.append((canonical_generator(tuple(x for blk in lab for x in blk)).sign, chain))
+        if len(images) != ordered_partition_count(zc.d, deg + 2):
             raise IdentityViolation(f"poset map not onto in degree {deg}")
-        images[deg] = seen
-
-    for deg in zc.cx.degrees:
-        if deg == -1:
-            continue
-        w_index = {lab: i for i, lab in enumerate(wc.basis[deg - 1])}
-        w_col_index = {lab: i for i, lab in enumerate(wc.basis[deg])}
-        z_labels = zc.cx.basis[deg - 1]
-        bz_cols = zc.cx.boundary_at(deg).columns()
-        bw_cols = wc.boundary_at(deg).columns()
-        for col, lab in enumerate(zc.cx.basis[deg]):
-            eps, chain = phi(lab)
-            wcol = {i: eps * v for i, v in bw_cols[w_col_index[chain]].items()}
-            through: dict[int, int] = {}
-            for i, v in bz_cols[col].items():
-                e2, ch2 = phi(z_labels[i])
-                add_term(through, w_index[ch2], e2 * v)
-            if through != wcol:
+        cols = zc.cx.boundary_at(deg).columns()
+        for lab, (eps, chain), col in zip(zc.cx.basis[deg], images, cols):
+            through: dict = {}
+            for i, v in col.items():
+                sign, face = below[i]
+                add_term(through, face, sign * v)
+            if through != {face: eps * c for c, face in _face_rule(deg, chain)}:
                 raise IdentityViolation(f"poset map fails to commute at {lab}")
+        below = images
     return {d: zc.cx.dim(d) for d in zc.cx.degrees}
 
 

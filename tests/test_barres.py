@@ -2,7 +2,9 @@
 
 import pytest
 
+from titshom import barres
 from titshom.barres import (
+    bar_cell_count,
     bar_complex_fq,
     ordered_decompositions,
     rank2_e1_surjectivity,
@@ -16,13 +18,20 @@ from titshom.snf import kernel_basis, nullity
 
 def test_decomposition_counts():
     # 3 lines of F_2^2, ordered pairs of distinct ones
-    assert len(ordered_decompositions(2, 2, 2, 10**6)) == 6
-    assert len(ordered_decompositions(2, 3, 2, 10**6)) == 12
+    assert len(ordered_decompositions(2, 2, 2)) == 6
+    assert len(ordered_decompositions(2, 3, 2)) == 12
     # line (x) plane pairs in both orders: 7 * 4 * 2
-    pairs = ordered_decompositions(3, 2, 2, 10**6)
+    pairs = ordered_decompositions(3, 2, 2)
     assert len(pairs) == 56
     # ordered triples of independent lines: 7 * 6 * 4
-    assert len(ordered_decompositions(3, 2, 3, 10**6)) == 168
+    assert len(ordered_decompositions(3, 2, 3)) == 168
+    # the closed cell count against the enumerated degrees
+    for n, q in [(2, 2), (2, 3), (3, 2), (3, 3)]:
+        cx = bar_complex_fq(n, q)
+        assert [bar_cell_count(n, q, parts) for parts in range(1, n + 1)] == [
+            cx.dim(d) for d in range(-1, n - 1)
+        ]
+    assert [bar_cell_count(3, 3, parts) for parts in (1, 2, 3)] == [27, 702, 1404]
 
 
 def test_st_product_standard_lines():
@@ -95,6 +104,17 @@ def test_bar_ranks_1_2():
 def test_bar_budget_enforced():
     with pytest.raises(BudgetExceeded):
         bar_complex_fq(3, 2, budget=50)
+
+
+@pytest.mark.parametrize("n, q, cells", [(5, 2, 28_475_392), (4, 3, 2_807_379)])
+def test_bar_budget_checked_before_enumerating(monkeypatch, n, q, cells):
+    def refuse(*args):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(barres, "steinberg", refuse)
+    monkeypatch.setattr(barres, "ordered_decompositions", refuse)
+    with pytest.raises(BudgetExceeded, match=f"^{cells} "):
+        bar_complex_fq(n, q)
 
 
 def test_rank2_surjectivity_q2():

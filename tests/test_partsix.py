@@ -10,11 +10,13 @@ from titshom.complexes import ChainComplexZ, HomologyGroup, add_term, cycle_spac
 from titshom.errors import (
     BudgetExceeded,
     CertificateFailure,
+    IdentityViolation,
     NotSpanning,
     ShapeUnavailable,
 )
 from titshom.intmat import SparseIntMatrix
 from titshom.partsix import (
+    ZSetComplex,
     _cell_vector,
     _class_report,
     block_delta,
@@ -22,6 +24,7 @@ from titshom.partsix import (
     cell_canonical,
     cell_delta,
     kappa_eta_certificate,
+    ordered_partition_count,
     part6_claims,
     random_restriction,
     shape_lines,
@@ -73,9 +76,14 @@ def test_w_poset_complex_shape():
 @pytest.mark.parametrize("d, fubini", [(1, 1), (2, 3), (3, 13), (4, 75), (5, 541), (6, 4683)])
 def test_w_poset_cells_count_ordered_partitions(d, fubini):
     # a chain of k proper nonempty subsets is an ordered partition of [d]
-    # into k + 1 blocks, so the cells number the ordered set partitions
+    # into k + 1 blocks, so the cells number the ordered set partitions;
+    # the closed count k! * S(d, k) is checked against both enumerations
     wc = w_poset_complex(d)
+    zc = zcomplex(range(d))
     assert sum(wc.dim(k) for k in wc.degrees) == fubini
+    assert wc.degrees == zc.cx.degrees == list(range(-1, d - 1))
+    for k in range(1, d + 1):
+        assert ordered_partition_count(d, k) == wc.dim(k - 2) == zc.cx.dim(k - 2)
 
 
 def test_w_poset_complex_budget(monkeypatch):
@@ -84,6 +92,82 @@ def test_w_poset_complex_budget(monkeypatch):
         w_poset_complex(5)
     monkeypatch.setattr(partsix, "CELL_BUDGET", 541)
     assert w_poset_complex(5).dim(3) == 120
+
+
+def test_zcomplex_budget(monkeypatch):
+    # zcomplex(range(5)) has 541 cells; the count is checked before the
+    # partitions are enumerated
+    monkeypatch.setattr(partsix, "CELL_BUDGET", 540)
+    with monkeypatch.context() as m:
+        m.setattr(partsix, "_unordered_partitions", _refuse)
+        with pytest.raises(BudgetExceeded):
+            zcomplex(range(5))
+    monkeypatch.setattr(partsix, "CELL_BUDGET", 541)
+    assert zcomplex(range(5)).cx.dim(3) == 120
+
+
+def _refuse(*args):
+    raise AssertionError("enumeration started")
+
+
+def _broken_copy(zc, degree, edit):
+    """zc with one degree's basis and boundary columns edited, left unchecked."""
+    basis = {d: list(b) for d, b in zc.cx.basis.items()}
+    boundary = dict(zc.cx.boundary)
+    cols = zc.cx.boundary_at(degree).columns()
+    edit(basis[degree], cols)
+    boundary[degree] = SparseIntMatrix.from_columns(zc.cx.dim(degree - 1), cols)
+    cx = ChainComplexZ(basis, boundary)
+    return ZSetComplex(zc.labels, zc.restriction, zc.units, zc.d, cx)
+
+
+def _drop_last(labels, cols):
+    labels.pop()
+    cols.pop()
+
+
+def _negate_one(labels, cols):
+    row = min(cols[0])
+    cols[0][row] = -cols[0][row]
+
+
+def _duplicate_first(labels, cols):
+    labels[1] = labels[0]
+    cols[1] = dict(cols[0])
+
+
+def _empty_block(labels, cols):
+    labels[0] = ((),) + labels[0]
+
+
+@pytest.mark.parametrize(
+    "labels, rsets, degree, edit, message",
+    [
+        ("abc", (), 1, _drop_last, "not onto"),
+        ("abcd", ({"a", "b"},), 0, _drop_last, "not onto"),
+        ("abc", (), 1, _negate_one, "fails to commute"),
+        ("abcd", (), 2, _negate_one, "fails to commute"),
+        ("abc", (), 0, _duplicate_first, "not injective"),
+        ("abcd", ({"a", "b"},), 1, _duplicate_first, "not injective"),
+        ("abc", (), 0, _empty_block, "not a strict chain"),
+    ],
+    ids=[
+        "drop-top",
+        "drop-0",
+        "negate-top",
+        "negate-top-d4",
+        "duplicate-0",
+        "duplicate-top",
+        "empty-block",
+    ],
+)
+def test_zcomplex_poset_iso_rejects_broken_copies(labels, rsets, degree, edit, message):
+    # hand-built copies skip assemble_complex, so its d o d check cannot
+    # fire first; the isomorphism check alone must catch each defect
+    zc = zcomplex(labels, rsets)
+    zcomplex_poset_iso(zc)
+    with pytest.raises(IdentityViolation, match=message):
+        zcomplex_poset_iso(_broken_copy(zc, degree, edit))
 
 
 def test_zcomplex_poset_iso():
