@@ -9,6 +9,10 @@ resulting apartment class in the basis of the merged subspace.
 The complex stops at degree n-2. The tensor-square term above it is not
 built: exactness there means its rank is the rank of H_{n-2}, which the
 homology of the complex yields directly.
+
+The rank-2 entry (Z[chambers] (x) St)_G of GL_3(F_q) is St_B by Shapiro's
+lemma (Brown, Cohomology of Groups, III.5); its pairing onto Z is written down
+from opposite chambers and certified invariant, with no relation matrix.
 """
 
 from __future__ import annotations
@@ -17,24 +21,26 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb, gcd, prod
 
-from .actions import coinvariant_relations, permutation_matrix_int, st_action_matrix, tensor_matrix
+from .actions import coinvariants, st_action_matrix
 from .building import (
     Matrix,
+    StModel,
     Subspace,
     Vector,
     apartment_class_fq,
+    borel_generators,
     bruhat_witness,
     chamber_permutation,
     gl_generators,
     identity_matrix,
     rref,
+    span_vectors,
     steinberg,
     subspaces,
 )
-from .complexes import CELL_BUDGET, ChainComplexZ, HomologyGroup, assemble_complex, homology_profile
-from .errors import BudgetExceeded, NonComplementary
+from .complexes import CELL_BUDGET, ChainComplexZ, HomologyGroup, assemble_complex, homology_profile, linear_extend
+from .errors import BudgetExceeded, CertificateFailure, NonComplementary
 from .fqfield import FieldTable, check_order, field
-from .snf import cokernel_invariants, kernel_basis
 
 
 def lines_to_matrix(vectors: list[Vector]) -> Matrix:
@@ -161,12 +167,18 @@ def bar_complex_fq(n: int, q: int, budget: int = CELL_BUDGET) -> ChainComplexZ:
             gens.extend((decomp, us) for us in units)
         bases[parts - 2] = gens
 
+    # adjacent slots recur across cells: compute (and verify) each product once
+    products: dict[tuple, tuple[Subspace, dict[int, int]]] = {}
+
     def rule(degree: int, lab):
         decomp, units = lab
         k = len(decomp)
         terms = []
         for j in range(k - 1):
-            merged, x = st_product(q, decomp[j], decomp[j + 1], units[j], units[j + 1])
+            key = (decomp[j], decomp[j + 1], units[j], units[j + 1])
+            if key not in products:
+                products[key] = st_product(q, *key)
+            merged, x = products[key]
             sign = (-1) ** j
             new_decomp = decomp[:j] + (merged,) + decomp[j + 2 :]
             for uidx, coeff in x.items():
@@ -224,46 +236,54 @@ class Rank2Report:
     surjective: bool
 
 
+def rank2_pairing(st: StModel) -> list[dict[int, int]]:
+    """The GL_3 chamber pairing Z[chambers] (x) St -> Z, one row per chamber:
+    Phi[x][j] = opp_sign * sum of A[c][j] over the chambers c opposite x, with
+    A = st.basis[0]. (L < P) and (L' < P') are opposite iff L is not in P'
+    and L' is not in P. Phi[C0] reads each class at its own opposite chamber,
+    so Phi[C0][j] = 1."""
+    planes = {plane: span_vectors(st.ft, plane) for _, plane in st.chambers}
+    phi = []
+    for line, plane in st.chambers:
+        opposite = [
+            c for c, (other_line, other_plane) in enumerate(st.chambers)
+            if other_line[0] not in planes[plane] and line[0] not in planes[other_plane]
+        ]
+        phi.append(linear_extend(dict.fromkeys(opposite, st.opp_sign), st.basis[0].rows.__getitem__))
+    return phi
+
+
 def rank2_e1_surjectivity(q: int) -> Rank2Report:
     """First-page surjectivity onto the chamber coinvariants for GL_3(F_q).
 
-    The degree (1,0) entry is (Z[chambers] (x) St)_G; its invariants must be
-    (1, ()) so a primitive kernel functional of the relation matrix realizes
-    the isomorphism onto Z. The differential from (St (x) St)_G is induced by
-    including St into chamber coordinates on the left slot; surjectivity is
-    gcd = 1 over the images of the tensor basis, and the identity-apartment
-    (x) witness-apartment class must map to a unit.
+    G is transitive on the chambers with stabilizer B, so by Shapiro's lemma
+    e110 = (Z[chambers] (x) St)_G is St_B, the coinvariants under
+    `borel_generators`. `rank2_pairing` is certified invariant under
+    `gl_generators` (Phi[g x] M_g = Phi[x]), so it factors through e110; with
+    e110 = Z and gcd 1 over its values on the images of the tensor basis
+    (St included into chamber coordinates on the left slot), it is an
+    isomorphism onto Z. The identity (x) witness class must map to a unit.
     """
     st = steinberg(3, q)
-    c, s = len(st.chambers), st.rank
-    gens = gl_generators(3, q)
-    perms = [chamber_permutation(st, g) for g in gens]
-    acts = [st_action_matrix(st, g) for g in gens]
+    e110 = coinvariants(st.rank, [st_action_matrix(st, b) for b in borel_generators(3, q)])
 
-    big = [tensor_matrix(permutation_matrix_int(p), m) for p, m in zip(perms, acts)]
-    rel = coinvariant_relations(c * s, big)
-    e110 = HomologyGroup(*cokernel_invariants(rel))
-
-    phi_mat = kernel_basis(rel.transpose())
-    if phi_mat.n_cols != 1:
-        raise AssertionError("chamber coinvariants are not rank one")
-    phi = phi_mat.column(0)
+    phi = rank2_pairing(st)
+    for g in gl_generators(3, q):
+        m = st_action_matrix(st, g)
+        for x, gx in enumerate(chamber_permutation(st, g)):
+            if linear_extend(phi[gx], m.rows.__getitem__) != phi[x]:
+                raise CertificateFailure("pairing-invariance")
 
     image_gcd = 0
     for ki in st.basis[0].columns():
         # phi paired with (apartment class i) (x) e_j, for all j
-        for j in range(s):
-            val = sum(v * phi.get(a * s + j, 0) for a, v in ki.items())
+        for val in linear_extend(ki, phi.__getitem__).values():
             image_gcd = gcd(image_gcd, val)
 
-    u = bruhat_witness(3, q)
     chain_id = apartment_class_fq(st, identity_matrix(3))
-    chain_u = apartment_class_fq(st, u)
+    chain_u = apartment_class_fq(st, bruhat_witness(3, q))
     x_u = st.to_st_coords(chain_u)
-    witness_value = 0
-    for a, va in chain_id.items():
-        for j, vj in x_u.items():
-            witness_value += va * vj * phi.get(a * s + j, 0)
+    witness_value = sum(vc * vj * phi[c].get(j, 0) for c, vc in chain_id.items() for j, vj in x_u.items())
 
     # the unipotent apartment chain carries the standard flag once
     std_idx = st.chamber_index[tuple(identity_matrix(3)[: k + 1] for k in range(2))]
@@ -271,8 +291,8 @@ def rank2_e1_surjectivity(q: int) -> Rank2Report:
 
     return Rank2Report(
         q=q,
-        chambers=c,
-        st_rank=s,
+        chambers=len(st.chambers),
+        st_rank=st.rank,
         e110=e110,
         image_gcd=image_gcd,
         witness_value=witness_value,

@@ -158,13 +158,18 @@ def coinv(group_spec, module_spec, report, stable_timings, config):
     kind, n, q = m.group(1), int(m.group(2)), int(m.group(3))
     if kind == "sl" and n != 2:
         raise click.BadParameter("special linear generators are only wired for rank 2")
-    st = building_mod.steinberg(n, q)
-    gens = building_mod.GROUP_GENERATORS[kind](n, q)
-    if module_spec == "trivial":
-        rank, mats = 1, [actions.trivial_action(1)(g) for g in gens]
-    else:
-        rank, mats = st.rank, [actions.st_action_matrix(st, g) for g in gens]
-    group = actions.coinvariants(rank, mats)
+    try:
+        st = building_mod.steinberg(n, q)
+        gens = building_mod.GROUP_GENERATORS[kind](n, q)
+        if module_spec == "trivial":
+            rank, mats = 1, [actions.trivial_action(1)(g) for g in gens]
+        else:
+            rank, mats = st.rank, [actions.st_action_matrix(st, g) for g in gens]
+        group = actions.coinvariants(rank, mats)
+    except TitshomError as exc:
+        raise click.ClickException(str(exc))
+    except ValueError as exc:
+        raise click.BadParameter(str(exc))
     payload = {"group": group_spec, "module": module_spec, "coinvariants": str(group)}
     click.echo(json.dumps(payload, sort_keys=True))
     if report:

@@ -450,7 +450,12 @@ def _suite_barset(params: dict) -> list[CheckSpec]:
     seed = params.setdefault("seed", 0)
     randoms = params.setdefault("count", 10)
 
+    def check_size() -> None:
+        if max_size < 1:
+            raise ValueError(f"barset needs n >= 1, got n={max_size}")
+
     def exhaustive() -> dict:
+        check_size()
         instances = 0
         failures = 0
         for size in range(1, max_size + 1):
@@ -468,6 +473,7 @@ def _suite_barset(params: dict) -> list[CheckSpec]:
         return {"instances": instances, "failures": failures}
 
     def randomized() -> dict:
+        check_size()
         rng = random.Random(seed)
         failures = 0
         for _ in range(randoms):

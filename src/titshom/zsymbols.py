@@ -34,6 +34,7 @@ from .errors import (
     BadCertificate,
     BudgetExceeded,
     DegreeZero,
+    IdentityViolation,
     NotFoundWithinBudget,
     NotSaturated,
     ZeroVector,
@@ -289,34 +290,6 @@ def _descent_vector(vectors, d: int) -> Vector:
     return tuple(x // g for x in w0)
 
 
-def _fallback_vector(vectors, absd: int) -> Vector:
-    """Bounded exhaustive search for a strictly-decreasing pivot vector."""
-    bound = max(1, max(abs(x) for v in vectors for x in v))
-    n = len(vectors)
-    for w in product(range(-bound, bound + 1), repeat=n):
-        if not any(w):
-            continue
-        g = 0
-        for x in w:
-            g = gcd(g, x)
-        if g != 1:
-            continue
-        nonzero = 0
-        ok = True
-        for i in range(n):
-            replaced = list(vectors)
-            replaced[i] = w
-            nd = abs(det_int(replaced))
-            if nd >= absd:
-                ok = False
-                break
-            if nd:
-                nonzero += 1
-        if ok and nonzero:
-            return tuple(w)
-    raise NotFoundWithinBudget("no descent vector within the entry bound")
-
-
 def ash_rudolph(symbol, trace: list | None = None) -> list[tuple[int, ApartmentSymbol]]:
     """Rewrite an apartment symbol as a nonnegative sum of unimodular ones.
 
@@ -345,14 +318,9 @@ def ash_rudolph(symbol, trace: list | None = None) -> list[tuple[int, ApartmentS
             nd = det_int(replaced)
             if nd:
                 children.append((replaced, nd))
+        # |x_i| <= 1/2 bounds each child by |d|/2, and w != 0 leaves one nonzero
         if not children or any(abs(nd) >= absd for _, nd in children):
-            w = _fallback_vector(vectors, absd)
-            children = []
-            for i in range(len(vectors)):
-                replaced = vectors[:i] + (w,) + vectors[i + 1 :]
-                nd = det_int(replaced)
-                if nd:
-                    children.append((replaced, nd))
+            raise IdentityViolation(("descent does not shrink", vectors))
         for replaced, nd in children:
             if trace is not None:
                 trace.append((absd, abs(nd)))

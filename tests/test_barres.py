@@ -1,18 +1,23 @@
 """Bar resolution and rank-2 first-page checks."""
 
+from itertools import product
+
 import pytest
 
 from titshom import barres
+from titshom.actions import coinvariant_relations, permutation_matrix_int, st_action_matrix, tensor_matrix
 from titshom.barres import (
     bar_cell_count,
     bar_complex_fq,
     ordered_decompositions,
     rank2_e1_surjectivity,
+    rank2_pairing,
     st_product,
     verify_bar_exactness,
 )
-from titshom.complexes import HomologyGroup
-from titshom.errors import BudgetExceeded, NonComplementary
+from titshom.building import chamber_permutation, gl_generators, identity_matrix, steinberg
+from titshom.complexes import HomologyGroup, assemble_complex
+from titshom.errors import BudgetExceeded, CertificateFailure, NonComplementary
 from titshom.snf import kernel_basis, nullity
 
 
@@ -77,6 +82,47 @@ def test_bar_ranks_3_2():
     assert rep["ok"]
 
 
+def _unmemoized_bar_complex(n, q):
+    # the boundary rule calling st_product afresh for every adjacent pair
+    n_units = {d: len(steinberg(d, q).units) for d in range(1, n + 1)}
+    bases = {}
+    for parts in range(1, n + 1):
+        bases[parts - 2] = [
+            (decomp, us)
+            for decomp in ordered_decompositions(n, q, parts)
+            for us in product(*(range(n_units[len(v)]) for v in decomp))
+        ]
+
+    def rule(degree, lab):
+        decomp, units = lab
+        for j in range(len(decomp) - 1):
+            merged, x = st_product(q, decomp[j], decomp[j + 1], units[j], units[j + 1])
+            for uidx, coeff in x.items():
+                yield (
+                    (-1) ** j * coeff,
+                    (decomp[:j] + (merged,) + decomp[j + 2 :], units[:j] + (uidx,) + units[j + 2 :]),
+                )
+
+    return assemble_complex(bases, rule)
+
+
+@pytest.mark.parametrize("n, q", [(3, 2), (2, 3)])
+def test_bar_computes_each_product_once(monkeypatch, n, q):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return st_product(*args)
+
+    monkeypatch.setattr(barres, "st_product", counted)
+    cx = bar_complex_fq(n, q)
+    assert calls and len(calls) == len(set(calls))
+    monkeypatch.undo()
+    ref = _unmemoized_bar_complex(n, q)
+    assert cx.basis == ref.basis
+    assert all(cx.boundary_at(d) == ref.boundary_at(d) for d in ref.degrees)
+
+
 @pytest.mark.parametrize("n, q", [(2, 2), (2, 3), (3, 2)])
 def test_top_rank_matches_kernel_oracle(n, q):
     # the top rank read from homology_profile against the kernel route
@@ -136,3 +182,39 @@ def test_rank2_surjectivity_q3():
     assert rep.image_gcd == 1
     assert abs(rep.witness_value) == 1
     assert rep.surjective
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_rank2_pairing_matches_kernel_oracle(q):
+    # the direct route: the primitive kernel functional of the relation matrix
+    # of Z[chambers] (x) St, indexed at chamber * st_rank + j
+    st = steinberg(3, q)
+    c, s = len(st.chambers), st.rank
+    gens = gl_generators(3, q)
+    big = [
+        tensor_matrix(permutation_matrix_int(chamber_permutation(st, g)), st_action_matrix(st, g))
+        for g in gens
+    ]
+    phi_mat = kernel_basis(coinvariant_relations(c * s, big).transpose())
+    assert phi_mat.n_cols == 1
+    phi_direct = phi_mat.column(0)
+    phi = rank2_pairing(st)
+    flat = {x * s + j: v for x, row in enumerate(phi) for j, v in row.items()}
+    assert phi_direct in (flat, {k: -v for k, v in flat.items()})
+    # Phi[C0] is the sum of the coordinates
+    c0 = st.chamber_index[tuple(identity_matrix(3)[: k + 1] for k in range(2))]
+    assert phi[c0] == {j: 1 for j in range(s)}
+
+
+def test_rank2_rejects_non_invariant_pairing(monkeypatch):
+    honest = barres.rank2_pairing
+
+    def perturbed(st):
+        phi = honest(st)
+        phi[3] = dict(phi[3])
+        phi[3][0] = phi[3].get(0, 0) + 1
+        return phi
+
+    monkeypatch.setattr(barres, "rank2_pairing", perturbed)
+    with pytest.raises(CertificateFailure, match="pairing-invariance"):
+        rank2_e1_surjectivity(2)

@@ -178,7 +178,7 @@ def test_part6_rejects_rank_below_one(tmp_path):
     assert json.loads(rep_path.read_text())["all_pass"] is False
 
 
-@pytest.mark.parametrize("command", ["bar", "building"])
+@pytest.mark.parametrize("command", ["bar", "building", "barset"])
 def test_rank_below_one_names_the_input(command):
     res = runner.invoke(main, [command, "--n", "0"])
     assert res.exit_code != 0
@@ -194,6 +194,18 @@ def test_coinv_direct_group():
     res = runner.invoke(main, ["coinv", "--group", "gl(2,2)", "--module", "trivial"])
     assert json.loads(res.output)["coinvariants"] == "Z"
     assert runner.invoke(main, ["coinv", "--group", "sp(4,2)"]).exit_code != 0
+    # ValueError is a usage error (exit 2), TitshomError a plain one (exit 1)
+    for group, code, message in [
+        ("gl(0,2)", 2, "n=0"),
+        ("gl(2,6)", 2, "6 is not a prime power"),
+        ("gl(2,1)", 2, "1 is not a prime power"),
+        ("gl(2,512)", 1, "q = 512 exceeds"),  # FieldTooLarge
+        ("gl(9,2)", 1, "exceed budget"),  # BudgetExceeded
+    ]:
+        res = runner.invoke(main, ["coinv", "--group", group])
+        assert res.exit_code == code, (group, res.output)
+        assert message in res.output and "Traceback" not in res.output, group
+        assert isinstance(res.exception, SystemExit), group
 
 
 def test_building_subcommand_quick():

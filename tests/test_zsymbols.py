@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from titshom import zsymbols
 from titshom.building import perm_sign
 from titshom.complexes import ZERO_GENERATOR, add_term
 from titshom.errors import (
     BadCertificate,
     BudgetExceeded,
     DegreeZero,
+    IdentityViolation,
     NotFoundWithinBudget,
     NotSaturated,
     ZeroVector,
@@ -206,6 +208,14 @@ def test_ash_rudolph_random():
             assert all(child < parent for parent, child in trace)
             assert all(abs(det_int(s.lines)) == 1 for _, s in out)
             assert _eval_combination(out) == apartment_eval(vecs)
+
+
+def test_ash_rudolph_raises_when_descent_does_not_shrink(monkeypatch):
+    # a w equal to one of the symbol's vectors keeps |d| = 2 in that slot
+    vectors = [(1, 0), (1, 2)]
+    monkeypatch.setattr(zsymbols, "_descent_vector", lambda vecs, d: vecs[1])
+    with pytest.raises(IdentityViolation, match="descent does not shrink"):
+        ash_rudolph(vectors)
 
 
 def _column_solver(rows) -> LatticeSolver:
