@@ -16,7 +16,7 @@ coinvariants call the elimination core directly.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Sequence
@@ -65,6 +65,23 @@ def canonical_generator(tokens: Sequence) -> SignedCanonical:
         if j > 0 and items[j] == items[j - 1]:
             return ZERO_GENERATOR
     return SignedCanonical(tuple(items), sign)
+
+
+def merge_canonical(a: tuple, b: tuple) -> SignedCanonical:
+    """`canonical_generator(a + b)` for two blocks already in canonical form.
+
+    Each block must be sorted without repeats. The sign is the parity of the
+    pairs x in a, y in b with x > y, counted by bisection; a token in both
+    blocks gives zero.
+    """
+    inversions = 0
+    na = len(a)
+    for y in b:
+        i = bisect_left(a, y)
+        if i < na and a[i] == y:
+            return ZERO_GENERATOR
+        inversions += na - i
+    return SignedCanonical(tuple(sorted(a + b)), -1 if inversions & 1 else 1)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,14 @@ subset-poset complex W(d) without building W(d); its homology is Z in one
 degree. The same combinatorics drives the localized complexes X_{*,q}[S]
 whose blocks are augmented partial frames, with the bar-direction and
 X-degree differentials forming a double complex.
+
+A partition of lines is rank-additive exactly when each block is a
+separator of the lines' matroid over Q, that is a union of its connected
+components (Oxley, *Matroid Theory*, ch. 4). So `x_localized` finds the
+components from ranks alone and enumerates only their coarsenings, each of
+which must still pass the unimodular decomposition test. Merging two
+adjacent canonical blocks takes its sign from `merge_canonical`, with no
+re-sort of the concatenation.
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ from .complexes import (
     canonical_generator,
     homology_profile,
     linear_extend,
+    merge_canonical,
     order_complex,
 )
 from .errors import (
@@ -108,11 +117,8 @@ def zcomplex(labels, restriction=()) -> ZSetComplex:
 
     bases: dict[int, list] = {}
     for part in _unordered_partitions(units):
-        for order in permutations(part):
-            blocks = tuple(
-                tuple(sorted(x for unit in blk for x in unit)) for blk in order
-            )
-            bases.setdefault(len(blocks) - 2, []).append(blocks)
+        blocks = [tuple(sorted(x for unit in blk for x in unit)) for blk in part]
+        bases.setdefault(len(blocks) - 2, []).extend(permutations(blocks))
     for gens in bases.values():
         gens.sort()
 
@@ -189,8 +195,11 @@ def random_restriction(size: int, rng: random.Random) -> tuple[tuple, tuple]:
     """Random label set [0, size) with random disjoint restriction blocks.
 
     At least one block of size two or more is always present, keeping the
-    unit count strictly below the label count.
+    unit count strictly below the label count, so `size` must be at least
+    two; a smaller size raises ValueError.
     """
+    if size < 2:
+        raise ValueError(f"random restriction needs size >= 2, got size={size}")
     labels = tuple(range(size))
     pool = list(labels)
     rng.shuffle(pool)
@@ -210,24 +219,45 @@ def random_restriction(size: int, rng: random.Random) -> tuple[tuple, tuple]:
 # -- localized double complex --------------------------------------------------
 
 
-_span_cache: dict[tuple, tuple] = {}
-
-
-def _block_span(block: tuple[Vector, ...]) -> tuple:
-    got = _span_cache.get(block)
-    if got is None:
-        got = saturate_rows(block)
-        _span_cache[block] = got
-    return got
-
-
 def _blocks_decompose(blocks, n: int) -> bool:
     """True when the block spans are a direct-sum decomposition of Z^n."""
-    spans = [_block_span(b) for b in blocks]
+    spans = [saturate_rows(b) for b in blocks]
     if sum(len(s) for s in spans) != n:
         return False
     stacked = [row for s in spans for row in s]
     return abs(det_int(stacked)) == 1
+
+
+def line_components(lines) -> tuple[tuple[Vector, ...], ...]:
+    """Connected components of the lines' matroid over Q, from ranks alone.
+
+    A greedy basis B is taken in the given order. A line e outside B shares
+    a circuit with each b in B that it can replace (B - b + e keeps the
+    rank): that is e's fundamental circuit, and the components are the
+    classes of the union of these circuits. Components are listed by their
+    first line and keep the given order inside.
+    """
+    basis: list[int] = []
+    for i, v in enumerate(lines):
+        if rank_rows([lines[j] for j in basis] + [v]) > len(basis):
+            basis.append(i)
+    parent = list(range(len(lines)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for e in (i for i in range(len(lines)) if i not in basis):
+        for b in basis:
+            swapped = [lines[j] for j in basis if j != b] + [lines[e]]
+            if rank_rows(swapped) == len(basis):
+                parent[find(b)] = find(e)
+    comps: dict[int, list] = {}
+    for i, v in enumerate(lines):
+        comps.setdefault(find(i), []).append(v)
+    return tuple(tuple(c) for c in comps.values())
 
 
 def x_localized(lines, q: int | None = None) -> ChainComplexZ:
@@ -235,7 +265,11 @@ def x_localized(lines, q: int | None = None) -> ChainComplexZ:
 
     Cells in degree p are ordered partitions of the line set into p+2
     blocks whose saturated spans decompose Z^n; the differential merges
-    adjacent blocks with the alternating sign.
+    adjacent blocks with the alternating sign. Block ranks add up to n only
+    when every block is a union of components of the lines' matroid, so the
+    candidates are the unordered partitions of `line_components`, not of
+    the lines. Each candidate still passes `_blocks_decompose` and each
+    block of a kept cell `recognize_apf`.
     """
     normalized = tuple(sorted(normalize_line(v)[0] for v in lines))
     if not normalized:
@@ -251,14 +285,14 @@ def x_localized(lines, q: int | None = None) -> ChainComplexZ:
         raise ValueError("lines are not an augmented partial frame")
 
     bases: dict[int, list] = {}
-    for part in _unordered_partitions(normalized):
-        if not _blocks_decompose(part, n):
+    for part in _unordered_partitions(line_components(normalized)):
+        blocks = [tuple(sorted(v for comp in blk for v in comp)) for blk in part]
+        if not _blocks_decompose(blocks, n):
             continue
-        for block in part:
+        for block in blocks:
             if recognize_apf(block) is None:
                 raise IdentityViolation(f"block {block} is not a partial-frame subset")
-        for order in permutations(part):
-            bases.setdefault(len(order) - 2, []).append(tuple(order))
+        bases.setdefault(len(blocks) - 2, []).extend(permutations(blocks))
     for gens in bases.values():
         gens.sort()
 
@@ -287,10 +321,11 @@ def block_delta(block: tuple[Vector, ...]) -> dict[tuple[Vector, ...], int]:
 
 
 def cell_bar_boundary(cell) -> dict:
-    """Merge-adjacent-blocks differential on a canonical cell."""
+    """Merge-adjacent-blocks differential on a canonical cell (every block
+    sorted without repeats)."""
     out: dict = {}
     for j in range(len(cell) - 1):
-        merged = canonical_generator(cell[j] + cell[j + 1])
+        merged = merge_canonical(cell[j], cell[j + 1])
         if merged.is_zero:
             continue
         key = cell[:j] + (merged.tokens,) + cell[j + 2 :]

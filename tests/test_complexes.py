@@ -7,6 +7,8 @@ from math import gcd
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from titshom import actions
 from titshom.actions import group_homology, trivial_action
@@ -22,6 +24,7 @@ from titshom.complexes import (
     exactness_report,
     homology,
     homology_profile,
+    merge_canonical,
 )
 from titshom.errors import DDNotZero, DegreeOutOfRange
 from titshom.intmat import SparseIntMatrix
@@ -37,6 +40,31 @@ def test_canonical_generator_frozen():
     assert got.tokens == ("a", "b", "c") and got.sign == 1
     got = canonical_generator(())
     assert got.tokens == () and got.sign == 1
+
+
+_INT_BLOCKS = st.sets(st.integers(-4, 4), max_size=6).map(lambda s: tuple(sorted(s)))
+_VECTOR_BLOCKS = st.sets(
+    st.tuples(st.integers(-1, 1), st.integers(-1, 1), st.integers(0, 1)), max_size=6
+).map(lambda s: tuple(sorted(s)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.tuples(_INT_BLOCKS, _INT_BLOCKS), st.tuples(_VECTOR_BLOCKS, _VECTOR_BLOCKS)))
+def test_merge_canonical_is_the_sort_of_the_concatenation(blocks):
+    # small token ranges make shared tokens common, and those must give zero
+    a, b = blocks
+    got = merge_canonical(a, b)
+    assert got == canonical_generator(a + b)
+    assert got.is_zero == bool(set(a) & set(b))
+
+
+def test_merge_canonical_frozen():
+    assert merge_canonical((1, 3), (0, 2)) == canonical_generator((1, 3, 0, 2))
+    assert merge_canonical((1, 3), (0, 2)).tokens == (0, 1, 2, 3)
+    assert merge_canonical((1, 3), (0, 2)).sign == -1
+    assert merge_canonical((2, 5), (0, 1)).sign == 1
+    assert merge_canonical((1, 2), (2, 3)) is ZERO_GENERATOR
+    assert merge_canonical((), ((0, 1),)).tokens == ((0, 1),)
 
 
 def triangle_circle():

@@ -1,12 +1,20 @@
 """Block-partition complexes, the localized double complex, and the claims."""
 
 import random
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
 from titshom import partsix
-from titshom.complexes import ChainComplexZ, HomologyGroup, add_term, cycle_space, homology_profile
+from titshom.complexes import (
+    ChainComplexZ,
+    HomologyGroup,
+    add_term,
+    assemble_complex,
+    canonical_generator,
+    cycle_space,
+    homology_profile,
+)
 from titshom.errors import (
     BudgetExceeded,
     CertificateFailure,
@@ -24,9 +32,12 @@ from titshom.partsix import (
     cell_canonical,
     cell_delta,
     kappa_eta_certificate,
+    line_components,
     ordered_partition_count,
     part6_claims,
     random_restriction,
+    SHAPES,
+    shape_arity,
     shape_lines,
     verify_double_identities,
     w_poset_complex,
@@ -36,7 +47,7 @@ from titshom.partsix import (
     zcomplex_poset_iso,
 )
 from titshom.snf import LatticeSolver
-from titshom.zsymbols import random_unimodular_basis, row_hnf
+from titshom.zsymbols import det_int, normalize_line, random_unimodular_basis, row_hnf, saturate_rows
 
 Z = HomologyGroup(1, ())
 O = HomologyGroup(0, ())
@@ -216,6 +227,89 @@ def test_zcomplex_random_instances():
             zc = zcomplex(labels, rsets)
             assert zcomplex_is_spherical(zc)
             zcomplex_poset_iso(zc)
+
+
+def test_random_restriction_needs_two_labels():
+    rng = random.Random(0)
+    for size in (1, 0, -3):
+        with pytest.raises(ValueError, match=f"size={size}"):
+            random_restriction(size, rng)
+    labels, rsets = random_restriction(2, rng)
+    assert labels == (0, 1) and rsets == (frozenset({0, 1}),)
+
+
+@pytest.mark.parametrize(
+    "labels, rsets",
+    [("abcd", ()), (range(5), [{0, 1}, {2, 3}]), (range(6), [{4, 1, 3}])],
+)
+def test_zcomplex_sorts_blocks_once_per_partition(labels, rsets):
+    # the same generators as sorting every permutation's blocks anew
+    zc = zcomplex(labels, rsets)
+    want = {}
+    for part in partsix._unordered_partitions(zc.units):
+        for order in permutations(part):
+            blocks = tuple(tuple(sorted(x for unit in blk for x in unit)) for blk in order)
+            want.setdefault(len(blocks) - 2, []).append(blocks)
+    assert zc.cx.basis == {d: sorted(gens) for d, gens in want.items()}
+
+
+def _decomposes(blocks, n, spans):
+    for b in blocks:
+        if b not in spans:
+            spans[b] = saturate_rows(b)
+    stacked = [row for b in blocks for row in spans[b]]
+    return len(stacked) == n and abs(det_int(stacked)) == 1
+
+
+def _sorting_merge_rule(degree, cell):
+    out = {}
+    for j in range(len(cell) - 1):
+        merged = canonical_generator(cell[j] + cell[j + 1])
+        if not merged.is_zero:
+            add_term(out, cell[:j] + (merged.tokens,) + cell[j + 2 :], (-1) ** j * merged.sign)
+    return [(c, key) for key, c in out.items()]
+
+
+def _x_localized_all_partitions(lines):
+    """The localized complex from every partition of the lines, each kept
+    when its block spans decompose Z^n, merged by sorting the concatenation."""
+    normalized = tuple(sorted(normalize_line(v)[0] for v in lines))
+    n = len(normalized[0])
+    bases, spans = {}, {}
+    for part in partsix._unordered_partitions(normalized):
+        if _decomposes(part, n, spans):
+            bases.setdefault(len(part) - 2, []).extend(permutations(part))
+    return assemble_complex({d: sorted(g) for d, g in bases.items()}, _sorting_merge_rule)
+
+
+def _oracle_grid():
+    for shape in SHAPES:
+        arity = shape_arity(shape)
+        for n in range(max(arity, 1), 6):
+            rng = random.Random(f"{shape}-{n}")
+            for eps in product((1, -1), repeat=arity):
+                for basis in (None, random_unimodular_basis(n, rng)):
+                    yield shape, n, eps, basis
+
+
+@pytest.mark.parametrize("shape", list(SHAPES))
+def test_x_localized_components_match_all_partitions(shape):
+    cases = [c for c in _oracle_grid() if c[0] == shape]
+    assert cases or shape_arity(shape) > 5
+    for _, n, eps, basis in cases:
+        lines, _ = shape_lines(shape, n, eps, basis)
+        got, want = x_localized(lines), _x_localized_all_partitions(lines)
+        assert got.basis == want.basis, (shape, n, eps, basis)
+        for d in want.degrees:
+            assert got.boundary_at(d).rows == want.boundary_at(d).rows, (shape, n, eps, basis, d)
+
+
+def test_line_components_hand_cases():
+    e1, e2, e3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+    assert line_components((e3, e2, e1, (1, 1, 0))) == ((e3,), (e2, e1, (1, 1, 0)))
+    assert line_components((e1, e2, e3)) == ((e1,), (e2,), (e3,))
+    # one line in the span of all three joins every coordinate
+    assert line_components((e1, e2, e3, (1, 1, 1))) == ((e1, e2, e3, (1, 1, 1)),)
 
 
 def test_x_localized_frame_matches_zcomplex():
