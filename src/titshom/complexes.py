@@ -70,12 +70,17 @@ def canonical_generator(tokens: Sequence) -> SignedCanonical:
 def merge_canonical(a: tuple, b: tuple) -> SignedCanonical:
     """`canonical_generator(a + b)` for two blocks already in canonical form.
 
-    Each block must be sorted without repeats. The sign is the parity of the
-    pairs x in a, y in b with x > y, counted by bisection; a token in both
-    blocks gives zero.
+    Each block must be a sorted tuple without repeats. The sign is the
+    parity of the pairs x in a, y in b with x > y, counted by bisection
+    unless one block lies wholly below the other; a token in both blocks
+    gives zero.
     """
-    inversions = 0
     na = len(a)
+    if not na or not b or a[-1] < b[0]:
+        return SignedCanonical(a + b, 1)
+    if b[-1] < a[0]:
+        return SignedCanonical(b + a, -1 if na * len(b) & 1 else 1)
+    inversions = 0
     for y in b:
         i = bisect_left(a, y)
         if i < na and a[i] == y:

@@ -18,6 +18,7 @@ from titshom.complexes import (
     ZERO_GENERATOR,
     ChainComplexZ,
     HomologyGroup,
+    SignedCanonical,
     assemble_complex,
     canonical_generator,
     cycle_space,
@@ -63,6 +64,8 @@ def test_merge_canonical_frozen():
     assert merge_canonical((1, 3), (0, 2)).tokens == (0, 1, 2, 3)
     assert merge_canonical((1, 3), (0, 2)).sign == -1
     assert merge_canonical((2, 5), (0, 1)).sign == 1
+    assert merge_canonical((3,), (0, 1, 2)) == SignedCanonical((0, 1, 2, 3), -1)
+    assert merge_canonical((0, 1), (2,)) == SignedCanonical((0, 1, 2), 1)
     assert merge_canonical((1, 2), (2, 3)) is ZERO_GENERATOR
     assert merge_canonical((), ((0, 1),)).tokens == ((0, 1),)
 
