@@ -24,6 +24,7 @@ from titshom.errors import (
 )
 from titshom.intmat import SparseIntMatrix
 from titshom.partsix import (
+    SHAPES,
     ZSetComplex,
     _cell_vector,
     _class_report,
@@ -36,7 +37,6 @@ from titshom.partsix import (
     ordered_partition_count,
     part6_claims,
     random_restriction,
-    SHAPES,
     shape_arity,
     shape_lines,
     verify_double_identities,
