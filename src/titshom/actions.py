@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Callable, Hashable, Sequence
 
 from .building import StModel, chamber_permutation
-from .complexes import CELL_BUDGET, HomologyGroup, assemble_complex, homology
+from .complexes import CELL_BUDGET, HomologyGroup, add_term, assemble_complex, homology
 from .errors import BudgetExceeded
 from .intmat import SparseIntMatrix
 from .snf import cokernel_invariants
@@ -120,18 +120,20 @@ def group_homology(
             act_cache[g] = m
         return m
 
-    def rule(k: int, lab):
+    def rule(lab) -> dict:
         word, i = lab
+        k = len(word)
         if k == 0:
-            return []
-        out: list[tuple[int, tuple]] = [(1, (word[1:], i))]
+            return {}
+        # faces can coincide, so the terms are summed
+        out: dict = {}
+        add_term(out, (word[1:], i), 1)
         for j in range(1, k):
             merged = word[:j - 1] + (multiply(word[j - 1], word[j]),) + word[j + 1:]
-            out.append(((-1) ** j, (merged, i)))
+            add_term(out, (merged, i), (-1) ** j)
         sign = (-1) ** k
-        gk = word[-1]
-        for r, v in act(gk).column(i).items():
-            out.append((sign * v, (word[:-1], r)))
+        for r, v in act(word[-1]).column(i).items():
+            add_term(out, (word[:-1], r), sign * v)
         return out
 
     cx = assemble_complex(bases, rule)

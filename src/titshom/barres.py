@@ -38,7 +38,9 @@ from .building import (
     steinberg,
     subspaces,
 )
-from .complexes import CELL_BUDGET, ChainComplexZ, HomologyGroup, assemble_complex, homology_profile, linear_extend
+from .complexes import (
+    CELL_BUDGET, ChainComplexZ, HomologyGroup, add_term, assemble_complex, homology_profile, linear_extend
+)
 from .errors import BudgetExceeded, CertificateFailure, NonComplementary
 from .fqfield import FieldTable, check_order, field
 
@@ -170,10 +172,10 @@ def bar_complex_fq(n: int, q: int, budget: int = CELL_BUDGET) -> ChainComplexZ:
     # adjacent slots recur across cells: compute (and verify) each product once
     products: dict[tuple, tuple[Subspace, dict[int, int]]] = {}
 
-    def rule(degree: int, lab):
+    def rule(lab) -> dict:
         decomp, units = lab
         k = len(decomp)
-        terms = []
+        terms: dict = {}
         for j in range(k - 1):
             key = (decomp[j], decomp[j + 1], units[j], units[j + 1])
             if key not in products:
@@ -183,7 +185,7 @@ def bar_complex_fq(n: int, q: int, budget: int = CELL_BUDGET) -> ChainComplexZ:
             new_decomp = decomp[:j] + (merged,) + decomp[j + 2 :]
             for uidx, coeff in x.items():
                 new_units = units[:j] + (uidx,) + units[j + 2 :]
-                terms.append((sign * coeff, (new_decomp, new_units)))
+                add_term(terms, (new_decomp, new_units), sign * coeff)
         return terms
 
     return assemble_complex(bases, rule)
@@ -275,7 +277,7 @@ def rank2_e1_surjectivity(q: int) -> Rank2Report:
                 raise CertificateFailure("pairing-invariance")
 
     image_gcd = 0
-    for ki in st.basis[0].columns():
+    for ki in st.apartments:
         # phi paired with (apartment class i) (x) e_j, for all j
         for val in linear_extend(ki, phi.__getitem__).values():
             image_gcd = gcd(image_gcd, val)

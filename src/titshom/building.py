@@ -15,7 +15,7 @@ from functools import cached_property, lru_cache
 from itertools import combinations, permutations, product
 from typing import Callable, Hashable
 
-from .complexes import CELL_BUDGET, ChainComplexZ, add_term, cycle_space, order_complex
+from .complexes import CELL_BUDGET, ChainComplexZ, add_term, cycle_space, linear_extend, order_complex
 from .errors import BudgetExceeded, NotSpanning
 from .fqfield import FieldTable, check_order, field
 from .intmat import SparseIntMatrix
@@ -223,6 +223,11 @@ class StModel:
         return perm_sign(tuple(reversed(range(self.n))))
 
     @cached_property
+    def apartments(self) -> list[dict[int, int]]:
+        """Chamber-coordinate apartment class of each unit, the columns of A."""
+        return [apartment_class_fq(self, u) for u in self.units]
+
+    @cached_property
     def basis(self) -> tuple[SparseIntMatrix, list[int]]:
         """(A, opposite): the unit apartment classes as the columns of A, and
         per unit the chamber of its apartment opposite C0, the flag of its
@@ -234,7 +239,7 @@ class StModel:
         the span is saturated; and there are nullity(d_top) units.
         """
         ft, n, index = self.ft, self.n, self.chamber_index
-        cols = [apartment_class_fq(self, u) for u in self.units]
+        cols = self.apartments
         a = SparseIntMatrix.from_columns(len(self.chambers), cols)
         opposite = []
         for u in self.units:
@@ -256,11 +261,12 @@ class StModel:
 
     def to_st_coords(self, chain: dict[int, int]) -> dict[int, int]:
         """Coordinates of a chamber-coordinate cycle, read off at the opposite
-        chambers and checked by multiplying back."""
-        a, opposite = self.basis
+        chambers and checked by multiplying back: the apartment classes of
+        the nonzero coordinates must sum to the chain."""
+        opposite = self.basis[1]
         sign = self.opp_sign
         x = {u: sign * chain[c] for u, c in enumerate(opposite) if c in chain}
-        if a.mul_vec(x) != chain:
+        if linear_extend(x, self.apartments.__getitem__) != chain:
             raise NotSpanning("chain is not in the Steinberg lattice")
         return x
 

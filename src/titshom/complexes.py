@@ -4,6 +4,12 @@ A complex stores one basis list per degree and one boundary matrix per
 degree d (mapping degree d to degree d-1, columns indexed by the degree-d
 basis). Assembly always checks boundary-squared-is-zero.
 
+A signed combination of generators is a sparse chain, the dict {label:
+nonzero coefficient} that `add_term` builds; a boundary rule maps one
+generator to its boundary chain, for `linear_extend` and `assemble_complex`
+alike. A canonical generator word is the pair (tokens, sign), with
+(None, 0) for a word that repeats a token.
+
 Homology runs in two phases. Coreduction first removes pairs (a, b) in
 which a is the only remaining face of b and the incidence is +-1; the
 cells left over are critical, and Morse boundaries between them, read
@@ -19,7 +25,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Sequence
 
 from .errors import BudgetExceeded, DDNotZero, DegreeOutOfRange
 from .intmat import SparseIntMatrix
@@ -31,26 +37,11 @@ Label = Hashable
 CELL_BUDGET = 2_000_000
 
 
-@dataclass(frozen=True)
-class SignedCanonical:
-    """Canonical sorted form of a generator word plus the sort parity."""
-
-    tokens: tuple | None  # None encodes the zero generator (repeated token)
-    sign: int
-
-    @property
-    def is_zero(self) -> bool:
-        return self.tokens is None
-
-
-ZERO_GENERATOR = SignedCanonical(None, 0)
-
-
-def canonical_generator(tokens: Sequence) -> SignedCanonical:
-    """Sort tokens, tracking permutation parity; repeats give zero.
+def canonical_generator(tokens: Sequence) -> tuple[tuple | None, int]:
+    """Sort tokens, tracking permutation parity: (sorted tokens, sign).
 
     Tokens must be mutually comparable. The parity is computed by counting
-    inversions, so equal adjacent tokens short-circuit to zero.
+    inversions; a repeated token gives the zero generator (None, 0).
     """
     items = list(tokens)
     n = len(items)
@@ -63,30 +54,30 @@ def canonical_generator(tokens: Sequence) -> SignedCanonical:
             sign = -sign
             j -= 1
         if j > 0 and items[j] == items[j - 1]:
-            return ZERO_GENERATOR
-    return SignedCanonical(tuple(items), sign)
+            return None, 0
+    return tuple(items), sign
 
 
-def merge_canonical(a: tuple, b: tuple) -> SignedCanonical:
+def merge_canonical(a: tuple, b: tuple) -> tuple[tuple | None, int]:
     """`canonical_generator(a + b)` for two blocks already in canonical form.
 
     Each block must be a sorted tuple without repeats. The sign is the
     parity of the pairs x in a, y in b with x > y, counted by bisection
     unless one block lies wholly below the other; a token in both blocks
-    gives zero.
+    gives (None, 0).
     """
     na = len(a)
     if not na or not b or a[-1] < b[0]:
-        return SignedCanonical(a + b, 1)
+        return a + b, 1
     if b[-1] < a[0]:
-        return SignedCanonical(b + a, -1 if na * len(b) & 1 else 1)
+        return b + a, -1 if na * len(b) & 1 else 1
     inversions = 0
     for y in b:
         i = bisect_left(a, y)
         if i < na and a[i] == y:
-            return ZERO_GENERATOR
+            return None, 0
         inversions += na - i
-    return SignedCanonical(tuple(sorted(a + b)), -1 if inversions & 1 else 1)
+    return tuple(sorted(a + b)), -1 if inversions & 1 else 1
 
 
 @dataclass(frozen=True)
@@ -140,13 +131,14 @@ def linear_extend(chain: dict, op: Callable[[Label], dict]) -> dict:
 
 def assemble_complex(
     bases: dict[int, list[Label]],
-    rule: Callable[[int, Label], Iterable[tuple[int, Label]]],
+    rule: Callable[[Label], dict[Label, int]],
 ) -> ChainComplexZ:
     """Build boundary matrices from a per-generator rule and verify d o d = 0.
 
-    The rule receives (degree, label) and yields (coefficient, lower label)
-    terms; labels it emits must already be canonical basis members of the
-    next degree down. Degrees with no lower neighbour get a zero map.
+    The rule maps a label to its boundary as a sparse chain {lower label:
+    coefficient}, the form `add_term` builds and `linear_extend` applies;
+    its labels must already be canonical basis members of the next degree
+    down. Degrees with no lower neighbour get a zero map.
     """
     degrees = sorted(bases)
     index: dict[int, dict[Label, int]] = {
@@ -156,15 +148,16 @@ def assemble_complex(
     for d in degrees:
         lower = index.get(d - 1, {})
         mat = SparseIntMatrix(len(lower), len(bases[d]))
+        rows = mat.rows
         for col, lab in enumerate(bases[d]):
-            for coeff, low in rule(d, lab):
+            for low, coeff in rule(lab).items():
                 if coeff == 0:
                     continue
                 try:
                     r = lower[low]
                 except KeyError:
                     raise KeyError(f"boundary of {lab!r} hits unknown generator {low!r}") from None
-                add_term(mat.rows[r], col, coeff)
+                rows[r][col] = coeff
         boundary[d] = mat
     cx = ChainComplexZ(bases, boundary)
     for d in degrees:
@@ -172,8 +165,7 @@ def assemble_complex(
             continue
         prod = cx.boundary_at(d - 1).mul(cx.boundary_at(d))
         if not prod.is_zero():
-            bad_col = min(c for _, c, _ in prod.to_triplets())
-            raise DDNotZero(d, bases[d][bad_col])
+            raise DDNotZero(d, bases[d][min(c for row in prod.rows for c in row)])
     return cx
 
 
@@ -198,8 +190,8 @@ def order_complex(vertices: list[Label], above: dict[Label, list[Label]], budget
     return assemble_complex(bases, _face_rule)
 
 
-def _face_rule(d: int, chain: tuple):
-    return [((-1) ** j, chain[:j] + chain[j + 1 :]) for j in range(len(chain))]
+def _face_rule(chain: tuple) -> dict[tuple, int]:
+    return {chain[:j] + chain[j + 1 :]: -1 if j & 1 else 1 for j in range(len(chain))}
 
 
 def homology(cx: ChainComplexZ, d: int) -> HomologyGroup:

@@ -76,11 +76,6 @@ class SparseIntMatrix:
     def to_dense(self) -> list[list[int]]:
         return [[row.get(c, 0) for c in range(self.n_cols)] for row in self.rows]
 
-    def to_triplets(self) -> list[tuple[int, int, int]]:
-        out = [(r, c, v) for r, row in enumerate(self.rows) for c, v in row.items()]
-        out.sort()
-        return out
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SparseIntMatrix):
             return NotImplemented

@@ -13,9 +13,10 @@ A partition of lines is rank-additive exactly when each block is a
 separator of the lines' matroid over Q, that is a union of its connected
 components (Oxley, *Matroid Theory*, ch. 4). So `x_localized` finds the
 components from ranks alone and enumerates only their coarsenings, each of
-which must still pass the unimodular decomposition test. Merging two
-adjacent canonical blocks takes its sign from `merge_canonical`, with no
-re-sort of the concatenation.
+which must still pass the unimodular decomposition test. Both complexes
+come from `_block_complex`, whose boundary rule `cell_bar_boundary` merges
+adjacent canonical blocks with `merge_canonical`, with no re-sort of the
+concatenation, and returns a sparse chain.
 """
 
 from __future__ import annotations
@@ -110,20 +111,31 @@ def zcomplex(labels, restriction=()) -> ZSetComplex:
     units = [tuple(sorted(r)) for r in rsets]
     units += [(s,) for s in labels if s not in taken]
     units = tuple(sorted(units))
+    cx = _block_complex(units, lambda blocks: True)
+    return ZSetComplex(labels, rsets, units, len(units), cx)
+
+
+def _block_complex(units: tuple, keep) -> ChainComplexZ:
+    """Ordered block partitions of `units` under the merge differential.
+
+    Each unordered partition of the units gives the blocks of its members,
+    each block sorted; when `keep(blocks)` holds, every ordering of them is
+    a cell of degree (number of blocks) - 2. The k!*S(d, k) ordered
+    partitions of the d units bound the cells and are compared with
+    CELL_BUDGET before any partition is enumerated.
+    """
     d = len(units)
     cells = sum(ordered_partition_count(d, k) for k in range(1, d + 1))
     if cells > CELL_BUDGET:
         raise BudgetExceeded(f"{cells} partition cells exceed budget {CELL_BUDGET}")
-
     bases: dict[int, list] = {}
     for part in _unordered_partitions(units):
         blocks = [tuple(sorted(x for unit in blk for x in unit)) for blk in part]
-        bases.setdefault(len(blocks) - 2, []).extend(permutations(blocks))
+        if keep(blocks):
+            bases.setdefault(len(blocks) - 2, []).extend(permutations(blocks))
     for gens in bases.values():
         gens.sort()
-
-    cx = assemble_complex(bases, _merge_rule)
-    return ZSetComplex(labels, rsets, units, d, cx)
+    return assemble_complex(bases, cell_bar_boundary)
 
 
 def w_poset_complex(d: int) -> ChainComplexZ:
@@ -166,7 +178,7 @@ def zcomplex_poset_iso(zc: ZSetComplex) -> dict:
             if chain in seen:
                 raise IdentityViolation(f"poset map not injective at {lab}")
             seen.add(chain)
-            images.append((canonical_generator(tuple(x for blk in lab for x in blk)).sign, chain))
+            images.append((canonical_generator(tuple(x for blk in lab for x in blk))[1], chain))
         if len(images) != ordered_partition_count(zc.d, deg + 2):
             raise IdentityViolation(f"poset map not onto in degree {deg}")
         cols = zc.cx.boundary_at(deg).columns()
@@ -174,8 +186,8 @@ def zcomplex_poset_iso(zc: ZSetComplex) -> dict:
             through: dict = {}
             for i, v in col.items():
                 sign, face = below[i]
-                add_term(through, face, sign * v)
-            if through != {face: eps * c for c, face in _face_rule(deg, chain)}:
+                add_term(through, face, eps * sign * v)
+            if through != _face_rule(chain):
                 raise IdentityViolation(f"poset map fails to commute at {lab}")
         below = images
     return {d: zc.cx.dim(d) for d in zc.cx.degrees}
@@ -269,7 +281,9 @@ def x_localized(lines, q: int | None = None) -> ChainComplexZ:
     when every block is a union of components of the lines' matroid, so the
     candidates are the unordered partitions of `line_components`, not of
     the lines. Each candidate still passes `_blocks_decompose` and each
-    block of a kept cell `recognize_apf`.
+    block of a kept cell `recognize_apf`. The ordered partitions of the
+    components bound the cells and are compared with CELL_BUDGET before
+    any is enumerated.
     """
     normalized = tuple(sorted(normalize_line(v)[0] for v in lines))
     if not normalized:
@@ -284,19 +298,15 @@ def x_localized(lines, q: int | None = None) -> ChainComplexZ:
     if recognize_apf(normalized) is None:
         raise ValueError("lines are not an augmented partial frame")
 
-    bases: dict[int, list] = {}
-    for part in _unordered_partitions(line_components(normalized)):
-        blocks = [tuple(sorted(v for comp in blk for v in comp)) for blk in part]
+    def keep(blocks) -> bool:
         if not _blocks_decompose(blocks, n):
-            continue
+            return False
         for block in blocks:
             if recognize_apf(block) is None:
                 raise IdentityViolation(f"block {block} is not a partial-frame subset")
-        bases.setdefault(len(blocks) - 2, []).extend(permutations(blocks))
-    for gens in bases.values():
-        gens.sort()
+        return True
 
-    return assemble_complex(bases, _merge_rule)
+    return _block_complex(line_components(normalized), keep)
 
 
 # -- formal cell operations (independent of any assembled complex) -------------
@@ -307,11 +317,11 @@ def cell_canonical(blocks) -> tuple[tuple | None, int]:
     sign = 1
     out = []
     for block in blocks:
-        can = canonical_generator(tuple(block))
-        if can.is_zero:
+        tokens, s = canonical_generator(tuple(block))
+        if not s:
             return None, 0
-        out.append(can.tokens)
-        sign *= can.sign
+        out.append(tokens)
+        sign *= s
     return tuple(out), sign
 
 
@@ -325,17 +335,10 @@ def cell_bar_boundary(cell) -> dict:
     sorted without repeats)."""
     out: dict = {}
     for j in range(len(cell) - 1):
-        merged = merge_canonical(cell[j], cell[j + 1])
-        if merged.is_zero:
-            continue
-        key = cell[:j] + (merged.tokens,) + cell[j + 2 :]
-        add_term(out, key, (-1) ** j * merged.sign)
+        merged, sign = merge_canonical(cell[j], cell[j + 1])
+        if sign:
+            add_term(out, cell[:j] + (merged,) + cell[j + 2 :], (-1) ** j * sign)
     return out
-
-
-def _merge_rule(degree: int, lab):
-    """`cell_bar_boundary` as an `assemble_complex` rule."""
-    return [(c, key) for key, c in cell_bar_boundary(lab).items()]
 
 
 def cell_delta(cell) -> dict:
@@ -380,17 +383,16 @@ def verify_double_identities(samples: int = 200, seed: int = 0, n_max: int = 5) 
             raise IdentityViolation(f"differentials fail to commute at {cell}")
         if len(cell) >= 2:
             left, right = cell[0], cell[1]
-            merged = canonical_generator(left + right)
-            lhs = block_delta(merged.tokens)
-            lhs = {k: merged.sign * v for k, v in lhs.items()}
+            merged, msign = canonical_generator(left + right)
+            lhs = {k: msign * v for k, v in block_delta(merged).items()}
             rhs: dict = {}
             for sub, c in block_delta(left).items():
-                can = canonical_generator(sub + right)
-                add_term(rhs, can.tokens, c * can.sign)
+                tokens, s = canonical_generator(sub + right)
+                add_term(rhs, tokens, c * s)
             sgn = (-1) ** len(left)
             for sub, c in block_delta(right).items():
-                can = canonical_generator(left + sub)
-                add_term(rhs, can.tokens, sgn * c * can.sign)
+                tokens, s = canonical_generator(left + sub)
+                add_term(rhs, tokens, sgn * c * s)
             if lhs != rhs:
                 raise IdentityViolation(f"product rule fails at {cell}")
             leibniz_checked += 1
@@ -610,9 +612,9 @@ def kappa_eta_certificate(basis=None, eps=(1, 1, 1), eta_comb=None) -> dict:
     core = (v[0], v[1], v[2], l123)
 
     def two_block(first_alone: bool, block):
-        blk = canonical_generator(block)
-        single = ((l4,), blk.tokens) if first_alone else (blk.tokens, (l4,))
-        return single, blk.sign
+        tokens, sign = canonical_generator(block)
+        single = ((l4,), tokens) if first_alone else (tokens, (l4,))
+        return single, sign
 
     steps: list[str] = []
 

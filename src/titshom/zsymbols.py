@@ -23,13 +23,7 @@ from itertools import combinations, product
 from math import gcd
 
 from .building import apartment_chain
-from .complexes import (
-    SignedCanonical,
-    ZERO_GENERATOR,
-    add_term,
-    canonical_generator,
-    linear_extend,
-)
+from .complexes import add_term, canonical_generator, linear_extend
 from .errors import (
     BadCertificate,
     BudgetExceeded,
@@ -420,8 +414,9 @@ def is_partial_frame(vectors) -> bool:
     return is_saturated_rows(vectors)
 
 
-def byk_generator(lines, cert: ApfCertificate) -> SignedCanonical:
-    """Canonical X-degree generator, or zero under the span/repeat relations.
+def byk_generator(lines, cert: ApfCertificate) -> tuple[tuple | None, int]:
+    """Canonical X-degree generator as (tokens, sign), or (None, 0) when the
+    span/repeat relations make it zero.
 
     The certificate must reproduce the given lines as an unordered multiset
     and its frame must extend to a basis.
@@ -434,7 +429,7 @@ def byk_generator(lines, cert: ApfCertificate) -> SignedCanonical:
         raise BadCertificate("certificate does not reproduce the lines")
     n = len(normalized[0])
     if rank_rows(normalized) < n:
-        return ZERO_GENERATOR
+        return None, 0
     return canonical_generator(normalized)
 
 
@@ -525,10 +520,9 @@ def deletion_sum(rows: tuple[Vector, ...], rank: int) -> dict[tuple[Vector, ...]
         rem = rows[:j] + rows[j + 1 :]
         if rank_rows(rem) < rank:
             continue
-        can = canonical_generator(rem)
-        if can.is_zero:
-            continue
-        add_term(out, can.tokens, (-1) ** j * can.sign)
+        tokens, sign = canonical_generator(rem)
+        if sign:
+            add_term(out, tokens, (-1) ** j * sign)
     return out
 
 

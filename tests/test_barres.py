@@ -16,7 +16,7 @@ from titshom.barres import (
     verify_bar_exactness,
 )
 from titshom.building import chamber_permutation, gl_generators, identity_matrix, steinberg
-from titshom.complexes import HomologyGroup, assemble_complex
+from titshom.complexes import HomologyGroup, add_term, assemble_complex
 from titshom.errors import BudgetExceeded, CertificateFailure, NonComplementary
 from titshom.snf import kernel_basis, nullity
 
@@ -93,15 +93,18 @@ def _unmemoized_bar_complex(n, q):
             for us in product(*(range(n_units[len(v)]) for v in decomp))
         ]
 
-    def rule(degree, lab):
+    def rule(lab):
         decomp, units = lab
+        out = {}
         for j in range(len(decomp) - 1):
             merged, x = st_product(q, decomp[j], decomp[j + 1], units[j], units[j + 1])
             for uidx, coeff in x.items():
-                yield (
-                    (-1) ** j * coeff,
+                add_term(
+                    out,
                     (decomp[:j] + (merged,) + decomp[j + 2 :], units[:j] + (uidx,) + units[j + 2 :]),
+                    (-1) ** j * coeff,
                 )
+        return out
 
     return assemble_complex(bases, rule)
 

@@ -6,8 +6,10 @@ from itertools import permutations, product
 import pytest
 
 from titshom import partsix
+from titshom.building import building_complex
 from titshom.complexes import (
     ChainComplexZ,
+    _face_rule,
     HomologyGroup,
     add_term,
     assemble_complex,
@@ -105,16 +107,29 @@ def test_w_poset_complex_budget(monkeypatch):
     assert w_poset_complex(5).dim(3) == 120
 
 
-def test_zcomplex_budget(monkeypatch):
-    # zcomplex(range(5)) has 541 cells; the count is checked before the
-    # partitions are enumerated
-    monkeypatch.setattr(partsix, "CELL_BUDGET", 540)
+_X1_I_LINES = shape_lines("x1-i", 5, (1, -1))[0]
+
+
+@pytest.mark.parametrize(
+    "build, count, top",
+    [
+        # zcomplex(range(5)) has 541 cells
+        (lambda: zcomplex(range(5)).cx, 541, 120),
+        # four matroid components bound the cells by 75 ordered partitions
+        (lambda: x_localized(_X1_I_LINES, 1), 75, 24),
+    ],
+    ids=["zcomplex-5", "x_localized-x1-i"],
+)
+def test_zcomplex_budget(monkeypatch, build, count, top):
+    # the closed count is checked before the partitions are enumerated
+    monkeypatch.setattr(partsix, "CELL_BUDGET", count - 1)
     with monkeypatch.context() as m:
         m.setattr(partsix, "_unordered_partitions", _refuse)
         with pytest.raises(BudgetExceeded):
-            zcomplex(range(5))
-    monkeypatch.setattr(partsix, "CELL_BUDGET", 541)
-    assert zcomplex(range(5)).cx.dim(3) == 120
+            build()
+    monkeypatch.setattr(partsix, "CELL_BUDGET", count)
+    cx = build()
+    assert cx.dim(cx.degrees[-1]) == top
 
 
 def _refuse(*args):
@@ -261,13 +276,13 @@ def _decomposes(blocks, n, spans):
     return len(stacked) == n and abs(det_int(stacked)) == 1
 
 
-def _sorting_merge_rule(degree, cell):
+def _sorting_merge_rule(cell):
     out = {}
     for j in range(len(cell) - 1):
-        merged = canonical_generator(cell[j] + cell[j + 1])
-        if not merged.is_zero:
-            add_term(out, cell[:j] + (merged.tokens,) + cell[j + 2 :], (-1) ** j * merged.sign)
-    return [(c, key) for key, c in out.items()]
+        merged, sign = canonical_generator(cell[j] + cell[j + 1])
+        if sign:
+            add_term(out, cell[:j] + (merged,) + cell[j + 2 :], (-1) ** j * sign)
+    return out
 
 
 def _x_localized_all_partitions(lines):
@@ -314,20 +329,22 @@ def test_x_localized_frame_matches_zcomplex():
 
 
 @pytest.mark.parametrize(
-    "cx",
+    "cx, rule",
     [
-        zcomplex("abcd").cx,
-        zcomplex(range(5), [{0, 1}, {2, 3}]).cx,
-        x_localized(shape_lines("x1-ii", 3, (1, -1, 1))[0], 1),
-        x_localized(shape_lines("x2-i", 3, (1, 1, -1))[0], 2),
+        (zcomplex("abcd").cx, cell_bar_boundary),
+        (zcomplex(range(5), [{0, 1}, {2, 3}]).cx, cell_bar_boundary),
+        (x_localized(shape_lines("x1-ii", 3, (1, -1, 1))[0], 1), cell_bar_boundary),
+        (x_localized(shape_lines("x2-i", 3, (1, 1, -1))[0], 2), cell_bar_boundary),
+        (building_complex(3, 2), _face_rule),
     ],
-    ids=["z4", "z5-restricted", "x1-ii", "x2-i"],
+    ids=["z4", "z5-restricted", "x1-ii", "x2-i", "building-3-2"],
 )
-def test_assembled_columns_are_the_merge_differential(cx):
+def test_assembled_columns_are_the_merge_differential(cx, rule):
+    # every column of the assembled boundary is the rule's chain, as is
     for d in cx.degrees:
         lower = cx.basis.get(d - 1, [])
         for lab, col in zip(cx.basis[d], cx.boundary_at(d).columns()):
-            assert {lower[i]: v for i, v in col.items()} == cell_bar_boundary(lab)
+            assert {lower[i]: v for i, v in col.items()} == rule(lab)
 
 
 def test_x_localized_validation():
