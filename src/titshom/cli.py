@@ -182,7 +182,15 @@ def _parse_symbol(text: str) -> tuple[tuple[int, ...], ...]:
         row = row.strip()
         if not row:
             raise click.BadParameter(f"empty row in symbol {text!r}")
-        rows.append(tuple(int(x) for x in row.split(",")))
+        entries = []
+        for x in row.split(","):
+            try:
+                entries.append(int(x))
+            except ValueError:
+                raise click.BadParameter(
+                    f"entry {x.strip()!r} of symbol {text!r} is not an integer"
+                ) from None
+        rows.append(tuple(entries))
     if len({len(r) for r in rows}) != 1 or len(rows) != len(rows[0]):
         raise click.BadParameter(f"symbol {text!r} must be square: n rows of n entries")
     return tuple(rows)
@@ -211,7 +219,7 @@ def reduce(symbol, batch, report):
     """Rewrite integer apartment symbols as verified unimodular combinations."""
     if (symbol is None) == (batch is None):
         raise click.UsageError("provide exactly one of --symbol or --batch")
-    texts = [symbol] if symbol else [
+    texts = [symbol] if symbol is not None else [
         line for line in Path(batch).read_text().splitlines() if line.strip()
     ]
     results = []

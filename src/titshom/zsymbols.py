@@ -204,6 +204,10 @@ class ApartmentSymbol:
     lines: tuple[Vector, ...]
     signs: tuple[int, ...]
 
+    def __post_init__(self) -> None:
+        if not self.lines:
+            raise ValueError("empty apartment symbol (): a symbol needs at least one line")
+
     @classmethod
     def from_vectors(cls, vectors) -> "ApartmentSymbol":
         pairs = [normalize_line(v) for v in vectors]
@@ -501,6 +505,8 @@ def byk_delta(lines) -> dict[tuple[Vector, ...], int]:
     Terms whose lines stop spanning are dropped (they are zero generators).
     """
     normalized = tuple(normalize_line(v)[0] for v in lines)
+    if not normalized:
+        raise ValueError("empty symbol (): the deletion differential needs at least one line")
     n = len(normalized[0])
     if len(normalized) <= n:
         raise DegreeZero("deletion differential needs X-degree >= 1")
@@ -511,14 +517,18 @@ def deletion_sum(rows: tuple[Vector, ...], rank: int) -> dict[tuple[Vector, ...]
     """Sum of (-1)^j times the canonical generator of rows without row j.
 
     A deletion whose rows span less than `rank` is dropped, as is one with a
-    repeated row; both are zero generators.
+    repeated row; both are zero generators. When the remaining rows are
+    square (as many as `rank` and as long), they span exactly when their
+    determinant is nonzero, which is cheaper than an echelon.
     """
     out: dict[tuple[Vector, ...], int] = {}
     if len(rows) <= rank:
         return out
+    square = len(rows) - 1 == rank == len(rows[0])
     for j in range(len(rows)):
         rem = rows[:j] + rows[j + 1 :]
-        if rank_rows(rem) < rank:
+        spans = det_int(rem) != 0 if square else rank_rows(rem) >= rank
+        if not spans:
             continue
         tokens, sign = canonical_generator(rem)
         if sign:

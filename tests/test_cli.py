@@ -40,6 +40,24 @@ def test_reduce_rejects_ragged_symbol():
     assert res.exit_code != 0
 
 
+@pytest.mark.parametrize("text, entry", [("1,x;2,3", "'x'"), ("1,2,;3,4", "''")])
+def test_reduce_rejects_non_integer_entry(tmp_path, text, entry):
+    res = runner.invoke(main, ["reduce", "--symbol", text])
+    assert res.exit_code == 2
+    assert f"entry {entry} of symbol {text!r} is not an integer" in res.output
+    batch = tmp_path / "symbols.txt"
+    batch.write_text(f"1,0;1,2\n{text}\n")
+    res = runner.invoke(main, ["reduce", "--batch", str(batch)])
+    assert res.exit_code == 2
+    assert f"symbol {text!r}" in res.output
+
+
+def test_reduce_rejects_empty_symbol():
+    res = runner.invoke(main, ["reduce", "--symbol", ""])
+    assert res.exit_code == 2
+    assert "empty row in symbol ''" in res.output
+
+
 def test_reduce_batch(tmp_path):
     batch = tmp_path / "symbols.txt"
     batch.write_text("1,0;1,2\n3,1;1,2\n")

@@ -1,16 +1,16 @@
 """Integral modular symbols, descent, and the X-degree presentation."""
 
 import random
-from itertools import permutations
+from itertools import combinations, permutations, product
 from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from titshom import zsymbols
+from titshom import partsix, reports, zsymbols
 from titshom.building import perm_sign
-from titshom.complexes import add_term
+from titshom.complexes import add_term, canonical_generator
 from titshom.errors import (
     BadCertificate,
     BudgetExceeded,
@@ -37,10 +37,12 @@ from titshom.zsymbols import (
     byk_generator,
     byk_psi,
     common_basis_search,
+    deletion_sum,
     det_int,
     flag_chain_boundary,
     normalize_line,
     is_saturated_rows,
+    reduce_and_verify,
     random_unimodular_basis,
     rank_rows,
     recognize_apf,
@@ -318,6 +320,15 @@ def test_byk_generator_bad_certificate():
         byk_generator([(2, 0), (0, 1)], bad_frame)
 
 
+def test_empty_symbol_is_rejected():
+    with pytest.raises(ValueError, match="empty apartment symbol"):
+        apartment_eval([])
+    with pytest.raises(ValueError, match="empty apartment symbol"):
+        reduce_and_verify([])
+    with pytest.raises(ValueError, match="empty symbol"):
+        byk_delta(())
+
+
 def test_byk_delta_rank2():
     d = byk_delta(((1, 0), (0, 1), (1, 1)))
     assert d == {
@@ -393,6 +404,69 @@ def test_delta_delta_and_psi_on_x2_shapes():
             assert byk_delta_combination(first) == {}
             for key in first:
                 assert byk_psi(byk_delta(key)) == {}
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_x1_images_evaluate_each_symbol_once_per_basis(monkeypatch, n, seed):
+    calls = []
+
+    def counted(symbol):
+        calls.append(symbol)
+        return apartment_eval(symbol)
+
+    rng = random.Random(seed + n)
+    for _ in range(4):
+        basis = random_unimodular_basis(n, rng)
+        instances = reports._x1_instances(n, basis)
+        calls.clear()
+        monkeypatch.setattr(zsymbols, "apartment_eval", counted)
+        images = reports._x1_images(n, basis)
+        monkeypatch.undo()
+        # one evaluation per distinct deletion term of this basis's instances
+        terms = {key for lines in instances for key in byk_delta(lines)}
+        assert len(calls) == len(set(calls)) and set(calls) == terms
+        assert len(calls) < sum(len(byk_delta(lines)) for lines in instances)
+        assert images == [byk_psi(byk_delta(lines)) for lines in instances]
+
+
+def _deletion_sum_by_rank(rows, rank):
+    # every deletion tested by its echelon rank, with no determinant shortcut
+    out = {}
+    if len(rows) <= rank:
+        return out
+    for j in range(len(rows)):
+        rem = rows[:j] + rows[j + 1 :]
+        if rank_rows(rem) < rank:
+            continue
+        tokens, sign = canonical_generator(rem)
+        if sign:
+            add_term(out, tokens, (-1) ** j * sign)
+    return out
+
+
+def test_deletion_sum_determinant_shortcut_matches_rank_test():
+    rng = random.Random(1515)
+    dropped = 0
+    for shape in partsix.SHAPES:
+        arity = partsix.shape_arity(shape)
+        for n in range(max(arity, 2), max(arity, 2) + 2):
+            for eps in list(product((1, -1), repeat=arity))[:4]:
+                basis = random_unimodular_basis(n, rng)
+                lines = partsix.shape_lines(shape, n, eps, basis)[0]
+                if len(lines) == n:
+                    continue
+                got = deletion_sum(lines, n)
+                assert got == _deletion_sum_by_rank(lines, n)
+                dropped += len(lines) - len(got)
+                # blocks of lower rank: len(rem) == rank < n is not square
+                for size in range(2, n + 1):
+                    for block in combinations(lines, size):
+                        r = rank_rows(block)
+                        if r < n:
+                            assert partsix.block_delta(block) == _deletion_sum_by_rank(block, r)
+    # square deletions that lose rank occur and are dropped
+    assert dropped
 
 
 def test_recognize_apf():
