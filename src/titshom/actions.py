@@ -61,11 +61,7 @@ def coinvariant_relations(rank: int, generator_matrices: Sequence[SparseIntMatri
         if m.shape != (rank, rank):
             raise ValueError("generator matrix has wrong shape")
         for i, col in enumerate(m.columns()):
-            w = col.get(i, 0) - 1
-            if w:
-                col[i] = w
-            elif i in col:
-                del col[i]
+            add_term(col, i, -1)
             if col:
                 cols.append(col)
     return SparseIntMatrix.from_columns(rank, cols)

@@ -441,7 +441,12 @@ def gl_generators(n: int, q: int) -> list[Matrix]:
 
 
 def sl2_generators(q: int) -> list[Matrix]:
-    return [((1, 1), (0, 1)), ((1, 0), (1, 1))]
+    """Generators of SL_2(F_q): x_12(b) and x_21(b) for b in an F_p-basis."""
+    ft = field(q)
+    basis_elems = [ft.p**j for j in range(ft.e)]
+    return [transvection(2, 0, 1, b) for b in basis_elems] + [
+        transvection(2, 1, 0, b) for b in basis_elems
+    ]
 
 
 def borel_generators(n: int, q: int) -> list[Matrix]:
@@ -467,21 +472,3 @@ GROUP_GENERATORS = {
     "sl": lambda n, q: sl2_generators(q),
     "borel": borel_generators,
 }
-
-
-def group_closure(ft: FieldTable, gens: list[Matrix], limit: int = 1_000_000) -> set[Matrix]:
-    seen: set[Matrix] = set()
-    frontier = [identity_matrix(len(gens[0]))]
-    seen.update(frontier)
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in gens:
-                prod_m = mat_mul(ft, m, g)
-                if prod_m not in seen:
-                    if len(seen) >= limit:
-                        raise BudgetExceeded("group closure exceeded limit")
-                    seen.add(prod_m)
-                    nxt.append(prod_m)
-        frontier = nxt
-    return seen

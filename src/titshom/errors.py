@@ -40,20 +40,8 @@ class ZeroVector(TitshomError):
     """A primitive/nonzero vector was required."""
 
 
-class BadCertificate(TitshomError):
-    """A certified output failed its own re-verification."""
-
-
 class DegreeZero(TitshomError):
     """Operation undefined on degree-zero symbols."""
-
-
-class NotSaturated(TitshomError):
-    """A lattice expected to be saturated in Z^n is not."""
-
-
-class NotFoundWithinBudget(TitshomError):
-    """Search ended by budget exhaustion; existence remains undecided."""
 
 
 class NotSpanning(TitshomError):

@@ -73,9 +73,6 @@ class SparseIntMatrix:
                 cols[c][r] = v
         return cols
 
-    def to_dense(self) -> list[list[int]]:
-        return [[row.get(c, 0) for c in range(self.n_cols)] for row in self.rows]
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SparseIntMatrix):
             return NotImplemented

@@ -17,9 +17,9 @@ one of two certificates holds:
 - every pivot column holds only its pivot: E is diagonal up to a
   permutation, and gcd/lcm steps on the non-unit pivots give the chain.
 
-`rank_mod_p` runs a separate GF(p) echelon (`_echelon_mod_p`) and is no
-part of the Z path: tests check Z ranks, Smith divisors and homology
-against its ranks.
+The GF(p) rank that the tests check Z ranks, Smith divisors and homology
+against is no part of this module: it is a separate echelon among the test
+oracles (`tests/oracle_linalg.py`).
 """
 
 from __future__ import annotations
@@ -256,48 +256,3 @@ class LatticeSolver:
                 elif i in x:
                     del x[i]
         return x
-
-
-# -- mod-p elimination -------------------------------------------------------
-
-
-def rank_mod_p(a: SparseIntMatrix, p: int) -> int:
-    """Rank of a over GF(p), for p prime, by a separate mod-p echelon."""
-    cols = [{r: v % p for r, v in col.items() if v % p} for col in a.columns()]
-    return len(_echelon_mod_p(cols, p))
-
-
-def _echelon_mod_p(cols: list[dict[int, int]], p: int) -> list[tuple[int, int]]:
-    """Pivots (row, col), in row order, of a column echelon over GF(p)."""
-    rowidx: dict[int, set[int]] = {}
-    for c, col in enumerate(cols):
-        for r in col:
-            rowidx.setdefault(r, set()).add(c)
-
-    def axpy(dst: int, src: int, mult: int) -> None:
-        dcol = cols[dst]
-        for r, v in cols[src].items():
-            w = (dcol.get(r, 0) + mult * v) % p
-            if w:
-                if r not in dcol:
-                    rowidx.setdefault(r, set()).add(dst)
-                dcol[r] = w
-            elif r in dcol:
-                del dcol[r]
-                rowidx[r].discard(dst)
-
-    active = set(range(len(cols)))
-    pivots: list[tuple[int, int]] = []
-    max_row = max(rowidx) + 1 if rowidx else 0
-    for r in range(max_row):
-        cands = [c for c in rowidx.get(r, ()) if c in active]
-        if not cands:
-            continue
-        src = min(cands, key=lambda c: len(cols[c]))
-        inv = pow(cols[src][r], -1, p)
-        for c in cands:
-            if c != src:
-                axpy(c, src, (-cols[c][r] * inv) % p)
-        active.discard(src)
-        pivots.append((r, src))
-    return pivots

@@ -4,14 +4,13 @@ Lines are primitive integer vectors up to sign; apartment symbols evaluate
 to chains on flags of saturated sublattices; Ash-Rudolph style determinant
 descent rewrites any symbol as a sum of unimodular ones. The X-degree
 machinery (augmented partial frames, deletion differential, the map to
-Steinberg chains) lives here too, as does the adapted-basis search for a
-pair of flags.
+Steinberg chains) lives here too.
 
-Rank, saturation, the summand test, basis completion and lattice membership
-for a few rows in Z^n run on one small dense column echelon over tuples
-(`_echelon`), which tracks V^-1 as it goes, and on determinants: a vector
-lies in a saturated member exactly when it adds no rank, and in a full-rank
-lattice exactly when Cramer's rule gives integer coordinates.
+Rank, saturation and the summand test for a few rows in Z^n run on one
+small dense column echelon over tuples (`_echelon`), which tracks V^-1 as
+it goes; determinants decide the rest: a square set of rows spans exactly
+when its determinant is nonzero, and e_k lies in a full-rank lattice
+exactly when Cramer's rule gives it integer coordinates.
 """
 
 from __future__ import annotations
@@ -24,15 +23,7 @@ from math import gcd
 
 from .building import apartment_chain
 from .complexes import add_term, canonical_generator, linear_extend
-from .errors import (
-    BadCertificate,
-    BudgetExceeded,
-    DegreeZero,
-    IdentityViolation,
-    NotFoundWithinBudget,
-    NotSaturated,
-    ZeroVector,
-)
+from .errors import BudgetExceeded, DegreeZero, IdentityViolation, ZeroVector
 from .snf import _nearest_quotient
 
 Vector = tuple[int, ...]
@@ -124,7 +115,7 @@ def row_hnf(rows) -> Lattice:
     return tuple(tuple(row) for row in work[:r])
 
 
-def _echelon(rows) -> tuple[list[tuple[int, int]], list[int], list[list[int]]]:
+def _echelon(rows) -> tuple[list[tuple[int, int]], list[list[int]]]:
     """Column echelon E = A*V of the row matrix A, with the rows of W = V^-1.
 
     Row by row, nearest-integer Euclid steps between the still-active
@@ -133,10 +124,9 @@ def _echelon(rows) -> tuple[list[tuple[int, int]], list[int], list[list[int]]]:
     `snf._ColumnEngine`). Each step col_c -= q*col_src is mirrored as
     W[src] += q*W[c], so A = E*W throughout.
 
-    Returns (pivots, free, w): pivots lists (value, column) in row order,
-    free lists the columns that ended zero, and w holds the rows of W. The
-    rows of A are integer combinations of the W rows at the pivot columns,
-    and those rows extend to the basis W of Z^n.
+    Returns (pivots, w): pivots lists (value, column) in row order, and w
+    holds the rows of W. The rows of A are integer combinations of the W
+    rows at the pivot columns, and those rows extend to the basis W of Z^n.
     """
     k = len(rows)
     n = len(rows[0]) if rows else 0
@@ -175,12 +165,12 @@ def _echelon(rows) -> tuple[list[tuple[int, int]], list[int], list[list[int]]]:
         pivot = cands[0]
         active.remove(pivot)
         pivots.append((cols[pivot][r], pivot))
-    return pivots, active, w
+    return pivots, w
 
 
 def saturate_rows(rows) -> Lattice:
     """Hermite basis of the saturation of the row span inside Z^n."""
-    pivots, _, w = _echelon(rows)
+    pivots, w = _echelon(rows)
     return row_hnf([w[c] for _, c in pivots])
 
 
@@ -188,7 +178,7 @@ def is_saturated_rows(rows) -> bool:
     """True when the rows are independent and span a saturated summand:
     one echelon pivot per row, each +-1 (A = E*W with E's pivot block
     unit lower triangular)."""
-    pivots, _, _ = _echelon(rows)
+    pivots, _ = _echelon(rows)
     return len(pivots) == len(rows) and all(v in (1, -1) for v, _ in pivots)
 
 
@@ -240,15 +230,6 @@ def apartment_eval(symbol) -> dict[Flag, int]:
     # of them already spans a saturated summand
     span = row_hnf if d in (1, -1) else saturate_rows
     return apartment_chain(n, lambda idx: span([vectors[i] for i in idx]))
-
-
-def flag_chain_boundary(chain: dict[Flag, int]) -> dict[Flag, int]:
-    """Simplicial boundary of a flag chain (down to the empty flag)."""
-    out: dict[Flag, int] = {}
-    for flag, coeff in chain.items():
-        for j in range(len(flag)):
-            add_term(out, flag[:j] + flag[j + 1 :], coeff * (-1) ** j)
-    return out
 
 
 def _round_half_toward_zero(p: int, q: int) -> int:
@@ -387,54 +368,11 @@ def _combo(frame, members, signs) -> Vector:
     return tuple(out)
 
 
-def certificate_lines(cert: ApfCertificate) -> list[Vector]:
-    """Normalized lines the certificate generates, frame first."""
-    seen: set[int] = set()
-    for item in cert.items:
-        if item.kind not in ("pair", "triple", "triple_pair"):
-            raise BadCertificate(f"unknown augmentation kind {item.kind!r}")
-        want = 2 if item.kind == "pair" else 3
-        if len(item.members) != want or len(item.signs) != want:
-            raise BadCertificate("augmentation item has the wrong arity")
-        if any(s not in (-1, 1) for s in item.signs):
-            raise BadCertificate("augmentation signs must be +-1")
-        for pos in item.members:
-            if pos < 0 or pos >= len(cert.frame) or pos in seen:
-                raise BadCertificate("augmentation index sets must be disjoint")
-            seen.add(pos)
-    out = [normalize_line(v)[0] for v in cert.frame]
-    for item in cert.items:
-        f, m, s = cert.frame, item.members, item.signs
-        if item.kind == "triple_pair":
-            out.append(normalize_line(_combo(f, m[:2], s[:2]))[0])
-        out.append(normalize_line(_combo(f, m, s))[0])
-    return out
-
-
 def is_partial_frame(vectors) -> bool:
     """True when the vectors span a direct summand they freely generate."""
     if not vectors:
         return True
     return is_saturated_rows(vectors)
-
-
-def byk_generator(lines, cert: ApfCertificate) -> tuple[tuple | None, int]:
-    """Canonical X-degree generator as (tokens, sign), or (None, 0) when the
-    span/repeat relations make it zero.
-
-    The certificate must reproduce the given lines as an unordered multiset
-    and its frame must extend to a basis.
-    """
-    normalized = tuple(normalize_line(v)[0] for v in lines)
-    if not is_partial_frame(cert.frame):
-        raise BadCertificate("certificate frame is not a partial frame")
-    produced = certificate_lines(cert)
-    if sorted(produced) != sorted(normalized):
-        raise BadCertificate("certificate does not reproduce the lines")
-    n = len(normalized[0])
-    if rank_rows(normalized) < n:
-        return None, 0
-    return canonical_generator(normalized)
 
 
 @lru_cache(maxsize=None)
@@ -558,151 +496,3 @@ def random_unimodular_basis(n: int, rng: random.Random) -> tuple[Vector, ...]:
     if rng.random() < 0.5:
         rows[0] = [-x for x in rows[0]]
     return tuple(tuple(r) for r in rows)
-
-
-# -- adapted bases for a pair of flags -----------------------------------------
-
-
-def _member_contains(member: Lattice, v: Vector) -> bool:
-    """Membership in a saturated member: v lies in it exactly when it adds
-    no rank."""
-    return rank_rows(member + (v,)) == len(member)
-
-
-def _validate_flag(flag) -> list[Lattice]:
-    members = []
-    for raw in flag:
-        rows = tuple(tuple(int(x) for x in r) for r in raw)
-        if not rows:
-            continue
-        if not is_saturated_rows(rows):
-            raise NotSaturated("flag member is not a saturated summand")
-        members.append(row_hnf(rows))
-    for small, big in zip(members, members[1:]):
-        if len(small) >= len(big):
-            raise ValueError("flag members must strictly increase in rank")
-        if not all(_member_contains(big, v) for v in small):
-            raise ValueError("flag members must be nested")
-    return members
-
-
-def _member_vectors(member: Lattice, bound: int) -> list[Vector]:
-    """Primitive, sign-normalized vectors of the member with bounded
-    coordinates in its Hermite basis, in deterministic order."""
-    d = len(member)
-    n = len(member[0])
-    out = []
-    for coords in product(range(-bound, bound + 1), repeat=d):
-        if not any(coords):
-            continue
-        vec = [0] * n
-        for c, row in zip(coords, member):
-            if c:
-                for t in range(n):
-                    vec[t] += c * row[t]
-        g = 0
-        for x in vec:
-            g = gcd(g, x)
-        if g != 1:
-            continue
-        lead = next(x for x in vec if x)
-        if lead < 0:
-            continue
-        out.append(tuple(vec))
-    return sorted(set(out))
-
-
-def _complete_basis(chosen: list[Vector], n: int) -> list[Vector] | None:
-    """Extend a saturated independent set to a basis of Z^n, if possible.
-
-    With A = E*W from `_echelon`, the chosen rows A are saturated and
-    independent exactly when the echelon has one unit pivot per row. Then
-    they span the same lattice as the W rows at the pivot columns, and the
-    W rows at the free columns complete them to a basis.
-    """
-    if not chosen:
-        return [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
-    pivots, free, w = _echelon(chosen)
-    if len(pivots) < len(chosen) or any(v not in (1, -1) for v, _ in pivots):
-        return None
-    basis = list(chosen) + [tuple(w[c]) for c in free]
-    if abs(det_int(basis)) != 1:
-        return None
-    return basis
-
-
-def common_basis_search(flag_a, flag_b, budget: int = 20_000):
-    """Search for a basis of Z^n adapted to every member of both flags.
-
-    Success returns a verified basis; exhaustion of the candidate space or
-    of the node budget raises NotFoundWithinBudget, which is not a proof of
-    incompatibility.
-    """
-    members_a = _validate_flag(flag_a)
-    members_b = _validate_flag(flag_b)
-    members = sorted(set(members_a + members_b), key=lambda m: (len(m), m))
-    if not members:
-        raise ValueError("both flags are empty")
-    n = len(members[0][0])
-    bound = max(
-        (abs(x) for m in members for row in m for x in row), default=1
-    )
-    bound = max(bound, 1)
-    nodes = 0
-
-    def verify(basis: list[Vector]) -> bool:
-        for m in members:
-            inside = [v for v in basis if _member_contains(m, v)]
-            if row_hnf(inside) != m:
-                return False
-        return True
-
-    def place(idx: int, chosen: list[Vector]) -> list[Vector] | None:
-        nonlocal nodes
-        if idx == len(members):
-            basis = _complete_basis(chosen, n)
-            if basis is not None and verify(basis):
-                return basis
-            return None
-        m = members[idx]
-        inside = [v for v in chosen if _member_contains(m, v)]
-        need = len(m) - len(inside)
-        if need < 0:
-            return None
-        if need == 0:
-            if row_hnf(inside) != m:
-                return None
-            return place(idx + 1, chosen)
-        candidates = [
-            v
-            for v in _member_vectors(m, bound)
-            if v not in chosen
-        ]
-
-        def pick(take: int, start: int, acc: list[Vector]) -> list[Vector] | None:
-            nonlocal nodes
-            if take == 0:
-                if row_hnf(inside + acc) != m:
-                    return None
-                return place(idx + 1, chosen + acc)
-            for ci in range(start, len(candidates)):
-                nodes += 1
-                if nodes > budget:
-                    raise NotFoundWithinBudget(
-                        f"adapted-basis search exceeded {budget} nodes"
-                    )
-                cand = candidates[ci]
-                stack = inside + acc + [cand]
-                if rank_rows(stack) < len(stack):
-                    continue
-                got = pick(take - 1, ci + 1, acc + [cand])
-                if got is not None:
-                    return got
-            return None
-
-        return pick(need, 0, [])
-
-    result = place(0, [])
-    if result is None:
-        raise NotFoundWithinBudget("adapted-basis search space exhausted")
-    return tuple(result)

@@ -2,13 +2,17 @@
 
 These are deliberately independent of the package implementation: Smith
 divisors are recovered from gcds of k-by-k minors (determinantal divisors)
-with exact Bareiss determinants.
+with exact Bareiss determinants, and ranks over GF(p) come from a separate
+mod-p echelon, which the tests check Z ranks, Smith divisors and homology
+against (universal coefficients).
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 from math import gcd
+
+from titshom.intmat import SparseIntMatrix
 
 
 def bareiss_det(mat: list[list[int]]) -> int:
@@ -79,3 +83,45 @@ def abelian_invariants_oracle(rel_rows: list[list[int]], n_gens: int) -> tuple[i
     betti = n_gens - len(divs)
     torsion = [d for d in divs if d > 1]
     return betti, torsion
+
+
+def rank_mod_p(a: SparseIntMatrix, p: int) -> int:
+    """Rank of a over GF(p), for p prime, by a separate mod-p echelon."""
+    cols = [{r: v % p for r, v in col.items() if v % p} for col in a.columns()]
+    return len(_echelon_mod_p(cols, p))
+
+
+def _echelon_mod_p(cols: list[dict[int, int]], p: int) -> list[tuple[int, int]]:
+    """Pivots (row, col), in row order, of a column echelon over GF(p)."""
+    rowidx: dict[int, set[int]] = {}
+    for c, col in enumerate(cols):
+        for r in col:
+            rowidx.setdefault(r, set()).add(c)
+
+    def axpy(dst: int, src: int, mult: int) -> None:
+        dcol = cols[dst]
+        for r, v in cols[src].items():
+            w = (dcol.get(r, 0) + mult * v) % p
+            if w:
+                if r not in dcol:
+                    rowidx.setdefault(r, set()).add(dst)
+                dcol[r] = w
+            elif r in dcol:
+                del dcol[r]
+                rowidx[r].discard(dst)
+
+    active = set(range(len(cols)))
+    pivots: list[tuple[int, int]] = []
+    max_row = max(rowidx) + 1 if rowidx else 0
+    for r in range(max_row):
+        cands = [c for c in rowidx.get(r, ()) if c in active]
+        if not cands:
+            continue
+        src = min(cands, key=lambda c: len(cols[c]))
+        inv = pow(cols[src][r], -1, p)
+        for c in cands:
+            if c != src:
+                axpy(c, src, (-cols[c][r] * inv) % p)
+        active.discard(src)
+        pivots.append((r, src))
+    return pivots

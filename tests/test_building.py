@@ -17,7 +17,6 @@ from titshom.building import (
     chamber_permutation,
     gaussian_binomial,
     gl_generators,
-    group_closure,
     identity_matrix,
     is_upper_triangular,
     mat_mul,
@@ -43,6 +42,17 @@ def gl_order(n: int, q: int) -> int:
     for i in range(n):
         out *= q**n - q**i
     return out
+
+
+def group_closure(ft, gens, limit: int = 100_000) -> set:
+    """Every product of the generators, by breadth-first search from 1."""
+    seen = {identity_matrix(len(gens[0]))}
+    frontier = list(seen)
+    while frontier:
+        frontier = [m for m in {mat_mul(ft, m, g) for m in frontier for g in gens} if m not in seen]
+        seen.update(frontier)
+        assert len(seen) <= limit, "group closure exceeded its limit"
+    return seen
 
 
 def test_field_tables_small():
@@ -213,12 +223,14 @@ def test_generator_closures_have_right_order():
     assert len(group_closure(ft2, gl_generators(2, 2))) == gl_order(2, 2) == 6
     assert len(group_closure(ft3, gl_generators(2, 3))) == gl_order(2, 3) == 48
     assert len(group_closure(ft2, gl_generators(3, 2))) == gl_order(3, 2) == 168
-    assert len(group_closure(ft3, sl2_generators(3))) == 24
     # Borel of GL_2(F_3): order (q-1)^2 * q = 12
     assert len(group_closure(ft3, borel_generators(2, 3))) == 12
     # Borel of GL_2(F_4): order (q-1)^2 * q = 36, exercises e > 1 root basis
     ft4 = field(4)
     assert len(group_closure(ft4, borel_generators(2, 4))) == 36
+    # |SL_2(F_q)| = q(q^2 - 1); root elements over F_p alone give SL_2(F_p)
+    for q in (2, 3, 4, 5, 8, 9):
+        assert len(group_closure(field(q), sl2_generators(q))) == q * (q * q - 1), q
 
 
 def test_chamber_permutation_is_action():

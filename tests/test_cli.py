@@ -209,6 +209,9 @@ def test_coinv_direct_group():
     assert json.loads(res.output)["coinvariants"] == "0"
     res = runner.invoke(main, ["coinv", "--group", "borel(2,2)"])
     assert json.loads(res.output)["coinvariants"] == "Z"
+    # generated over an F_2-basis of F_4, SL_2(F_4) leaves no coinvariants
+    res = runner.invoke(main, ["coinv", "--group", "sl(2,4)"])
+    assert json.loads(res.output)["coinvariants"] == "0"
     res = runner.invoke(main, ["coinv", "--group", "gl(2,2)", "--module", "trivial"])
     assert json.loads(res.output)["coinvariants"] == "Z"
     assert runner.invoke(main, ["coinv", "--group", "sp(4,2)"]).exit_code != 0

@@ -10,36 +10,22 @@ from hypothesis import strategies as st
 
 from titshom import partsix, reports, zsymbols
 from titshom.building import perm_sign
-from titshom.complexes import add_term, canonical_generator
-from titshom.errors import (
-    BadCertificate,
-    BudgetExceeded,
-    DegreeZero,
-    IdentityViolation,
-    NotFoundWithinBudget,
-    NotSaturated,
-    ZeroVector,
-)
+from titshom.complexes import _face_rule, add_term, canonical_generator, linear_extend
+from titshom.errors import BudgetExceeded, DegreeZero, IdentityViolation, ZeroVector
 from titshom.intmat import SparseIntMatrix
 from titshom.snf import LatticeSolver, rank, saturation, smith_normal_form
 from titshom.zsymbols import (
     ApartmentSymbol,
-    _complete_basis,
     _descent_vector,
-    _member_contains,
     _round_half_toward_zero,
     ApfCertificate,
-    AugItem,
     apartment_eval,
     ash_rudolph,
     byk_delta,
     byk_delta_combination,
-    byk_generator,
     byk_psi,
-    common_basis_search,
     deletion_sum,
     det_int,
-    flag_chain_boundary,
     normalize_line,
     is_saturated_rows,
     reduce_and_verify,
@@ -49,8 +35,6 @@ from titshom.zsymbols import (
     row_hnf,
     saturate_rows,
 )
-
-from oracle_linalg import bareiss_det
 
 
 def test_normalize_line():
@@ -166,7 +150,7 @@ def test_apartment_eval_is_cycle():
             if any(not any(v) for v in vecs):
                 continue
             chain = apartment_eval(vecs)
-            assert flag_chain_boundary(chain) == {}
+            assert linear_extend(chain, _face_rule) == {}
 
 
 def _eval_combination(terms):
@@ -275,7 +259,8 @@ def test_member_contains_matches_lattice_solver():
             else:
                 v = tuple(rng.randint(-3, 3) for _ in range(n))
             want = solver.solve({i: x for i, x in enumerate(v) if x}) is not None
-            assert _member_contains(member, v) == want, (member, v)
+            # a saturated member contains v exactly when v adds no rank
+            assert (rank_rows(member + (v,)) == len(member)) == want, (member, v)
             seen[want] += 1
     assert min(seen.values()) > 300
 
@@ -288,36 +273,6 @@ def test_ash_rudolph_2x2_property(flat):
         return
     out = ash_rudolph(vecs)
     assert _eval_combination(out) == apartment_eval(vecs)
-
-
-def test_byk_generator_example():
-    cert = ApfCertificate(((1, 0), (0, 1)), (AugItem("pair", (0, 1), (1, 1)),))
-    tokens, sign = byk_generator([(1, 0), (0, 1), (1, 1)], cert)
-    assert sign
-    assert tokens == ((0, 1), (1, 0), (1, 1))
-
-
-def test_byk_generator_zero_and_sign():
-    # non-spanning triple in Z^3
-    cert = ApfCertificate(
-        ((1, 0, 0), (0, 1, 0)), (AugItem("pair", (0, 1), (1, 1)),)
-    )
-    lines = [(1, 0, 0), (0, 1, 0), (1, 1, 0)]
-    assert byk_generator(lines, cert) == (None, 0)
-    # reorder flips the canonical sign
-    cert2 = ApfCertificate(((1, 0), (0, 1)), (AugItem("pair", (0, 1), (1, 1)),))
-    a_tokens, a_sign = byk_generator([(1, 0), (0, 1), (1, 1)], cert2)
-    b_tokens, b_sign = byk_generator([(0, 1), (1, 0), (1, 1)], cert2)
-    assert a_tokens == b_tokens and a_sign == -b_sign
-
-
-def test_byk_generator_bad_certificate():
-    cert = ApfCertificate(((1, 0), (0, 1)), (AugItem("pair", (0, 1), (1, 1)),))
-    with pytest.raises(BadCertificate):
-        byk_generator([(1, 0), (0, 1), (1, 2)], cert)
-    bad_frame = ApfCertificate(((2, 0), (0, 1)), ())
-    with pytest.raises(BadCertificate):
-        byk_generator([(2, 0), (0, 1)], bad_frame)
 
 
 def test_empty_symbol_is_rejected():
@@ -484,50 +439,37 @@ def test_recognize_apf():
         recognize_apf(tuple((1,) * 7 for _ in range(1)))
 
 
-def test_recognize_apf_roundtrips_through_generator():
-    lines = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0))
-    cert = recognize_apf(lines)
-    assert byk_generator(lines, cert)[1]
+def certificate_lines(cert: ApfCertificate) -> list[tuple[int, ...]]:
+    """Normalized lines a certificate generates, frame first, after checking
+    that its items are well formed: known kinds of the right arity, signs
+    +-1, and disjoint frame positions."""
+    used = [p for item in cert.items for p in item.members]
+    assert len(used) == len(set(used)), cert
+    assert all(0 <= p < len(cert.frame) for p in used), cert
+    out = [normalize_line(v)[0] for v in cert.frame]
+    for item in cert.items:
+        arity = {"pair": 2, "triple": 3, "triple_pair": 3}[item.kind]
+        assert len(item.members) == len(item.signs) == arity, item
+        assert set(item.signs) <= {1, -1}, item
+        signed = [tuple(s * x for x in cert.frame[p]) for p, s in zip(item.members, item.signs)]
+        if item.kind == "triple_pair":
+            out.append(normalize_line(tuple(map(sum, zip(*signed[:2]))))[0])
+        out.append(normalize_line(tuple(map(sum, zip(*signed))))[0])
+    return out
 
 
-def test_common_basis_search():
-    assert common_basis_search([((1, 0),)], [((0, 1),)]) == ((0, 1), (1, 0))
-    fl = (((1, 0, 0),), ((1, 0, 0), (0, 1, 0)))
-    basis = common_basis_search(fl, fl)
-    assert abs(det_int(basis)) == 1
-    with pytest.raises(NotFoundWithinBudget):
-        common_basis_search([((1, 0),)], [((1, 2),)])
-    with pytest.raises(NotSaturated):
-        common_basis_search([((2, 0),)], [((0, 1),)])
-
-
-def test_common_basis_search_cross_flags():
-    basis = common_basis_search([((1, 0, 0),)], [((1, 1, 0), (0, 0, 1))])
-    assert abs(det_int(basis)) == 1
-    inside = [v for v in basis if v[0] == v[1]]  # members of the W plane
-    assert saturate_rows(inside) == ((1, 1, 0), (0, 0, 1))
-
-
-@pytest.mark.parametrize(
-    "flag_a, flag_b, want",
-    [
-        ([((2, 3),)], [((2, 3),)], ((2, 3), (1, 2))),
-        ([((1, 2, 0),)], [((0, 0, 1),)], ((0, 0, 1), (1, 2, 0), (0, 1, 0))),
-    ],
-)
-def test_common_basis_search_completes_off_axis_lines(flag_a, flag_b, want):
-    assert common_basis_search(flag_a, flag_b) == want
-
-
-def test_complete_basis_extends_saturated_sets():
-    rng = random.Random(2968)
-    for _ in range(300):
-        n = rng.randint(2, 6)
-        k = rng.randint(1, n)
-        chosen = list(random_unimodular_basis(n, rng)[:k])
-        basis = _complete_basis(chosen, n)
-        assert basis is not None and basis[:k] == chosen
-        assert abs(bareiss_det([list(v) for v in basis])) == 1
-        # a non-saturated or dependent set has no completion
-        assert _complete_basis([tuple(2 * x for x in chosen[0])] + chosen[1:], n) is None
-        assert _complete_basis(chosen + [chosen[0]], n) is None
+def test_recognize_apf_certificates_reproduce_lines():
+    rng = random.Random(1616)
+    checked = 0
+    for shape in partsix.SHAPES:
+        arity = partsix.shape_arity(shape)
+        for n in range(max(arity, 1), 6):
+            for eps in product((1, -1), repeat=arity):
+                for basis in (None, random_unimodular_basis(n, rng)):
+                    lines = tuple(partsix.shape_lines(shape, n, eps, basis)[0])
+                    cert = recognize_apf(lines)
+                    assert cert is not None, (shape, n, eps, basis)
+                    assert sorted(certificate_lines(cert)) == sorted(lines)
+                    assert is_saturated_rows(cert.frame)
+                    checked += 1
+    assert checked > 200
