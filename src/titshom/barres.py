@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb, gcd, prod
+from typing import Iterator
 
 from .actions import coinvariants, st_action_matrix
 from .building import (
@@ -34,7 +35,7 @@ from .building import (
     gl_generators,
     identity_matrix,
     rref,
-    span_vectors,
+    span_mask,
     steinberg,
     subspaces,
 )
@@ -108,24 +109,26 @@ def st_product(
 
 
 def ordered_decompositions(n: int, q: int, parts: int) -> list[tuple[Subspace, ...]]:
-    """All ordered tuples of subspaces with V_1 + ... + V_parts = F_q^n direct."""
+    """All ordered tuples of subspaces with V_1 + ... + V_parts = F_q^n direct:
+    each meets the sum of those before it trivially, by `span_mask`, and that
+    sum is echelonized only while slots remain to fill."""
     ft = field(q)
-    pools = {d: subspaces(n, q, d) for d in range(1, n + 1)}
+    pools = {d: [(sub, span_mask(ft, sub)) for sub in subspaces(n, q, d)] for d in range(1, n + 1)}
+    mask_of = {sub: m for pool in pools.values() for sub, m in pool}
     out: list[tuple[Subspace, ...]] = []
 
-    def extend(prefix: tuple[Subspace, ...], stacked: list[Vector], used: int, left: int) -> None:
-        if left == 0:
-            if used == n:
-                out.append(prefix)
+    def extend(prefix: tuple[Subspace, ...], total: Subspace, used: int, left: int) -> None:
+        m = mask_of.get(total, 1)
+        if left == 1:
+            out.extend(prefix + (cand,) for cand, mc in pools[n - used] if mc & m == 1)
             return
-        remaining = n - used
-        for d in range(1, remaining - left + 2):
-            for cand in pools[d]:
-                new_stack = stacked + list(cand)
-                if len(rref(ft, new_stack)) == used + d:
-                    extend(prefix + (cand,), new_stack, used + d, left - 1)
+        for d in range(1, n - used - left + 2):
+            for cand, mc in pools[d]:
+                if mc & m == 1:
+                    extend(prefix + (cand,), rref(ft, total + cand), used + d, left - 1)
 
-    extend((), [], 0, parts)
+    if parts >= 1:
+        extend((), (), 0, parts)
     return out
 
 
@@ -238,21 +241,24 @@ class Rank2Report:
     surjective: bool
 
 
+def opposite_chambers(st: StModel) -> Iterator[list[int]]:
+    """Per chamber of GL_3, in turn, the chambers opposite it, in order:
+    (L < P) and (L' < P') are opposite iff L is not in P' and L' is not in P,
+    tested on the `span_mask` of each line and of the vectors outside each plane."""
+    mask = {sub: span_mask(st.ft, sub) for sub in {sub for chamber in st.chambers for sub in chamber}}
+    everything = (1 << st.q**3) - 1
+    coded = [(mask[line], everything ^ mask[plane]) for line, plane in st.chambers]
+    for lm, out in coded:
+        yield [c for c, (lm2, out2) in enumerate(coded) if lm & out2 and lm2 & out]
+
+
 def rank2_pairing(st: StModel) -> list[dict[int, int]]:
     """The GL_3 chamber pairing Z[chambers] (x) St -> Z, one row per chamber:
     Phi[x][j] = opp_sign * sum of A[c][j] over the chambers c opposite x, with
-    A = st.basis[0]. (L < P) and (L' < P') are opposite iff L is not in P'
-    and L' is not in P. Phi[C0] reads each class at its own opposite chamber,
+    A = st.basis[0]. Phi[C0] reads each class at its own opposite chamber,
     so Phi[C0][j] = 1."""
-    planes = {plane: span_vectors(st.ft, plane) for _, plane in st.chambers}
-    phi = []
-    for line, plane in st.chambers:
-        opposite = [
-            c for c, (other_line, other_plane) in enumerate(st.chambers)
-            if other_line[0] not in planes[plane] and line[0] not in planes[other_plane]
-        ]
-        phi.append(linear_extend(dict.fromkeys(opposite, st.opp_sign), st.basis[0].rows.__getitem__))
-    return phi
+    rows = st.basis[0].rows.__getitem__
+    return [linear_extend(dict.fromkeys(opp, st.opp_sign), rows) for opp in opposite_chambers(st)]
 
 
 def rank2_e1_surjectivity(q: int) -> Rank2Report:

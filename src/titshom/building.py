@@ -1,7 +1,9 @@
 """Tits buildings of GL_n(F_q) and their Steinberg lattices.
 
 Subspaces are canonical reduced-row-echelon bases (tuples of row tuples),
-flags are dimension-increasing tuples of subspaces, and the building is the
+compared through `span_mask`, the bitmask of their vectors, so that
+containment and trivial intersection are one integer test each. Flags are
+dimension-increasing tuples of subspaces, and the building is the
 reduced order complex of the proper nonzero subspace poset: one empty
 simplex in degree -1, flags of k+1 subspaces in degree k. The Steinberg
 lattice is the integer kernel of the top boundary map, with the certified
@@ -119,19 +121,17 @@ def rref(ft: FieldTable, vectors: list[Vector]) -> Subspace:
     return tuple(tuple(row) for row in rows[:r])
 
 
-def span_vectors(ft: FieldTable, basis: Subspace) -> frozenset[Vector]:
-    """Every vector of the subspace (q^dim of them)."""
-    if not basis:
-        return frozenset()
-    width = len(basis[0])
-    out = {tuple([0] * width)}
-    for row in basis:
-        nxt = set()
-        for v in out:
-            for c in range(ft.q):
-                nxt.add(vec_add(ft, v, vec_scale(ft, c, row)))
-        out = nxt
-    return frozenset(out)
+def span_mask(ft: FieldTable, sub: Subspace) -> int:
+    """Bitmask of the subspace's q^dim vectors, vector v as bit
+    sum(v_i * q^(n-1-i)): V <= W iff `m_V & ~m_W == 0`, and V, W meet
+    trivially iff `m_V & m_W == 1`, bit 0 being the zero vector."""
+    if not sub:
+        return 1
+    weights = [ft.q**i for i in reversed(range(len(sub[0])))]
+    vecs = [(0,) * len(weights)]
+    for row in sub:
+        vecs += [vec_add(ft, v, vec_scale(ft, c, row)) for c in range(1, ft.q) for v in vecs]
+    return sum(1 << sum(x * w for x, w in zip(v, weights)) for v in vecs)
 
 
 def gaussian_binomial(n: int, d: int, q: int) -> int:
@@ -185,18 +185,16 @@ def subspaces(n: int, q: int, d: int) -> list[Subspace]:
 
 
 def building_complex(n: int, q: int, budget: int = CELL_BUDGET) -> ChainComplexZ:
-    """Reduced flag complex of proper nonzero subspaces of F_q^n."""
+    """Reduced flag complex of proper nonzero subspaces of F_q^n, ordered by
+    a containment test on their `span_mask`s."""
     if n < 1:
         raise ValueError(f"building needs n >= 1, got n={n}")
     ft = field(q)
-    verts: list[Subspace] = []
-    for d in range(1, n):
-        verts.extend(subspaces(n, q, d))
-    vecs = {v: span_vectors(ft, v) for v in verts}
-    above = {
-        v: [w for w in verts if len(w) > len(v) and all(row in vecs[w] for row in v)]
-        for v in verts
-    }
+    verts = [v for d in range(1, n) for v in subspaces(n, q, d)]
+    masks = [span_mask(ft, v) for v in verts]
+    # vertices come by dimension: those above v start after the last of its own
+    first = {len(v): i + 1 for i, v in enumerate(verts)}
+    above = [[w for w in range(first[len(v)], len(verts)) if not m & ~masks[w]] for v, m in zip(verts, masks)]
     return order_complex(verts, above, budget)
 
 

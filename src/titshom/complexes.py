@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from collections import deque
+from itertools import count
 from dataclasses import dataclass
 from typing import Callable, Hashable, Sequence
 
@@ -159,35 +160,60 @@ def assemble_complex(
                     raise KeyError(f"boundary of {lab!r} hits unknown generator {low!r}") from None
                 rows[r][col] = coeff
         boundary[d] = mat
-    cx = ChainComplexZ(bases, boundary)
-    for d in degrees:
-        if d - 1 not in index:
+    return check_dd(ChainComplexZ(bases, boundary))
+
+
+def check_dd(cx: ChainComplexZ) -> ChainComplexZ:
+    """Return cx, or raise DDNotZero naming the first generator where d o d != 0."""
+    for d in cx.degrees:
+        if d - 1 not in cx.basis:
             continue
         prod = cx.boundary_at(d - 1).mul(cx.boundary_at(d))
         if not prod.is_zero():
-            raise DDNotZero(d, bases[d][min(c for row in prod.rows for c in row)])
+            raise DDNotZero(d, cx.basis[d][min(c for row in prod.rows for c in row)])
     return cx
 
 
-def order_complex(vertices: list[Label], above: dict[Label, list[Label]], budget: int) -> ChainComplexZ:
-    """Reduced order complex of a finite poset.
+def order_complex(vertices: list[Label], above: list[list[int]], budget: int) -> ChainComplexZ:
+    """Reduced order complex of a finite poset, written as it is grown.
 
     Degree -1 holds the empty chain and degree k the chains v_0 < ... < v_k,
-    grown from `vertices` by appending each member of `above[v_k]` (every
-    vertex strictly above v_k) in list order. The boundary deletes one
-    vertex at a time with alternating signs. Raises BudgetExceeded, before
-    building the degree that would do so, once the cells exceed `budget`.
+    grown as index tuples by appending each index in `above[i]` (every vertex
+    strictly above vertices[i]) in list order. Each chain's column deletes one
+    vertex at a time with alternating signs: the parent is the face without
+    the last vertex, the other faces are looked up in the parents' index,
+    freed with them, and d o d = 0 is checked by `check_dd`. Labels are vertex
+    tuples. Raises BudgetExceeded before allocating the degree that would
+    take the cells past `budget`.
     """
     bases: dict[int, list] = {-1: [()]}
-    total = 1 + len(vertices)
-    frontier = [(v,) for v in vertices]
-    while frontier:
-        bases[len(bases) - 1] = frontier
-        total += sum(len(above[chain[-1]]) for chain in frontier)
+    boundary = {-1: SparseIntMatrix(0, 1)}
+    chains: list[tuple[int, ...]] = [()]
+    total = 1
+    for deg in count():
+        size = sum(len(above[ch[-1]]) for ch in chains) if deg else len(vertices)
+        if not size:
+            break
+        total += size
         if total > budget:
             raise BudgetExceeded(f"order complex cells exceed budget {budget}")
-        frontier = [chain + (w,) for chain in frontier for w in above[chain[-1]]]
-    return assemble_complex(bases, _face_rule)
+        boundary[deg] = SparseIntMatrix(len(chains), size)
+        rows = boundary[deg].rows
+        index = {ch: r for r, ch in enumerate(chains)}
+        last = -1 if deg & 1 else 1
+        grown: list[tuple[int, ...]] = []
+        for p, ch in enumerate(chains):
+            faces = [(ch[:j] + ch[j + 1 :], -1 if j & 1 else 1) for j in range(deg)]
+            for w in above[ch[-1]] if deg else range(size):
+                col = len(grown)
+                rows[p][col] = last
+                for face, sign in faces:
+                    rows[index[face + (w,)]][col] = sign
+                grown.append(ch + (w,))
+        del index
+        chains = grown
+        bases[deg] = [tuple(map(vertices.__getitem__, ch)) for ch in chains]
+    return check_dd(ChainComplexZ(bases, boundary))
 
 
 def _face_rule(chain: tuple) -> dict[tuple, int]:

@@ -144,7 +144,7 @@ def w_poset_complex(d: int) -> ChainComplexZ:
         (frozenset(c) for k in range(1, d) for c in combinations(range(d), k)),
         key=sorted,
     )
-    above = {s: [t for t in subsets if s < t] for s in subsets}
+    above = [[j for j, t in enumerate(subsets) if s < t] for s in subsets]
     return order_complex(subsets, above, CELL_BUDGET)
 
 

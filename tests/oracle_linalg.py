@@ -4,7 +4,8 @@ These are deliberately independent of the package implementation: Smith
 divisors are recovered from gcds of k-by-k minors (determinantal divisors)
 with exact Bareiss determinants, and ranks over GF(p) come from a separate
 mod-p echelon, which the tests check Z ranks, Smith divisors and homology
-against (universal coefficients).
+against (universal coefficients). Subspaces of F_q^n are checked against
+their explicit vector sets.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 from itertools import combinations
 from math import gcd
 
+from titshom.building import Subspace, Vector, vec_add, vec_scale
+from titshom.fqfield import FieldTable
 from titshom.intmat import SparseIntMatrix
 
 
@@ -125,3 +128,18 @@ def _echelon_mod_p(cols: list[dict[int, int]], p: int) -> list[tuple[int, int]]:
         active.discard(src)
         pivots.append((r, src))
     return pivots
+
+
+def span_vectors(ft: FieldTable, basis: Subspace) -> frozenset[Vector]:
+    """Every vector of the subspace (q^dim of them)."""
+    if not basis:
+        return frozenset()
+    width = len(basis[0])
+    out = {tuple([0] * width)}
+    for row in basis:
+        nxt = set()
+        for v in out:
+            for c in range(ft.q):
+                nxt.add(vec_add(ft, v, vec_scale(ft, c, row)))
+        out = nxt
+    return frozenset(out)

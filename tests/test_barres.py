@@ -9,16 +9,20 @@ from titshom.actions import coinvariant_relations, permutation_matrix_int, st_ac
 from titshom.barres import (
     bar_cell_count,
     bar_complex_fq,
+    opposite_chambers,
     ordered_decompositions,
     rank2_e1_surjectivity,
     rank2_pairing,
     st_product,
     verify_bar_exactness,
 )
-from titshom.building import chamber_permutation, gl_generators, identity_matrix, steinberg
+from titshom.building import chamber_permutation, gl_generators, identity_matrix, rref, steinberg, subspaces
 from titshom.complexes import HomologyGroup, add_term, assemble_complex
 from titshom.errors import BudgetExceeded, CertificateFailure, NonComplementary
+from titshom.fqfield import field
 from titshom.snf import kernel_basis, nullity
+
+from oracle_linalg import span_vectors
 
 
 def test_decomposition_counts():
@@ -37,6 +41,33 @@ def test_decomposition_counts():
             cx.dim(d) for d in range(-1, n - 1)
         ]
     assert [bar_cell_count(3, 3, parts) for parts in (1, 2, 3)] == [27, 702, 1404]
+
+
+def _decompositions_by_rank(n: int, q: int, parts: int) -> list:
+    """The echelon-rank route: a candidate is kept when stacking its rows on
+    the prefix's raises the rank by its dimension."""
+    ft = field(q)
+    pools = {d: subspaces(n, q, d) for d in range(1, n + 1)}
+    out: list = []
+
+    def extend(prefix, stacked, used, left):
+        if left == 0:
+            if used == n:
+                out.append(prefix)
+            return
+        for d in range(1, n - used - left + 2):
+            for cand in pools[d]:
+                if len(rref(ft, stacked + list(cand))) == used + d:
+                    extend(prefix + (cand,), stacked + list(cand), used + d, left - 1)
+
+    extend((), [], 0, parts)
+    return out
+
+
+@pytest.mark.parametrize("n, q", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_decompositions_match_the_echelon_rank_route(n, q):
+    for parts in range(n + 2):
+        assert ordered_decompositions(n, q, parts) == _decompositions_by_rank(n, q, parts), parts
 
 
 def test_st_product_standard_lines():
@@ -207,6 +238,20 @@ def test_rank2_pairing_matches_kernel_oracle(q):
     # Phi[C0] is the sum of the coordinates
     c0 = st.chamber_index[tuple(identity_matrix(3)[: k + 1] for k in range(2))]
     assert phi[c0] == {j: 1 for j in range(s)}
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_opposite_chambers_match_the_vector_set_test(q):
+    st = steinberg(3, q)
+    planes = {plane: span_vectors(st.ft, plane) for _, plane in st.chambers}
+    want = [
+        [c for c, (line2, plane2) in enumerate(st.chambers) if line2[0] not in planes[plane] and line[0] not in planes[plane2]]
+        for line, plane in st.chambers
+    ]
+    got = list(opposite_chambers(st))
+    assert got == want
+    # q^3 chambers are opposite each one: the length of the longest element
+    assert {len(opp) for opp in got} == {q**3}
 
 
 def test_rank2_rejects_non_invariant_pairing(monkeypatch):

@@ -24,17 +24,20 @@ from titshom.building import (
     permutation_matrix,
     rref,
     sl2_generators,
-    span_vectors,
+    span_mask,
     steinberg,
     subspaces,
     unipotent_basis_matrix,
     unipotent_matrices,
 )
+from titshom import complexes
 from titshom.complexes import ChainComplexZ, exactness_report, homology
 from titshom.errors import BudgetExceeded, FieldTooLarge, NotSpanning
 from titshom.fqfield import field
 from titshom.intmat import SparseIntMatrix
 from titshom.snf import smith_normal_form
+
+from oracle_linalg import span_vectors
 
 
 def gl_order(n: int, q: int) -> int:
@@ -125,6 +128,66 @@ def test_building_chambers_are_q_factorial(n, q, chambers):
 def test_building_budget():
     with pytest.raises(BudgetExceeded):
         building_complex(4, 2, budget=10)
+
+
+def _record_matrix_widths(monkeypatch) -> list[int]:
+    """Column counts of the matrices `complexes` allocates, in order."""
+    widths: list[int] = []
+
+    class Recorded(SparseIntMatrix):
+        __slots__ = ()
+
+        def __init__(self, n_rows, n_cols, rows=None):
+            widths.append(n_cols)
+            super().__init__(n_rows, n_cols, rows)
+
+    monkeypatch.setattr(complexes, "SparseIntMatrix", Recorded)
+    return widths
+
+
+@pytest.mark.parametrize("n, q", [(3, 2), (4, 2)])
+def test_building_budget_threshold(monkeypatch, n, q):
+    # a budget of exactly the cell count builds; one less raises before the
+    # top degree's boundary, allocated with its chain lists, exists
+    dims = [building_complex(n, q).dim(d) for d in range(-1, n - 1)]
+    widths = _record_matrix_widths(monkeypatch)
+    assert building_complex(n, q, budget=sum(dims)).dim(n - 2) == dims[-1]
+    assert widths == dims
+    widths.clear()
+    with pytest.raises(BudgetExceeded):
+        building_complex(n, q, budget=sum(dims) - 1)
+    assert widths == dims[:-1]
+
+
+def test_building_budget_without_edges(monkeypatch):
+    # the 6 lines of F_5^2 are all vertices and no edges: 7 cells
+    widths = _record_matrix_widths(monkeypatch)
+    with pytest.raises(BudgetExceeded):
+        building_complex(2, 5, budget=3)
+    assert widths == [1]
+    assert building_complex(2, 5, budget=7).dim(0) == 6
+
+
+@pytest.mark.parametrize("n, q", [(2, 4), (3, 2), (3, 3)])
+def test_span_mask_is_the_vector_set(n, q):
+    ft = field(q)
+    for d in range(n + 1):
+        for sub in subspaces(n, q, d):
+            vecs = span_vectors(ft, sub) or {(0,) * n}
+            codes = {sum(x * q ** (n - 1 - i) for i, x in enumerate(v)) for v in vecs}
+            assert span_mask(ft, sub) == sum(1 << c for c in codes), sub
+
+
+@pytest.mark.parametrize("n, q", [(3, 2), (3, 3), (4, 2)])
+def test_up_lists_match_the_pairwise_set_test(n, q):
+    # degree 1 lists each vertex's up-list in turn, so it must be the pairs
+    # the vector-set test finds, in vertex order
+    ft = field(q)
+    verts = [v for d in range(1, n) for v in subspaces(n, q, d)]
+    vecs = {v: span_vectors(ft, v) for v in verts}
+    cx = building_complex(n, q)
+    assert cx.basis[0] == [(v,) for v in verts]
+    assert cx.basis[1] == [(v, w) for v in verts for w in verts if vecs[v] < vecs[w]]
 
 
 @pytest.mark.parametrize("n", [0, -1])
@@ -250,7 +313,8 @@ def test_permutation_matrix_and_action():
     sub = rref(ft, [(1, 0, 0)])
     moved = act_on_subspace(ft, w, sub)
     assert moved == ((0, 1, 0),)
-    assert len(span_vectors(ft, moved)) == 2
+    assert span_vectors(ft, moved) == {(0, 0, 0), (0, 1, 0)}
+    assert span_mask(ft, moved) == 1 | 1 << 2
 
 
 def test_unipotent_matrix_enumeration():

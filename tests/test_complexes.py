@@ -13,12 +13,14 @@ from hypothesis import strategies as st
 from titshom import actions
 from titshom.actions import group_homology, trivial_action
 from titshom.barres import bar_complex_fq
-from titshom.building import building_complex
+from titshom.building import building_complex, subspaces
 from titshom.complexes import (
     ChainComplexZ,
     HomologyGroup,
+    _face_rule,
     assemble_complex,
     canonical_generator,
+    check_dd,
     cycle_space,
     exactness_report,
     homology,
@@ -27,10 +29,11 @@ from titshom.complexes import (
 )
 from titshom.errors import DDNotZero, DegreeOutOfRange
 from titshom.intmat import SparseIntMatrix
-from titshom.partsix import SHAPES, shape_arity, shape_lines, x_localized, zcomplex
+from titshom.fqfield import field
+from titshom.partsix import SHAPES, shape_arity, shape_lines, w_poset_complex, x_localized, zcomplex
 from titshom.snf import smith_normal_form
 
-from oracle_linalg import rank_mod_p
+from oracle_linalg import rank_mod_p, span_vectors
 
 
 def test_canonical_generator_frozen():
@@ -136,6 +139,59 @@ def test_dd_not_zero_detected():
     with pytest.raises(DDNotZero) as ei:
         assemble_complex(bases, bad)
     assert ei.value.degree == 2 and ei.value.generator == "c"
+
+
+def test_check_dd_names_the_first_bad_generator():
+    d1 = SparseIntMatrix.from_dense([[1, 1]])
+    d2 = SparseIntMatrix.from_dense([[0, 1], [0, 0]])
+    bad = ChainComplexZ({0: ["a"], 1: ["b", "c"], 2: ["x", "y"]}, {1: d1, 2: d2})
+    with pytest.raises(DDNotZero) as ei:
+        check_dd(bad)
+    assert ei.value.degree == 2 and ei.value.generator == "y"
+    good = ChainComplexZ(bad.basis, {1: d1, 2: SparseIntMatrix.from_dense([[0, 1], [0, -1]])})
+    assert check_dd(good) is good
+
+
+def _order_complex_oracle(vertices: list, less) -> ChainComplexZ:
+    """Chains grown by the pairwise order test, assembled through `_face_rule`."""
+    bases = {-1: [()]}
+    frontier = [(v,) for v in vertices]
+    while frontier:
+        bases[len(bases) - 1] = frontier
+        frontier = [chain + (w,) for chain in frontier for w in vertices if less(chain[-1], w)]
+    return assemble_complex(bases, _face_rule)
+
+
+def _building_oracle(n: int, q: int) -> ChainComplexZ:
+    vertices = [v for d in range(1, n) for v in subspaces(n, q, d)]
+    vecs = {v: span_vectors(field(q), v) for v in vertices}
+    return _order_complex_oracle(vertices, lambda v, w: vecs[v] < vecs[w])
+
+
+def _w_poset_oracle(d: int) -> ChainComplexZ:
+    subsets = sorted((frozenset(c) for k in range(1, d) for c in combinations(range(d), k)), key=sorted)
+    return _order_complex_oracle(subsets, frozenset.__lt__)
+
+
+@pytest.mark.parametrize(
+    "got, want",
+    [
+        *[(lambda n=n, q=q: building_complex(n, q), lambda n=n, q=q: _building_oracle(n, q))
+          for n, q in [(3, 2), (3, 3), (4, 2)]],
+        # d = 1 is the empty poset and d = 2 has no edges
+        *[(lambda d=d: w_poset_complex(d), lambda d=d: _w_poset_oracle(d)) for d in range(1, 5)],
+    ],
+    ids=["building-3-2", "building-3-3", "building-4-2", "w-1", "w-2", "w-3", "w-4"],
+)
+def test_order_complex_matches_face_rule_assembly(got, want):
+    # same basis order and the same rows, in the same order, in every degree
+    got, want = got(), want()
+    assert got.basis == want.basis
+    assert sorted(got.boundary) == sorted(want.boundary) == got.degrees
+    for d in got.degrees:
+        a, b = got.boundary_at(d), want.boundary_at(d)
+        assert a.shape == b.shape, d
+        assert [list(row.items()) for row in a.rows] == [list(row.items()) for row in b.rows], d
 
 
 def test_degree_out_of_range():

@@ -336,8 +336,9 @@ def test_x_localized_frame_matches_zcomplex():
         (x_localized(shape_lines("x1-ii", 3, (1, -1, 1))[0], 1), cell_bar_boundary),
         (x_localized(shape_lines("x2-i", 3, (1, 1, -1))[0], 2), cell_bar_boundary),
         (building_complex(3, 2), _face_rule),
+        (building_complex(3, 3), _face_rule),
     ],
-    ids=["z4", "z5-restricted", "x1-ii", "x2-i", "building-3-2"],
+    ids=["z4", "z5-restricted", "x1-ii", "x2-i", "building-3-2", "building-3-3"],
 )
 def test_assembled_columns_are_the_merge_differential(cx, rule):
     # every column of the assembled boundary is the rule's chain, as is
