@@ -10,8 +10,7 @@ from __future__ import annotations
 from typing import Callable, Hashable, Sequence
 
 from .building import StModel, chamber_permutation
-from .complexes import CELL_BUDGET, HomologyGroup, add_term, assemble_complex, homology
-from .errors import BudgetExceeded
+from .complexes import HomologyGroup, add_term, assemble_complex, check_cells, homology
 from .intmat import SparseIntMatrix
 from .snf import cokernel_invariants
 
@@ -83,7 +82,6 @@ def group_homology(
     action: Callable[[Hashable], SparseIntMatrix],
     rank: int,
     degree: int,
-    budget: int = CELL_BUDGET,
 ) -> HomologyGroup:
     """H_degree(G; M) for degree <= 2 via the inhomogeneous bar complex.
 
@@ -96,9 +94,7 @@ def group_homology(
         raise ValueError("group homology implemented for degrees 0..2 only")
     n_g = len(elements)
     top = degree + 1
-    total = sum(n_g**k * rank for k in range(top + 1))
-    if total > budget:
-        raise BudgetExceeded(f"bar complex size {total} exceeds budget {budget}")
+    check_cells(sum(n_g**k * rank for k in range(top + 1)), "bar complex cells")
 
     bases: dict[int, list] = {}
     for k in range(top + 1):

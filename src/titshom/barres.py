@@ -40,9 +40,9 @@ from .building import (
     subspaces,
 )
 from .complexes import (
-    CELL_BUDGET, ChainComplexZ, HomologyGroup, add_term, assemble_complex, homology_profile, linear_extend
+    ChainComplexZ, HomologyGroup, add_term, assemble_complex, check_cells, homology_profile, linear_extend
 )
-from .errors import BudgetExceeded, CertificateFailure, NonComplementary
+from .errors import CertificateFailure, NonComplementary
 from .fqfield import FieldTable, check_order, field
 
 
@@ -148,20 +148,19 @@ def bar_cell_count(n: int, q: int, parts: int) -> int:
     return total
 
 
-def bar_complex_fq(n: int, q: int, budget: int = CELL_BUDGET) -> ChainComplexZ:
+def bar_complex_fq(n: int, q: int) -> ChainComplexZ:
     """Bar resolution of St(F_q^n) in degrees -1..n-2.
 
     Degree i has one generator per ordered decomposition into i+2 summands
     (F_q^n alone in degree -1) and per choice of a unipotent basis element
-    in each summand. BudgetExceeded is raised from `bar_cell_count`, before
-    anything is enumerated, when the cells exceed `budget`.
+    in each summand. `check_cells` runs on the `bar_cell_count` total before
+    anything is enumerated.
     """
     if n < 1:
         raise ValueError(f"bar complex needs n >= 1, got n={n}")
     check_order(q)
     cells = sum(bar_cell_count(n, q, parts) for parts in range(1, n + 1))
-    if cells > budget:
-        raise BudgetExceeded(f"{cells} bar complex cells exceed budget {budget}")
+    check_cells(cells, "bar complex cells")
     n_units = {d: len(steinberg(d, q).units) for d in range(1, n + 1)}
 
     bases: dict[int, list] = {}
@@ -194,14 +193,14 @@ def bar_complex_fq(n: int, q: int, budget: int = CELL_BUDGET) -> ChainComplexZ:
     return assemble_complex(bases, rule)
 
 
-def verify_bar_exactness(n: int, q: int, budget: int = CELL_BUDGET) -> dict:
+def verify_bar_exactness(n: int, q: int) -> dict:
     """Exactness below the top degree plus the tensor-square rank on top.
 
     One `homology_profile` of the complex: H_d must vanish for d < n-2, and
     H_{n-2}, the kernel of the top boundary, is free of rank q^{n(n-1)}. That
     rank is also reported as the rank of the tensor-square term, degree n-1.
     """
-    cx = bar_complex_fq(n, q, budget)
+    cx = bar_complex_fq(n, q)
     profile = homology_profile(cx)
     expected_top = q ** (n * (n - 1))
     top = profile[n - 2]

@@ -17,8 +17,8 @@ from functools import cached_property, lru_cache
 from itertools import combinations, permutations, product
 from typing import Callable, Hashable
 
-from .complexes import CELL_BUDGET, ChainComplexZ, add_term, cycle_space, linear_extend, order_complex
-from .errors import BudgetExceeded, NotSpanning
+from .complexes import ChainComplexZ, add_term, check_cells, cycle_space, linear_extend, order_complex
+from .errors import NotSpanning
 from .fqfield import FieldTable, check_order, field
 from .intmat import SparseIntMatrix
 from .snf import LatticeSolver, nullity
@@ -151,13 +151,11 @@ def subspaces(n: int, q: int, d: int) -> list[Subspace]:
     Enumerates pivot column choices, then free entries; each subspace
     appears exactly once, in a deterministic order. q must be a field order
     that `check_order` accepts (the field's tables are never built), and
-    BudgetExceeded is raised, before anything is enumerated, when there are
-    more than CELL_BUDGET subspaces.
+    `check_cells` runs on their count before anything is enumerated.
     """
     check_order(q)
     count = gaussian_binomial(n, d, q)
-    if count > CELL_BUDGET:
-        raise BudgetExceeded(f"{count} subspaces exceed budget {CELL_BUDGET}")
+    check_cells(count, "subspaces")
     if count == 0:
         return []
     if d == 0:
@@ -184,7 +182,7 @@ def subspaces(n: int, q: int, d: int) -> list[Subspace]:
 # -- the building ------------------------------------------------------------
 
 
-def building_complex(n: int, q: int, budget: int = CELL_BUDGET) -> ChainComplexZ:
+def building_complex(n: int, q: int) -> ChainComplexZ:
     """Reduced flag complex of proper nonzero subspaces of F_q^n, ordered by
     a containment test on their `span_mask`s."""
     if n < 1:
@@ -195,7 +193,7 @@ def building_complex(n: int, q: int, budget: int = CELL_BUDGET) -> ChainComplexZ
     # vertices come by dimension: those above v start after the last of its own
     first = {len(v): i + 1 for i, v in enumerate(verts)}
     above = [[w for w in range(first[len(v)], len(verts)) if not m & ~masks[w]] for v, m in zip(verts, masks)]
-    return order_complex(verts, above, budget)
+    return order_complex(verts, above)
 
 
 @dataclass

@@ -4,8 +4,10 @@ Every subcommand prints a human-readable verdict and exits 0 only when all
 checks pass. `--report PATH` writes the byte-stable JSON form; config files
 are key=value lines whose values lose to explicit flags. `suite NAME` runs
 any registered suite; the alias subcommands (`building`, `bar`, `rank2`,
-`bykovskii`, `barset`) run one suite each and are generated, with their
-options, from the tables below.
+`bykovskii`, `barset`) run one suite each and are generated from the table
+below, each with an option per parameter its suite declares in
+`reports.SUITES`. A flag or config key that the suite does not read is a
+usage error.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from . import actions
 from . import bounds as bounds_mod
 from . import building as building_mod
 from . import partsix, reports, zsymbols
-from .errors import TitshomError, UnknownSuite
+from .errors import TitshomError, UnknownParameter, UnknownSuite
 
 
 def _read_config(path: str | None) -> dict:
@@ -44,21 +46,8 @@ def _read_config(path: str | None) -> dict:
 
 
 def _suite_params(config: dict, **flags) -> dict:
-    """Config fills in params the flags left unset; explicit flags win.
-
-    A config key that names no suite parameter is an error, so a misspelt
-    key cannot silently leave its parameter at the default.
-    """
-    unknown = sorted(set(config) - set(_PARAM_KEYS))
-    if unknown:
-        raise click.UsageError(
-            f"unknown config key(s): {', '.join(unknown)}; valid keys: {', '.join(_PARAM_KEYS)}"
-        )
-    params = dict(config)
-    for key, value in flags.items():
-        if value is not None:
-            params[key] = value
-    return params
+    """Config fills in params the flags left unset; explicit flags win."""
+    return {**config, **{key: value for key, value in flags.items() if value is not None}}
 
 
 # suite parameter -> its command-line option; every one is also a config key
@@ -66,20 +55,18 @@ _PARAM_OPTIONS = {
     "n": dict(type=int, help="Ambient rank, or the largest label count (barset)."),
     "q": dict(type=int, help="Field size."),
     "seed": dict(type=int, help="Random seed."),
-    "budget": dict(type=int, help="Cell budget."),
     "count": dict(type=int, help="Random instances."),
     "bases": dict(type=int, help="Random bases per rank."),
     "shape": dict(type=str, help="One augmentation shape tag, or 'all'."),
 }
-_PARAM_KEYS = tuple(_PARAM_OPTIONS)
 
-# alias subcommand (a name in reports.SUITES) -> (help, the parameters it takes)
+# alias subcommand (a name in reports.SUITES) -> its help
 _ALIASES = {
-    "building": ("Top-homology rank and unipotent basis checks for one (n, q).", ("n", "q")),
-    "bar": ("Exactness of the ordered-decomposition complex for one (n, q).", ("n", "q", "budget")),
-    "rank2": ("Rank-2 chamber pairing surjectivity for one q.", ("q",)),
-    "bykovskii": ("Presentation relations: deletion images vanish exactly.", ("seed", "bases")),
-    "barset": ("Restricted partition complexes are spheres; oracle cross-check.", ("n", "seed", "count")),
+    "building": "Top-homology rank and unipotent basis checks for one (n, q).",
+    "bar": "Exactness of the ordered-decomposition complex for one (n, q).",
+    "rank2": "Rank-2 chamber pairing surjectivity for one q.",
+    "bykovskii": "Presentation relations: deletion images vanish exactly.",
+    "barset": "Restricted partition complexes are spheres; oracle cross-check.",
 }
 
 
@@ -107,7 +94,7 @@ def _run(name: str, params: dict, report: str | None, csv: str | None = None,
          stable: bool = False) -> None:
     try:
         rep = reports.run_suite(name, params)
-    except UnknownSuite as exc:
+    except (UnknownSuite, UnknownParameter) as exc:
         raise click.UsageError(str(exc))
     except TitshomError as exc:
         raise click.ClickException(str(exc))
@@ -295,7 +282,7 @@ def bounds(descriptor, mode):
 
 @main.command()
 @click.argument("name")
-@_param_options(_PARAM_KEYS)
+@_param_options(tuple(_PARAM_OPTIONS))
 @click.option("--csv", type=click.Path(dir_okay=False), default=None,
               help="Write the flat CSV projection here.")
 @report_option
@@ -306,8 +293,8 @@ def suite(name, csv, report, stable_timings, config, **flags):
     _run(name, _suite_params(_read_config(config), **flags), report, csv, stable_timings)
 
 
-def _add_alias(name: str, help_text: str, keys: tuple[str, ...]) -> None:
-    @_param_options(keys)
+def _add_alias(name: str, help_text: str) -> None:
+    @_param_options(tuple(reports.SUITES[name].defaults))
     @report_option
     @stable_option
     @config_option
@@ -317,8 +304,8 @@ def _add_alias(name: str, help_text: str, keys: tuple[str, ...]) -> None:
     main.command(name, help=help_text)(alias)
 
 
-for _name, (_help, _keys) in _ALIASES.items():
-    _add_alias(_name, _help, _keys)
+for _name, _help in _ALIASES.items():
+    _add_alias(_name, _help)
 
 
 if __name__ == "__main__":

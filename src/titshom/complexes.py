@@ -38,6 +38,16 @@ Label = Hashable
 CELL_BUDGET = 2_000_000
 
 
+def check_cells(cells: int, what: str) -> None:
+    """Raise BudgetExceeded when `cells` cells of `what` exceed CELL_BUDGET.
+
+    Every enumeration calls this with a count it has before allocating the
+    cells; the constant is read at call time, so patching it reaches them all.
+    """
+    if cells > CELL_BUDGET:
+        raise BudgetExceeded(f"{cells} {what} exceed budget {CELL_BUDGET}")
+
+
 def canonical_generator(tokens: Sequence) -> tuple[tuple | None, int]:
     """Sort tokens, tracking permutation parity: (sorted tokens, sign).
 
@@ -174,7 +184,7 @@ def check_dd(cx: ChainComplexZ) -> ChainComplexZ:
     return cx
 
 
-def order_complex(vertices: list[Label], above: list[list[int]], budget: int) -> ChainComplexZ:
+def order_complex(vertices: list[Label], above: list[list[int]]) -> ChainComplexZ:
     """Reduced order complex of a finite poset, written as it is grown.
 
     Degree -1 holds the empty chain and degree k the chains v_0 < ... < v_k,
@@ -183,8 +193,8 @@ def order_complex(vertices: list[Label], above: list[list[int]], budget: int) ->
     vertex at a time with alternating signs: the parent is the face without
     the last vertex, the other faces are looked up in the parents' index,
     freed with them, and d o d = 0 is checked by `check_dd`. Labels are vertex
-    tuples. Raises BudgetExceeded before allocating the degree that would
-    take the cells past `budget`.
+    tuples. `check_cells` runs before each degree is allocated, on the cells
+    of that degree and all below it.
     """
     bases: dict[int, list] = {-1: [()]}
     boundary = {-1: SparseIntMatrix(0, 1)}
@@ -195,8 +205,7 @@ def order_complex(vertices: list[Label], above: list[list[int]], budget: int) ->
         if not size:
             break
         total += size
-        if total > budget:
-            raise BudgetExceeded(f"order complex cells exceed budget {budget}")
+        check_cells(total, "order complex cells")
         boundary[deg] = SparseIntMatrix(len(chains), size)
         rows = boundary[deg].rows
         index = {ch: r for r, ch in enumerate(chains)}
@@ -221,22 +230,15 @@ def _face_rule(chain: tuple) -> dict[tuple, int]:
 
 
 def homology(cx: ChainComplexZ, d: int) -> HomologyGroup:
-    """Homology at degree d.
-
-    H_d depends only on the maps into and out of degree d, so only the
-    window of degrees d-1, d and d+1 is coreduced. Its Morse complex has
-    the same H_d; the Smith divisors of the Morse boundaries around d give
-    betti = #critical_d - rank(M_d) - rank(M_{d+1}) and the torsion.
-    """
+    """Homology at degree d, read off `homology_profile`."""
     if d not in cx.basis:
         raise DegreeOutOfRange(f"degree {d} not in complex")
-    window = [e for e in (d - 1, d, d + 1) if e in cx.basis]
-    return _smith_homology(_morse_complex(cx, window))[d]
+    return homology_profile(cx)[d]
 
 
 def homology_profile(cx: ChainComplexZ) -> dict[int, HomologyGroup]:
     """Homology at every degree: coreduce the whole complex, then Smith forms."""
-    return _smith_homology(_morse_complex(cx, cx.degrees))
+    return _smith_homology(_morse_complex(cx))
 
 
 def _smith_homology(mc: ChainComplexZ) -> dict[int, HomologyGroup]:
@@ -258,21 +260,20 @@ def _smith_homology(mc: ChainComplexZ) -> dict[int, HomologyGroup]:
     return out
 
 
-def _morse_complex(cx: ChainComplexZ, degrees: list[int]) -> ChainComplexZ:
-    """Coreduce the given degrees of cx to their Morse complex.
+def _morse_complex(cx: ChainComplexZ) -> ChainComplexZ:
+    """Coreduce cx to its Morse complex, which has the same homology.
 
-    Maps leaving `degrees` (the lowest one's map down, the highest one's
-    map up) are ignored, so the result has the homology of cx at every
-    degree whose maps in and out stay within `degrees`. A cell b whose
-    only remaining face a has incidence +-1 is removed with a (Mrozek and
-    Batko's coreduction); when no such pair is left, the lowest remaining
-    cell has no remaining face and is critical. Every removed cell gets an
-    increasing stamp. The pairs form an acyclic matching, and the critical
-    cells with the boundaries `_gradient_flow` computes are a complex of
-    the same homology (Skoeldberg's algebraic Morse theory). Its basis
-    holds the critical labels of each degree, in basis order; a boundary
-    is stored only where both degrees hold critical cells.
+    A cell b whose only remaining face a has incidence +-1 is removed with
+    a (Mrozek and Batko's coreduction); when no such pair is left, the
+    lowest remaining cell has no remaining face and is critical. Every
+    removed cell gets an increasing stamp. The pairs form an acyclic
+    matching, and the critical cells with the boundaries `_gradient_flow`
+    computes are a complex of the same homology (Skoeldberg's algebraic
+    Morse theory). Its basis holds the critical labels of each degree, in
+    basis order; a boundary is stored only where both degrees hold
+    critical cells.
     """
+    degrees = cx.degrees
     offset: dict[int, int] = {}
     cells = 0
     for d in degrees:

@@ -82,3 +82,7 @@ class IntegralModeNonTypeA(TitshomError):
 
 class UnknownSuite(TitshomError):
     """Requested check suite is not registered."""
+
+
+class UnknownParameter(TitshomError):
+    """A check suite was given a parameter it does not read."""

@@ -27,20 +27,19 @@ from itertools import combinations, permutations, product
 from math import comb
 
 from .complexes import (
-    CELL_BUDGET,
     _face_rule,
     ChainComplexZ,
     HomologyGroup,
     add_term,
     assemble_complex,
     canonical_generator,
+    check_cells,
     homology_profile,
     linear_extend,
     merge_canonical,
     order_complex,
 )
 from .errors import (
-    BudgetExceeded,
     CertificateFailure,
     IdentityViolation,
     NotSpanning,
@@ -121,13 +120,12 @@ def _block_complex(units: tuple, keep) -> ChainComplexZ:
     Each unordered partition of the units gives the blocks of its members,
     each block sorted; when `keep(blocks)` holds, every ordering of them is
     a cell of degree (number of blocks) - 2. The k!*S(d, k) ordered
-    partitions of the d units bound the cells and are compared with
-    CELL_BUDGET before any partition is enumerated.
+    partitions of the d units bound the cells and go to `check_cells`
+    before any partition is enumerated.
     """
     d = len(units)
     cells = sum(ordered_partition_count(d, k) for k in range(1, d + 1))
-    if cells > CELL_BUDGET:
-        raise BudgetExceeded(f"{cells} partition cells exceed budget {CELL_BUDGET}")
+    check_cells(cells, "partition cells")
     bases: dict[int, list] = {}
     for part in _unordered_partitions(units):
         blocks = [tuple(sorted(x for unit in blk for x in unit)) for blk in part]
@@ -145,7 +143,7 @@ def w_poset_complex(d: int) -> ChainComplexZ:
         key=sorted,
     )
     above = [[j for j, t in enumerate(subsets) if s < t] for s in subsets]
-    return order_complex(subsets, above, CELL_BUDGET)
+    return order_complex(subsets, above)
 
 
 def zcomplex_poset_iso(zc: ZSetComplex) -> dict:
@@ -282,8 +280,8 @@ def x_localized(lines, q: int | None = None) -> ChainComplexZ:
     candidates are the unordered partitions of `line_components`, not of
     the lines. Each candidate still passes `_blocks_decompose` and each
     block of a kept cell `recognize_apf`. The ordered partitions of the
-    components bound the cells and are compared with CELL_BUDGET before
-    any is enumerated.
+    components bound the cells and go to `check_cells` before any is
+    enumerated.
     """
     normalized = tuple(sorted(normalize_line(v)[0] for v in lines))
     if not normalized:
@@ -310,19 +308,6 @@ def x_localized(lines, q: int | None = None) -> ChainComplexZ:
 
 
 # -- formal cell operations (independent of any assembled complex) -------------
-
-
-def cell_canonical(blocks) -> tuple[tuple | None, int]:
-    """Canonical cell key (each block sorted) with the product sign."""
-    sign = 1
-    out = []
-    for block in blocks:
-        tokens, s = canonical_generator(tuple(block))
-        if not s:
-            return None, 0
-        out.append(tokens)
-        sign *= s
-    return tuple(out), sign
 
 
 def block_delta(block: tuple[Vector, ...]) -> dict[tuple[Vector, ...], int]:
@@ -420,7 +405,11 @@ def _random_shape_lines(n: int, basis, rng: random.Random):
 
 
 def _random_valid_cell(lines, groups, rng: random.Random):
-    """Random ordered coarsening of the unit partition, as a canonical cell."""
+    """Random ordered coarsening of the unit partition, as a canonical cell.
+
+    The lines are distinct, so each block, a sorted tuple of them, is
+    already canonical with sign +1.
+    """
     blocks: list[list[int]] = []
     for g in groups:
         if blocks and rng.random() < 0.5:
@@ -430,10 +419,7 @@ def _random_valid_cell(lines, groups, rng: random.Random):
     rng.shuffle(blocks)
     cell = tuple(tuple(sorted(lines[i] for i in blk)) for blk in blocks)
     n = len(lines[0])
-    if not _blocks_decompose(cell, n):
-        return None
-    key, sign = cell_canonical(cell)
-    return key if sign else None
+    return cell if _blocks_decompose(cell, n) else None
 
 
 # -- shapes, claims, and the kappa/eta certificate ------------------------------

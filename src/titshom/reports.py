@@ -4,6 +4,7 @@ A suite is a named list of checks; each check freezes an expected value and
 computes an actual one, passing only on exact equality. Checks run one after
 another in declaration order, so a report's bytes depend only on its
 parameters (elapsed times can be zeroed for byte-identical comparisons).
+`SUITES` declares the parameters each suite reads, with their defaults.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Callable
 
 from . import actions, barres, bounds, building, partsix, snf, zsymbols
 from .complexes import homology_profile, linear_extend
-from .errors import UnknownSuite
+from .errors import UnknownParameter, UnknownSuite
 from .intmat import SparseIntMatrix
 
 SCHEMA_VERSION = 1
@@ -115,8 +116,32 @@ def _jsonable(value):
     return str(value)
 
 
+@dataclass(frozen=True)
+class Suite:
+    """A suite's check factory and the parameters it reads, with defaults."""
+
+    build: Callable[..., list[CheckSpec]]
+    defaults: dict
+
+    def __call__(self, params: dict) -> list[CheckSpec]:
+        """Build the checks; params gains the defaults of the keys it lacks.
+
+        A key the suite does not read raises UnknownParameter, so a flag or
+        config key that would change nothing is refused, not recorded.
+        """
+        unknown = sorted(set(params) - set(self.defaults))
+        if unknown:
+            raise UnknownParameter(
+                f"unknown parameter(s): {', '.join(unknown)}; "
+                f"valid keys: {', '.join(self.defaults) or 'none'}"
+            )
+        for key, value in self.defaults.items():
+            params.setdefault(key, value)
+        return self.build(**params)
+
+
 def run_suite(name: str, params: dict | None = None) -> SuiteReport:
-    """Execute a registered suite's checks in order."""
+    """Execute a registered suite's checks in order, recording its params."""
     if name not in SUITES:
         raise UnknownSuite(f"no suite named {name!r}; choose from {sorted(SUITES)}")
     params = dict(params or {})
@@ -136,10 +161,7 @@ def _execute(spec: CheckSpec) -> CheckResult:
 # -- the individual suites -----------------------------------------------------
 
 
-def _suite_linalg(params: dict) -> list[CheckSpec]:
-    seed = params.setdefault("seed", 0)
-    count = params.setdefault("count", 60)
-
+def _suite_linalg(seed: int, count: int) -> list[CheckSpec]:
     def run_matrices() -> dict:
         rng = random.Random(seed)
         mismatches = 0
@@ -206,9 +228,7 @@ def _minor(dense, ridx, cidx) -> int:
     return zsymbols.det_int(sub)
 
 
-def _suite_building(params: dict) -> list[CheckSpec]:
-    n = params.setdefault("n", 3)
-    q = params.setdefault("q", 2)
+def _suite_building(n: int, q: int) -> list[CheckSpec]:
     st_rank = q ** (n * (n - 1) // 2)
 
     def top_homology() -> dict:
@@ -241,17 +261,9 @@ def _suite_building(params: dict) -> list[CheckSpec]:
     ]
 
 
-def _suite_bar(params: dict) -> list[CheckSpec]:
-    n = params.setdefault("n", 2)
-    q = params.setdefault("q", 3)
-    budget = params.get("budget")
-
+def _suite_bar(n: int, q: int) -> list[CheckSpec]:
     def exactness() -> dict:
-        rep = (
-            barres.verify_bar_exactness(n, q)
-            if budget is None
-            else barres.verify_bar_exactness(n, q, budget)
-        )
+        rep = barres.verify_bar_exactness(n, q)
         return {
             "ok": rep["ok"],
             "top_kernel_rank": rep["top_kernel_rank"],
@@ -269,9 +281,7 @@ def _suite_bar(params: dict) -> list[CheckSpec]:
     ]
 
 
-def _suite_rank2(params: dict) -> list[CheckSpec]:
-    q = params.setdefault("q", 2)
-
+def _suite_rank2(q: int) -> list[CheckSpec]:
     def surjectivity() -> dict:
         rep = barres.rank2_e1_surjectivity(q)
         return {
@@ -296,7 +306,7 @@ def _suite_rank2(params: dict) -> list[CheckSpec]:
     ]
 
 
-def _suite_coinv(params: dict) -> list[CheckSpec]:
+def _suite_coinv() -> list[CheckSpec]:
     cases = [
         ("gl", 2, 2),
         ("gl", 2, 3),
@@ -334,10 +344,7 @@ def _suite_coinv(params: dict) -> list[CheckSpec]:
     return specs
 
 
-def _suite_symbols(params: dict) -> list[CheckSpec]:
-    seed = params.setdefault("seed", 0)
-    count = params.setdefault("count", 30)
-
+def _suite_symbols(seed: int, count: int) -> list[CheckSpec]:
     def reduction_batch(n: int) -> Callable[[], dict]:
         def run() -> dict:
             rng = random.Random(seed + n)
@@ -376,10 +383,7 @@ def _suite_symbols(params: dict) -> list[CheckSpec]:
     ]
 
 
-def _suite_bykovskii(params: dict) -> list[CheckSpec]:
-    seed = params.setdefault("seed", 0)
-    bases = params.setdefault("bases", 10)
-
+def _suite_bykovskii(seed: int, bases: int) -> list[CheckSpec]:
     def x1_zero(n: int) -> Callable[[], int]:
         def run() -> int:
             rng = random.Random(seed + n)
@@ -457,20 +461,16 @@ def _x2_instances(rng: random.Random):
             yield partsix.shape_lines(shape, n, eps[:n], basis)[0]
 
 
-def _suite_barset(params: dict) -> list[CheckSpec]:
-    max_size = params.setdefault("n", 5)
-    seed = params.setdefault("seed", 0)
-    randoms = params.setdefault("count", 10)
-
+def _suite_barset(n: int, seed: int, count: int) -> list[CheckSpec]:
     def check_size() -> None:
-        if max_size < 1:
-            raise ValueError(f"barset needs n >= 1, got n={max_size}")
+        if n < 1:
+            raise ValueError(f"barset needs n >= 1, got n={n}")
 
     def exhaustive() -> dict:
         check_size()
         instances = 0
         failures = 0
-        for size in range(1, max_size + 1):
+        for size in range(1, n + 1):
             for sizes in _partition_multisets(size):
                 rsets, at = [], 0
                 for k in sizes:
@@ -488,27 +488,27 @@ def _suite_barset(params: dict) -> list[CheckSpec]:
         check_size()
         rng = random.Random(seed)
         failures = 0
-        for _ in range(randoms):
-            labels, rsets = partsix.random_restriction(max_size + 2, rng)
+        for _ in range(count):
+            labels, rsets = partsix.random_restriction(n + 2, rng)
             zc = partsix.zcomplex(labels, rsets)
             if not partsix.zcomplex_is_spherical(zc):
                 failures += 1
                 continue
             partsix.zcomplex_poset_iso(zc)
-        return {"instances": randoms, "failures": failures}
+        return {"instances": count, "failures": failures}
 
-    expected_instances = sum(len(_partition_multisets(s)) for s in range(1, max_size + 1))
+    expected_instances = sum(len(_partition_multisets(s)) for s in range(1, n + 1))
     return [
         CheckSpec(
             "block-partition-homology-spherical",
-            f"restricted partition complexes on at most {max_size} labels are spheres",
+            f"restricted partition complexes on at most {n} labels are spheres",
             {"instances": expected_instances, "failures": 0},
             exhaustive,
         ),
         CheckSpec(
             "block-partition-random-instances",
-            f"{randoms} random restriction instances on {max_size + 2} labels are spheres",
-            {"instances": randoms, "failures": 0},
+            f"{count} random restriction instances on {n + 2} labels are spheres",
+            {"instances": count, "failures": 0},
             randomized,
         ),
     ]
@@ -524,11 +524,7 @@ def _partition_multisets(total: int) -> list[tuple[int, ...]]:
     return sorted(set(parts(total, 1)))
 
 
-def _suite_part6(params: dict) -> list[CheckSpec]:
-    n = params.setdefault("n", 4)
-    shape = params.setdefault("shape", "all")
-    samples = params.setdefault("count", 80)
-    seed = params.setdefault("seed", 0)
+def _suite_part6(n: int, shape: str, count: int, seed: int) -> list[CheckSpec]:
     frozen = 37 if (shape == "all" and n == 4) else None
 
     def claims() -> dict:
@@ -543,7 +539,7 @@ def _suite_part6(params: dict) -> list[CheckSpec]:
         return {"ok": out["ok"], "final_step": out["steps"][-1]}
 
     def identities() -> dict:
-        out = partsix.verify_double_identities(samples=samples, seed=seed)
+        out = partsix.verify_double_identities(samples=count, seed=seed)
         return {"cells": out["cells"], "ok": out["ok"]}
 
     expected_claims = {"failures": 0}
@@ -565,13 +561,13 @@ def _suite_part6(params: dict) -> list[CheckSpec]:
         CheckSpec(
             "double-complex-identities",
             "product rule and boundary squares on random localized cells",
-            {"cells": samples, "ok": True},
+            {"cells": count, "ok": True},
             identities,
         ),
     ]
 
 
-def _suite_bounds(params: dict) -> list[CheckSpec]:
+def _suite_bounds() -> list[CheckSpec]:
     golden = [
         ("A1", "field", 0),
         ("A2", "field", 0),
@@ -617,15 +613,15 @@ def _suite_bounds(params: dict) -> list[CheckSpec]:
     ]
 
 
-SUITES: dict[str, Callable[[dict], list[CheckSpec]]] = {
-    "linalg": _suite_linalg,
-    "building": _suite_building,
-    "bar": _suite_bar,
-    "rank2": _suite_rank2,
-    "coinv": _suite_coinv,
-    "symbols": _suite_symbols,
-    "bykovskii": _suite_bykovskii,
-    "barset": _suite_barset,
-    "part6": _suite_part6,
-    "bounds": _suite_bounds,
+SUITES: dict[str, Suite] = {
+    "linalg": Suite(_suite_linalg, {"seed": 0, "count": 60}),
+    "building": Suite(_suite_building, {"n": 3, "q": 2}),
+    "bar": Suite(_suite_bar, {"n": 2, "q": 3}),
+    "rank2": Suite(_suite_rank2, {"q": 2}),
+    "coinv": Suite(_suite_coinv, {}),
+    "symbols": Suite(_suite_symbols, {"seed": 0, "count": 30}),
+    "bykovskii": Suite(_suite_bykovskii, {"seed": 0, "bases": 10}),
+    "barset": Suite(_suite_barset, {"n": 5, "seed": 0, "count": 10}),
+    "part6": Suite(_suite_part6, {"n": 4, "shape": "all", "count": 80, "seed": 0}),
+    "bounds": Suite(_suite_bounds, {}),
 }

@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from titshom import barres
+from titshom import barres, complexes
 from titshom.actions import coinvariant_relations, permutation_matrix_int, st_action_matrix, tensor_matrix
 from titshom.barres import (
     bar_cell_count,
@@ -181,9 +181,10 @@ def test_bar_ranks_1_2():
     assert rep["ok"]
 
 
-def test_bar_budget_enforced():
+def test_bar_budget_enforced(monkeypatch):
+    monkeypatch.setattr(complexes, "CELL_BUDGET", 50)
     with pytest.raises(BudgetExceeded):
-        bar_complex_fq(3, 2, budget=50)
+        bar_complex_fq(3, 2)
 
 
 @pytest.mark.parametrize("n, q, cells", [(5, 2, 28_475_392), (4, 3, 2_807_379)])

@@ -125,47 +125,37 @@ def test_building_chambers_are_q_factorial(n, q, chambers):
     assert cx.dim(-1) == 1 and cx.dim(n - 1) == 0
 
 
-def test_building_budget():
+def test_building_budget(monkeypatch):
+    monkeypatch.setattr(complexes, "CELL_BUDGET", 10)
     with pytest.raises(BudgetExceeded):
-        building_complex(4, 2, budget=10)
-
-
-def _record_matrix_widths(monkeypatch) -> list[int]:
-    """Column counts of the matrices `complexes` allocates, in order."""
-    widths: list[int] = []
-
-    class Recorded(SparseIntMatrix):
-        __slots__ = ()
-
-        def __init__(self, n_rows, n_cols, rows=None):
-            widths.append(n_cols)
-            super().__init__(n_rows, n_cols, rows)
-
-    monkeypatch.setattr(complexes, "SparseIntMatrix", Recorded)
-    return widths
+        building_complex(4, 2)
 
 
 @pytest.mark.parametrize("n, q", [(3, 2), (4, 2)])
-def test_building_budget_threshold(monkeypatch, n, q):
+def test_building_budget_threshold(monkeypatch, matrix_widths, n, q):
     # a budget of exactly the cell count builds; one less raises before the
     # top degree's boundary, allocated with its chain lists, exists
     dims = [building_complex(n, q).dim(d) for d in range(-1, n - 1)]
-    widths = _record_matrix_widths(monkeypatch)
-    assert building_complex(n, q, budget=sum(dims)).dim(n - 2) == dims[-1]
-    assert widths == dims
-    widths.clear()
+    matrix_widths.clear()
+    monkeypatch.setattr(complexes, "CELL_BUDGET", sum(dims))
+    assert building_complex(n, q).dim(n - 2) == dims[-1]
+    assert matrix_widths == dims
+    matrix_widths.clear()
+    monkeypatch.setattr(complexes, "CELL_BUDGET", sum(dims) - 1)
     with pytest.raises(BudgetExceeded):
-        building_complex(n, q, budget=sum(dims) - 1)
-    assert widths == dims[:-1]
+        building_complex(n, q)
+    assert matrix_widths == dims[:-1]
 
 
-def test_building_budget_without_edges(monkeypatch):
-    # the 6 lines of F_5^2 are all vertices and no edges: 7 cells
-    widths = _record_matrix_widths(monkeypatch)
-    with pytest.raises(BudgetExceeded):
-        building_complex(2, 5, budget=3)
-    assert widths == [1]
-    assert building_complex(2, 5, budget=7).dim(0) == 6
+def test_building_budget_without_edges(monkeypatch, matrix_widths):
+    # the 6 lines of F_5^2 are all vertices and no edges: 7 cells; at a
+    # budget of 3 the line count raises in `subspaces`, before any matrix
+    monkeypatch.setattr(complexes, "CELL_BUDGET", 3)
+    with pytest.raises(BudgetExceeded, match="^6 subspaces"):
+        building_complex(2, 5)
+    assert matrix_widths == []
+    monkeypatch.setattr(complexes, "CELL_BUDGET", 7)
+    assert building_complex(2, 5).dim(0) == 6
 
 
 @pytest.mark.parametrize("n, q", [(2, 4), (3, 2), (3, 3)])

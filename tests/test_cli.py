@@ -117,7 +117,7 @@ def test_suite_report_matches_golden(name):
     "name, flags",
     [
         ("building", ["--n", "2", "--q", "3"]),
-        ("bar", ["--n", "2", "--q", "2", "--budget", "5000"]),
+        ("bar", ["--n", "2", "--q", "2"]),
         ("rank2", ["--q", "2"]),
         ("bykovskii", ["--seed", "3", "--bases", "1"]),
         ("barset", ["--n", "3", "--seed", "1", "--count", "2"]),
@@ -157,11 +157,35 @@ def test_config_fills_unset_flags(tmp_path):
 def test_config_rejects_unknown_keys(tmp_path, line):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(f"seed = 1\n{line}\n")
-    res = runner.invoke(main, ["suite", "bounds", "--config", str(cfg)])
+    res = runner.invoke(main, ["suite", "symbols", "--config", str(cfg)])
     assert res.exit_code == 2
     key = line.split("=")[0].strip()
-    assert f"unknown config key(s): {key}" in res.output
-    assert "valid keys: n, q, seed, budget, count, bases, shape" in res.output
+    assert f"unknown parameter(s): {key};" in res.output
+    assert "valid keys: seed, count" in res.output
+
+
+@pytest.mark.parametrize(
+    "args, key, valid",
+    [
+        (["suite", "coinv", "--n", "3"], "n", "none"),
+        (["suite", "building", "--n", "2", "--q", "2", "--seed", "1"], "seed", "n, q"),
+        (["suite", "bar", "--shape", "x1-i"], "shape", "n, q"),
+    ],
+    ids=["coinv-n", "building-seed", "bar-shape"],
+)
+def test_suite_rejects_a_flag_it_does_not_read(tmp_path, args, key, valid):
+    rep_path = tmp_path / "r.json"
+    res = runner.invoke(main, args + ["--report", str(rep_path)])
+    assert res.exit_code == 2, res.output
+    assert f"unknown parameter(s): {key}; valid keys: {valid}" in res.output
+    assert not rep_path.exists()
+
+
+@pytest.mark.parametrize("args", [["suite", "bar"], ["bar"]], ids=["suite-bar", "bar"])
+def test_budget_is_not_a_flag(args):
+    res = runner.invoke(main, args + ["--budget", "5"])
+    assert res.exit_code == 2
+    assert "No such option '--budget'" in res.output
 
 
 def test_config_rejects_garbage(tmp_path):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from titshom import actions
+from titshom import actions, barres, building, complexes, partsix
 from titshom.actions import group_homology, trivial_action
 from titshom.barres import bar_complex_fq
 from titshom.building import building_complex, subspaces
@@ -27,7 +27,7 @@ from titshom.complexes import (
     homology_profile,
     merge_canonical,
 )
-from titshom.errors import DDNotZero, DegreeOutOfRange
+from titshom.errors import BudgetExceeded, DDNotZero, DegreeOutOfRange
 from titshom.intmat import SparseIntMatrix
 from titshom.fqfield import field
 from titshom.partsix import SHAPES, shape_arity, shape_lines, w_poset_complex, x_localized, zcomplex
@@ -401,6 +401,52 @@ def test_complex_holding_only_degree_minus_one():
 
 
 def test_pm_two_complex_keeps_its_torsion_at_every_window():
-    # degrees 0 and 2 are the ends, where the window holds two degrees
+    # degrees 0 and 2 are the ends, each with one map
     cx = pm_two_complex()
     assert [homology(cx, d) for d in (0, 1, 2)] == [HomologyGroup(0, (2,)), HomologyGroup(0, (2,)), HomologyGroup(0, ())]
+
+
+def _refuse(*args):
+    raise AssertionError("enumeration started")
+
+
+# builder -> (the cell count it checks against CELL_BUDGET, the enumerations
+# that must not start when that count is over the budget)
+BUDGETED = {
+    "subspaces-4-2-2": (lambda: subspaces(4, 2, 2), 35, [(building, "product")]),
+    "building_complex-3-3": (lambda: building_complex(3, 3), 79, []),
+    "bar_complex_fq-2-3": (
+        lambda: bar_complex_fq(2, 3),
+        15,
+        [(barres, "steinberg"), (barres, "ordered_decompositions")],
+    ),
+    "zcomplex-5": (lambda: zcomplex(range(5)), 541, [(partsix, "_unordered_partitions")]),
+    # four matroid components bound the cells by 75 ordered partitions
+    "x_localized-x1-i": (
+        lambda: x_localized(shape_lines("x1-i", 5, (1, -1))[0], 1),
+        75,
+        [(partsix, "_unordered_partitions")],
+    ),
+    "w_poset_complex-5": (lambda: w_poset_complex(5), 541, []),
+    "group_homology-z2-2": (
+        lambda: group_homology(*_cyclic(2), trivial_action(1), 1, 2),
+        15,
+        [(actions, "assemble_complex")],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUDGETED))
+def test_cell_budget_raises_before_allocating(monkeypatch, matrix_widths, name):
+    # one patch point reaches every enumeration: one cell short raises on the
+    # count, before the enumeration starts or the last degree's matrix exists
+    build, cells, refused = BUDGETED[name]
+    monkeypatch.setattr(complexes, "CELL_BUDGET", cells - 1)
+    with monkeypatch.context() as m:
+        for module, attr in refused:
+            m.setattr(module, attr, _refuse)
+        with pytest.raises(BudgetExceeded, match=f"^{cells} "):
+            build()
+    assert sum(matrix_widths) < cells
+    monkeypatch.setattr(complexes, "CELL_BUDGET", cells)
+    build()

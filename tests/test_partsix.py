@@ -32,7 +32,6 @@ from titshom.partsix import (
     _class_report,
     block_delta,
     cell_bar_boundary,
-    cell_canonical,
     cell_delta,
     kappa_eta_certificate,
     line_components,
@@ -97,43 +96,6 @@ def test_w_poset_cells_count_ordered_partitions(d, fubini):
     assert wc.degrees == zc.cx.degrees == list(range(-1, d - 1))
     for k in range(1, d + 1):
         assert ordered_partition_count(d, k) == wc.dim(k - 2) == zc.cx.dim(k - 2)
-
-
-def test_w_poset_complex_budget(monkeypatch):
-    monkeypatch.setattr(partsix, "CELL_BUDGET", 540)
-    with pytest.raises(BudgetExceeded):
-        w_poset_complex(5)
-    monkeypatch.setattr(partsix, "CELL_BUDGET", 541)
-    assert w_poset_complex(5).dim(3) == 120
-
-
-_X1_I_LINES = shape_lines("x1-i", 5, (1, -1))[0]
-
-
-@pytest.mark.parametrize(
-    "build, count, top",
-    [
-        # zcomplex(range(5)) has 541 cells
-        (lambda: zcomplex(range(5)).cx, 541, 120),
-        # four matroid components bound the cells by 75 ordered partitions
-        (lambda: x_localized(_X1_I_LINES, 1), 75, 24),
-    ],
-    ids=["zcomplex-5", "x_localized-x1-i"],
-)
-def test_zcomplex_budget(monkeypatch, build, count, top):
-    # the closed count is checked before the partitions are enumerated
-    monkeypatch.setattr(partsix, "CELL_BUDGET", count - 1)
-    with monkeypatch.context() as m:
-        m.setattr(partsix, "_unordered_partitions", _refuse)
-        with pytest.raises(BudgetExceeded):
-            build()
-    monkeypatch.setattr(partsix, "CELL_BUDGET", count)
-    cx = build()
-    assert cx.dim(cx.degrees[-1]) == top
-
-
-def _refuse(*args):
-    raise AssertionError("enumeration started")
 
 
 def _broken_copy(zc, degree, edit):
@@ -373,8 +335,6 @@ def test_block_delta_frozen():
 
 
 def test_cell_ops_frozen():
-    key, sign = cell_canonical(((((1, 0)),), ((0, 1),)))
-    assert sign == 1
     two = (((0, 1),), ((1, 0),))
     merged = cell_bar_boundary(two)
     assert merged == {(((0, 1), (1, 0)),): 1}

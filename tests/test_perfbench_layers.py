@@ -1,27 +1,41 @@
-"""Every library name that perfbench/layers.py traces still resolves.
+"""What perfbench/ reads of the library still resolves.
 
-The benchmark's tracer rebinds these names from outside the library, so a
-rename in `src/` would otherwise surface only in the slow perfbench suite.
+The benchmark's tracer rebinds traced names from outside the library, and
+its workloads pass parameters to the suites, so a rename or a dropped
+parameter in `src/` would otherwise surface only in the slow perfbench suite.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 
-LAYERS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+from titshom import reports
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_layers():
-    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS_PATH)
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_traced_name_resolves():
-    layers = _load_layers()
+    layers = _load("layers")
     paths = [path for group in layers.LAYERS.values() for path in group]
     assert paths and set(layers.ENGINE_INPUTS) <= set(paths)
     for path in paths:
         assert callable(layers._resolve(path)[2]), path
     for path in layers.MEMO_CACHES:
         assert callable(layers._resolve(path)[2].cache_info), path
+
+
+def test_every_workload_passes_only_parameters_its_suite_reads():
+    workloads = _load("workloads")
+    for ops in workloads.WORKLOADS.values():
+        for op in ops:
+            if isinstance(op, workloads.Suite):
+                params = dict(op.params, seed=1) if op.seeded else dict(op.params)
+                assert reports.SUITES[op.name](params), op  # builds the checks, runs none
