@@ -27,6 +27,8 @@ from .errors import TitshomError, UnknownParameter, UnknownSuite
 
 
 def _read_config(path: str | None) -> dict:
+    """key=value lines, each value converted by the type of its option; a
+    key with no option stays a string, for the suite to refuse by name."""
     if not path:
         return {}
     out: dict = {}
@@ -37,11 +39,14 @@ def _read_config(path: str | None) -> dict:
         if "=" not in line:
             raise click.BadParameter(f"expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
-        value = value.strip().strip('"')
+        key, value = key.strip(), value.strip().strip('"')
+        convert = _PARAM_OPTIONS.get(key, {}).get("type", str)
         try:
-            out[key.strip()] = int(value)
+            out[key] = convert(value)
         except ValueError:
-            out[key.strip()] = value
+            raise click.UsageError(
+                f"config key {key!r}: {value!r} is not of type {convert.__name__}"
+            ) from None
     return out
 
 

@@ -12,11 +12,12 @@ X-degree differentials forming a double complex.
 A partition of lines is rank-additive exactly when each block is a
 separator of the lines' matroid over Q, that is a union of its connected
 components (Oxley, *Matroid Theory*, ch. 4). So `x_localized` finds the
-components from ranks alone and enumerates only their coarsenings, each of
-which must still pass the unimodular decomposition test. Both complexes
-come from `_block_complex`, whose boundary rule `cell_bar_boundary` merges
-adjacent canonical blocks with `merge_canonical`, with no re-sort of the
-concatenation, and returns a sparse chain.
+components from the lines' fundamental circuits and enumerates only their
+coarsenings, each of which must still pass the unimodular decomposition
+test. Both complexes come from `_block_complex`, whose boundary rule
+`cell_bar_boundary` merges adjacent canonical blocks with
+`merge_canonical`, with no re-sort of the concatenation, and returns a
+sparse chain.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ from .zsymbols import (
     random_unimodular_basis,
     rank_rows,
     recognize_apf,
+    row_relations,
     saturate_rows,
 )
 
@@ -239,18 +241,15 @@ def _blocks_decompose(blocks, n: int) -> bool:
 
 
 def line_components(lines) -> tuple[tuple[Vector, ...], ...]:
-    """Connected components of the lines' matroid over Q, from ranks alone.
+    """Connected components of the lines' matroid over Q.
 
-    A greedy basis B is taken in the given order. A line e outside B shares
-    a circuit with each b in B that it can replace (B - b + e keeps the
-    rank): that is e's fundamental circuit, and the components are the
-    classes of the union of these circuits. Components are listed by their
-    first line and keep the given order inside.
+    A greedy basis B is taken in the given order. A line e that B already
+    spans has one integer relation with B, and its support is e's
+    fundamental circuit; the components are the classes of the union of
+    these circuits. Components are listed by their first line and keep the
+    given order inside.
     """
     basis: list[int] = []
-    for i, v in enumerate(lines):
-        if rank_rows([lines[j] for j in basis] + [v]) > len(basis):
-            basis.append(i)
     parent = list(range(len(lines)))
 
     def find(i: int) -> int:
@@ -259,10 +258,13 @@ def line_components(lines) -> tuple[tuple[Vector, ...], ...]:
             i = parent[i]
         return i
 
-    for e in (i for i in range(len(lines)) if i not in basis):
-        for b in basis:
-            swapped = [lines[j] for j in basis if j != b] + [lines[e]]
-            if rank_rows(swapped) == len(basis):
+    for e, v in enumerate(lines):
+        relation = row_relations([lines[b] for b in basis] + [v])
+        if not relation.n_cols:
+            basis.append(e)
+            continue
+        for b, used in zip(basis, relation.rows):
+            if used:
                 parent[find(b)] = find(e)
     comps: dict[int, list] = {}
     for i, v in enumerate(lines):

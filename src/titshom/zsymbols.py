@@ -6,11 +6,11 @@ descent rewrites any symbol as a sum of unimodular ones. The X-degree
 machinery (augmented partial frames, deletion differential, the map to
 Steinberg chains) lives here too.
 
-Rank, saturation and the summand test for a few rows in Z^n run on one
-small dense column echelon over tuples (`_echelon`), which tracks V^-1 as
-it goes; determinants decide the rest: a square set of rows spans exactly
-when its determinant is nonzero, and e_k lies in a full-rank lattice
-exactly when Cramer's rule gives it integer coordinates.
+Rank, saturation, the summand test and the integer relations among a few
+rows in Z^n run on the one elimination core in `snf`; determinants decide
+the rest: a square set of rows spans exactly when its determinant is
+nonzero, and e_k lies in a full-rank lattice exactly when Cramer's rule
+gives it integer coordinates.
 """
 
 from __future__ import annotations
@@ -21,10 +21,11 @@ from functools import lru_cache
 from itertools import combinations, product
 from math import gcd
 
+from . import snf
 from .building import apartment_chain
 from .complexes import add_term, canonical_generator, linear_extend
 from .errors import BudgetExceeded, DegreeZero, IdentityViolation, ZeroVector
-from .snf import _nearest_quotient
+from .intmat import SparseIntMatrix
 
 Vector = tuple[int, ...]
 Lattice = tuple[Vector, ...]  # rows in Hermite normal form
@@ -115,76 +116,29 @@ def row_hnf(rows) -> Lattice:
     return tuple(tuple(row) for row in work[:r])
 
 
-def _echelon(rows) -> tuple[list[tuple[int, int]], list[list[int]]]:
-    """Column echelon E = A*V of the row matrix A, with the rows of W = V^-1.
-
-    Row by row, nearest-integer Euclid steps between the still-active
-    columns leave one pivot, the source being a unit first, then the
-    smallest entry, then the sparsest column (the tie-break of
-    `snf._ColumnEngine`). Each step col_c -= q*col_src is mirrored as
-    W[src] += q*W[c], so A = E*W throughout.
-
-    Returns (pivots, w): pivots lists (value, column) in row order, and w
-    holds the rows of W. The rows of A are integer combinations of the W
-    rows at the pivot columns, and those rows extend to the basis W of Z^n.
-    """
-    k = len(rows)
-    n = len(rows[0]) if rows else 0
-    if any(len(row) != n for row in rows):
-        raise ValueError("rows of different lengths")
-    cols = [[row[j] for row in rows] for j in range(n)]
-    w = [[int(i == j) for j in range(n)] for i in range(n)]
-    active = list(range(n))  # columns with no pivot yet; zero above row r
-    pivots: list[tuple[int, int]] = []
-    for r in range(k):
-        cands = [c for c in active if cols[c][r]]
-        if not cands:
-            continue
-        while len(cands) > 1:
-            src = min(
-                cands,
-                key=lambda c: (
-                    abs(cols[c][r]) != 1,
-                    abs(cols[c][r]),
-                    sum(1 for x in cols[c] if x),
-                ),
-            )
-            scol, wsrc = cols[src], w[src]
-            for c in cands:
-                if c == src:
-                    continue
-                q = _nearest_quotient(cols[c][r], scol[r])
-                if not q:
-                    continue
-                col, wc = cols[c], w[c]
-                for i in range(r, k):
-                    col[i] -= q * scol[i]
-                for t in range(n):
-                    wsrc[t] += q * wc[t]
-            cands = [c for c in cands if cols[c][r]]
-        pivot = cands[0]
-        active.remove(pivot)
-        pivots.append((cols[pivot][r], pivot))
-    return pivots, w
-
-
 def saturate_rows(rows) -> Lattice:
-    """Hermite basis of the saturation of the row span inside Z^n."""
-    pivots, w = _echelon(rows)
-    return row_hnf([w[c] for _, c in pivots])
+    """Hermite basis of the saturation of the row span inside Z^n: the
+    kernel of the kernel, from `snf.saturation` of the rows as columns."""
+    sat = snf.saturation(SparseIntMatrix.from_dense(rows).transpose())
+    return row_hnf([tuple(col.get(i, 0) for i in range(sat.n_rows)) for col in sat.columns()])
 
 
 def is_saturated_rows(rows) -> bool:
     """True when the rows are independent and span a saturated summand:
-    one echelon pivot per row, each +-1 (A = E*W with E's pivot block
-    unit lower triangular)."""
-    pivots, _ = _echelon(rows)
-    return len(pivots) == len(rows) and all(v in (1, -1) for v, _ in pivots)
+    one Smith divisor per row, each 1."""
+    divisors = snf.smith_normal_form(SparseIntMatrix.from_dense(rows)).divisors
+    return len(divisors) == len(rows) and all(d == 1 for d in divisors)
 
 
 def rank_rows(rows) -> int:
     """Rank of the row span."""
-    return len(_echelon(rows)[0])
+    return snf.rank(SparseIntMatrix.from_dense(rows))
+
+
+def row_relations(rows) -> SparseIntMatrix:
+    """Basis (columns) of the integer relations y with sum_i y_i rows[i] = 0;
+    row i of the result is empty exactly when no relation uses rows[i]."""
+    return snf.kernel_basis(SparseIntMatrix.from_dense(rows).transpose())
 
 
 @dataclass(frozen=True)
@@ -368,13 +322,6 @@ def _combo(frame, members, signs) -> Vector:
     return tuple(out)
 
 
-def is_partial_frame(vectors) -> bool:
-    """True when the vectors span a direct summand they freely generate."""
-    if not vectors:
-        return True
-    return is_saturated_rows(vectors)
-
-
 @lru_cache(maxsize=None)
 def recognize_apf(lines: tuple[Vector, ...]) -> ApfCertificate | None:
     """Exhaustive certificate search; None when no certificate exists.
@@ -393,7 +340,7 @@ def recognize_apf(lines: tuple[Vector, ...]) -> ApfCertificate | None:
     for size in range(len(normalized), -1, -1):
         for frame_pos in combinations(positions, size):
             frame = tuple(normalized[p] for p in frame_pos)
-            if not is_partial_frame(frame):
+            if not is_saturated_rows(frame):
                 continue
             rest = sorted(normalized[p] for p in positions if p not in frame_pos)
             items = _cover_rest(tuple(rest), frame, frozenset())
@@ -457,18 +404,23 @@ def deletion_sum(rows: tuple[Vector, ...], rank: int) -> dict[tuple[Vector, ...]
     A deletion whose rows span less than `rank` is dropped, as is one with a
     repeated row; both are zero generators. When the remaining rows are
     square (as many as `rank` and as long), they span exactly when their
-    determinant is nonzero, which is cheaper than an echelon.
+    determinant is nonzero. Otherwise one kernel of the rows decides every
+    deletion: with r the rank of all rows, deleting row j leaves rank r,
+    or r - 1 when row j is a coloop, used by no integer relation.
     """
     out: dict[tuple[Vector, ...], int] = {}
     if len(rows) <= rank:
         return out
-    square = len(rows) - 1 == rank == len(rows[0])
-    for j in range(len(rows)):
-        rem = rows[:j] + rows[j + 1 :]
-        spans = det_int(rem) != 0 if square else rank_rows(rem) >= rank
-        if not spans:
+    if len(rows) - 1 == rank == len(rows[0]):
+        spans = [det_int(rows[:j] + rows[j + 1 :]) != 0 for j in range(len(rows))]
+    else:
+        relations = row_relations(rows)
+        r = len(rows) - relations.n_cols
+        spans = [r - (not used) >= rank for used in relations.rows]
+    for j, keep in enumerate(spans):
+        if not keep:
             continue
-        tokens, sign = canonical_generator(rem)
+        tokens, sign = canonical_generator(rows[:j] + rows[j + 1 :])
         if sign:
             add_term(out, tokens, (-1) ** j * sign)
     return out

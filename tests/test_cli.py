@@ -164,6 +164,28 @@ def test_config_rejects_unknown_keys(tmp_path, line):
     assert "valid keys: seed, count" in res.output
 
 
+@pytest.mark.parametrize("command", [["suite", "building"], ["building"]], ids=["suite", "alias"])
+def test_config_value_of_the_wrong_type_is_a_usage_error(tmp_path, command):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("n = x\nq = 2\n")
+    rep_path = tmp_path / "r.json"
+    res = runner.invoke(main, command + ["--config", str(cfg), "--report", str(rep_path)])
+    assert res.exit_code == 2, res.output
+    assert "config key 'n': 'x' is not of type int" in res.output
+    assert not rep_path.exists()
+
+
+def test_config_keeps_a_string_option_a_string(tmp_path):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("n = 3\nshape = x1-ii\ncount = 2\n")
+    rep_path = tmp_path / "r.json"
+    res = runner.invoke(
+        main, ["suite", "part6", "--config", str(cfg), "--report", str(rep_path), "--stable-timings"]
+    )
+    assert res.exit_code == 0, res.output
+    assert json.loads(rep_path.read_text())["params"] == {"n": 3, "shape": "x1-ii", "count": 2, "seed": 0}
+
+
 @pytest.mark.parametrize(
     "args, key, valid",
     [

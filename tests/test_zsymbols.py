@@ -13,7 +13,7 @@ from titshom.building import perm_sign
 from titshom.complexes import _face_rule, add_term, canonical_generator, linear_extend
 from titshom.errors import BudgetExceeded, DegreeZero, IdentityViolation, ZeroVector
 from titshom.intmat import SparseIntMatrix
-from titshom.snf import LatticeSolver, rank, saturation, smith_normal_form
+from titshom.snf import LatticeSolver
 from titshom.zsymbols import (
     ApartmentSymbol,
     _descent_vector,
@@ -36,6 +36,8 @@ from titshom.zsymbols import (
     saturate_rows,
 )
 
+from oracle_linalg import snf_divisors_oracle
+
 
 def test_normalize_line():
     assert normalize_line((2, -4)) == ((1, -2), 1)
@@ -52,15 +54,6 @@ def test_row_hnf_and_saturation():
     assert row_hnf([(0, 1), (-2, 0)]) == ((2, 0), (0, 1))
 
 
-def _sparse_saturate(rows):
-    """Reference saturation through the sparse core: the Hermite form of
-    the columns `snf.saturation` returns for the transposed rows."""
-    sat = saturation(SparseIntMatrix.from_dense([list(v) for v in rows]).transpose())
-    return row_hnf(
-        [tuple(col.get(i, 0) for i in range(sat.n_rows)) for col in sat.columns()]
-    )
-
-
 def _random_row_set(rng, n, k, bound):
     rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(k)]
     for _ in range(rng.randint(0, 2)):
@@ -74,19 +67,20 @@ def _random_row_set(rng, n, k, bound):
     return [tuple(r) for r in rows]
 
 
-def test_dense_echelon_matches_sparse_core():
+def test_row_lattice_questions_match_minor_oracles():
+    # rank, the summand test and saturation against determinantal divisors
     rng = random.Random(4471)
     for trial in range(600):
         n = rng.randint(1, 6)
         k = rng.randint(1, n + 2)
         rows = _random_row_set(rng, n, k, rng.choice((1, 3, 50)))
-        mat = SparseIntMatrix.from_dense([list(v) for v in rows])
-        divisors = smith_normal_form(mat).divisors
-        assert saturate_rows(rows) == _sparse_saturate(rows), rows
-        assert is_saturated_rows(rows) == (
-            len(divisors) == k and all(d == 1 for d in divisors)
-        ), rows
-        assert rank_rows(rows) == rank(mat), rows
+        divisors = snf_divisors_oracle([list(v) for v in rows])
+        assert rank_rows(rows) == len(divisors), rows
+        assert is_saturated_rows(rows) == (len(divisors) == k and set(divisors) <= {1}), rows
+        sat = saturate_rows(rows)
+        assert row_hnf(sat) == sat, rows
+        assert snf_divisors_oracle([list(v) for v in sat]) == [1] * len(divisors), rows
+        assert row_hnf(sat + tuple(rows)) == sat, rows
     assert saturate_rows([]) == () and is_saturated_rows([]) and rank_rows([]) == 0
     assert saturate_rows([(0, 0)]) == () and not is_saturated_rows([(0, 0)])
     assert saturate_rows([(1, 2), (2, 4)]) == ((1, 2),)
@@ -95,12 +89,13 @@ def test_dense_echelon_matches_sparse_core():
     assert not is_saturated_rows([(1, 1, 0), (1, -1, 0)])
     assert is_saturated_rows([(1, 1, 0), (0, 1, 0)])
     for ragged in ([(1, 2), (1,)], [(1, 2), (1, 2, 3)]):
-        with pytest.raises(ValueError):
-            saturate_rows(ragged)
+        for question in (rank_rows, is_saturated_rows, saturate_rows):
+            with pytest.raises(ValueError, match="ragged"):
+                question(ragged)
 
 
 def _eval_saturating_every_prefix(vecs):
-    """`apartment_eval` without the unimodular shortcut, through the sparse core."""
+    """`apartment_eval` without the unimodular shortcut."""
     lines = ApartmentSymbol.from_vectors(vecs).lines
     n = len(lines)
     if det_int(lines) == 0:
@@ -108,7 +103,7 @@ def _eval_saturating_every_prefix(vecs):
     chain = {}
     for perm in permutations(range(n)):
         flag = tuple(
-            _sparse_saturate([lines[i] for i in sorted(perm[: k + 1])])
+            saturate_rows([lines[i] for i in sorted(perm[: k + 1])])
             for k in range(n - 1)
         )
         add_term(chain, flag, perm_sign(perm))
