@@ -10,8 +10,8 @@ from __future__ import annotations
 from typing import Callable, Hashable, Sequence
 
 from .building import StModel, chamber_permutation
-from .complexes import HomologyGroup, add_term, assemble_complex, check_cells, homology
-from .intmat import SparseIntMatrix
+from .complexes import HomologyGroup, assemble_complex, check_cells, homology
+from .intmat import SparseIntMatrix, add_term
 from .snf import cokernel_invariants
 
 

@@ -39,11 +39,10 @@ from .building import (
     steinberg,
     subspaces,
 )
-from .complexes import (
-    ChainComplexZ, HomologyGroup, add_term, assemble_complex, check_cells, homology_profile, linear_extend
-)
+from .complexes import ChainComplexZ, HomologyGroup, assemble_complex, check_cells, homology_profile
 from .errors import CertificateFailure, NonComplementary
 from .fqfield import FieldTable, check_order, field
+from .intmat import add_term, linear_extend
 
 
 def lines_to_matrix(vectors: list[Vector]) -> Matrix:

@@ -17,10 +17,10 @@ from functools import cached_property, lru_cache
 from itertools import combinations, permutations, product
 from typing import Callable, Hashable
 
-from .complexes import ChainComplexZ, add_term, check_cells, cycle_space, linear_extend, order_complex
+from .complexes import ChainComplexZ, check_cells, cycle_space, order_complex
 from .errors import NotSpanning
 from .fqfield import FieldTable, check_order, field
-from .intmat import SparseIntMatrix
+from .intmat import SparseIntMatrix, add_term, linear_extend
 from .snf import LatticeSolver, nullity
 
 Vector = tuple[int, ...]

@@ -4,9 +4,8 @@ A complex stores one basis list per degree and one boundary matrix per
 degree d (mapping degree d to degree d-1, columns indexed by the degree-d
 basis). Assembly always checks boundary-squared-is-zero.
 
-A signed combination of generators is a sparse chain, the dict {label:
-nonzero coefficient} that `add_term` builds; a boundary rule maps one
-generator to its boundary chain, for `linear_extend` and `assemble_complex`
+A boundary rule maps one generator to its boundary, a sparse chain in the
+format of `titshom.intmat`, for `linear_extend` and `assemble_complex`
 alike. A canonical generator word is the pair (tokens, sign), with
 (None, 0) for a word that repeats a token.
 
@@ -29,7 +28,7 @@ from dataclasses import dataclass
 from typing import Callable, Hashable, Sequence
 
 from .errors import BudgetExceeded, DDNotZero, DegreeOutOfRange
-from .intmat import SparseIntMatrix
+from .intmat import SparseIntMatrix, add_term
 from .snf import kernel_basis, smith_normal_form
 
 Label = Hashable
@@ -118,26 +117,6 @@ class ChainComplexZ:
             return b
         rows = self.dim(d - 1)
         return SparseIntMatrix(rows, self.dim(d))
-
-
-def add_term(chain: dict, key, coeff: int) -> None:
-    """Add coeff * key to a sparse chain, dropping the key when it cancels."""
-    if not coeff:
-        return
-    new = chain.get(key, 0) + coeff
-    if new:
-        chain[key] = new
-    else:
-        del chain[key]
-
-
-def linear_extend(chain: dict, op: Callable[[Label], dict]) -> dict:
-    """Sum of coeff * op(key) over the chain, as a sparse chain."""
-    out: dict = {}
-    for key, coeff in chain.items():
-        for sub, c in op(key).items():
-            add_term(out, sub, coeff * c)
-    return out
 
 
 def assemble_complex(

@@ -1,10 +1,58 @@
-"""Sparse integer matrices with exact arithmetic.
+"""Sparse integer chains and matrices with exact arithmetic.
 
-Rows are dicts keyed by column index; absent keys are zero. Python ints give
-unbounded exact arithmetic, so nothing here can overflow or round.
+A signed combination of generators is a sparse chain, the dict {key:
+nonzero coefficient}; absent keys are zero. `add_term` adds one term,
+`add_chain` adds a multiple of a whole chain, and `linear_extend` applies a
+map given on keys (a boundary rule, an evaluation, a matrix's rows) to a
+chain. Each drops a key when its coefficient cancels, so no stored value is
+ever 0. The rows and columns of a `SparseIntMatrix` are chains keyed by
+column and row index. Python ints give unbounded exact arithmetic, so
+nothing here can overflow or round.
 """
 
 from __future__ import annotations
+
+from typing import Callable, Hashable
+
+
+def add_term(chain: dict, key: Hashable, coeff: int) -> None:
+    """Add coeff * key to a sparse chain, dropping the key when it cancels."""
+    if not coeff:
+        return
+    new = chain.get(key, 0) + coeff
+    if new:
+        chain[key] = new
+    else:
+        del chain[key]
+
+
+def add_chain(dst: dict, src: dict, mult: int) -> None:
+    """Add mult * src into dst, dropping keys that cancel.
+
+    Zero entries of src and a zero mult add nothing. Each key is looked up
+    once: flag keys are nested tuples, which hash again on every lookup.
+    """
+    if not mult:
+        return
+    for key, v in src.items():
+        old = dst.get(key)
+        if old is None:
+            if v:
+                dst[key] = mult * v
+        else:
+            new = old + mult * v
+            if new:
+                dst[key] = new
+            else:
+                del dst[key]
+
+
+def linear_extend(chain: dict, op: Callable[[Hashable], dict]) -> dict:
+    """Sum of coeff * op(key) over the chain, as a sparse chain."""
+    out: dict = {}
+    for key, coeff in chain.items():
+        add_chain(out, op(key), coeff)
+    return out
 
 
 class SparseIntMatrix:
@@ -87,44 +135,14 @@ class SparseIntMatrix:
     # -- algebra -----------------------------------------------------------
 
     def transpose(self) -> "SparseIntMatrix":
-        t = SparseIntMatrix(self.n_cols, self.n_rows)
-        for r, row in enumerate(self.rows):
-            for c, v in row.items():
-                t.rows[c][r] = v
-        return t
+        return SparseIntMatrix(self.n_cols, self.n_rows, self.columns())
 
     def mul(self, other: "SparseIntMatrix") -> "SparseIntMatrix":
         if self.n_cols != other.n_rows:
             raise ValueError("shape mismatch in mul")
-        out = SparseIntMatrix(self.n_rows, other.n_cols)
-        orows = other.rows
-        for r, row in enumerate(self.rows):
-            acc: dict[int, int] = {}
-            for k, v in row.items():
-                for c, w in orows[k].items():
-                    s = acc.get(c, 0) + v * w
-                    if s:
-                        acc[c] = s
-                    elif c in acc:
-                        del acc[c]
-            out.rows[r] = acc
-        return out
+        orow = other.rows.__getitem__
+        return SparseIntMatrix(self.n_rows, other.n_cols, [linear_extend(row, orow) for row in self.rows])
 
     def mul_vec(self, vec: dict[int, int]) -> dict[int, int]:
-        """Matrix times sparse column vector (keys are column indices)."""
-        acc: dict[int, int] = {}
-        for r, row in enumerate(self.rows):
-            s = 0
-            if len(row) <= len(vec):
-                for c, v in row.items():
-                    w = vec.get(c)
-                    if w is not None:
-                        s += v * w
-            else:
-                for c, w in vec.items():
-                    v = row.get(c)
-                    if v is not None:
-                        s += v * w
-            if s:
-                acc[r] = s
-        return acc
+        """Matrix times sparse column vector: the sum of vec[c] * column c."""
+        return linear_extend(vec, self.columns().__getitem__)

@@ -31,12 +31,10 @@ from .complexes import (
     _face_rule,
     ChainComplexZ,
     HomologyGroup,
-    add_term,
     assemble_complex,
     canonical_generator,
     check_cells,
     homology_profile,
-    linear_extend,
     merge_canonical,
     order_complex,
 )
@@ -46,7 +44,7 @@ from .errors import (
     NotSpanning,
     ShapeUnavailable,
 )
-from .intmat import SparseIntMatrix
+from .intmat import SparseIntMatrix, add_chain, add_term, linear_extend
 from .snf import cokernel_invariants, rank
 from .zsymbols import (
     Vector,
@@ -637,8 +635,7 @@ def kappa_eta_certificate(basis=None, eps=(1, 1, 1), eta_comb=None) -> dict:
         groups.append(cycle_of([(sign, False, block), (-sign, True, block)]))
     total: dict = {}
     for grp in groups:
-        for key, coeff in grp.items():
-            add_term(total, key, coeff)
+        add_chain(total, grp, 1)
     if total != delta_eta:
         raise CertificateFailure("delta-eta-decomposition")
     steps.append("delta-eta-decomposition")

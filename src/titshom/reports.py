@@ -20,9 +20,9 @@ from itertools import product
 from typing import Callable
 
 from . import actions, barres, bounds, building, partsix, snf, zsymbols
-from .complexes import homology_profile, linear_extend
+from .complexes import homology_profile
 from .errors import UnknownParameter, UnknownSuite
-from .intmat import SparseIntMatrix
+from .intmat import SparseIntMatrix, linear_extend
 
 SCHEMA_VERSION = 1
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .intmat import SparseIntMatrix
+from .intmat import SparseIntMatrix, add_chain, linear_extend
 
 
 def _nearest_quotient(a: int, b: int) -> int:
@@ -125,13 +125,7 @@ class _ColumnEngine:
                 del dcol[r]
                 rowidx[r].discard(dst)
         if self.v_cols is not None:
-            vdst = self.v_cols[dst]
-            for r, v in self.v_cols[src].items():
-                w = vdst.get(r, 0) + mult * v
-                if w:
-                    vdst[r] = w
-                else:
-                    del vdst[r]
+            add_chain(self.v_cols[dst], self.v_cols[src], mult)
 
     def reduce(self) -> tuple[list[tuple[int, int]], list[int]]:
         """Column echelon by unimodular column ops.
@@ -228,7 +222,8 @@ class LatticeSolver:
         self.w_cols = eng.v_cols
 
     def solve(self, b: dict[int, int]) -> dict[int, int] | None:
-        residual = dict(b)
+        residual: dict[int, int] = {}
+        add_chain(residual, b, 1)  # drops explicit zero entries of b
         y: dict[int, int] = {}
         for r, c in self.pivots:
             v = residual.get(r)
@@ -239,20 +234,7 @@ class LatticeSolver:
                 return None
             t = v // h
             y[c] = t
-            for rr, hv in self.echelon_cols[c].items():
-                w = residual.get(rr, 0) - t * hv
-                if w:
-                    residual[rr] = w
-                elif rr in residual:
-                    del residual[rr]
+            add_chain(residual, self.echelon_cols[c], -t)
         if residual:
             return None
-        x: dict[int, int] = {}
-        for c, t in y.items():
-            for i, v in self.w_cols[c].items():
-                w = x.get(i, 0) + t * v
-                if w:
-                    x[i] = w
-                elif i in x:
-                    del x[i]
-        return x
+        return linear_extend(y, self.w_cols.__getitem__)

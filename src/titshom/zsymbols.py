@@ -23,9 +23,9 @@ from math import gcd
 
 from . import snf
 from .building import apartment_chain
-from .complexes import add_term, canonical_generator, linear_extend
+from .complexes import canonical_generator
 from .errors import BudgetExceeded, DegreeZero, IdentityViolation, ZeroVector
-from .intmat import SparseIntMatrix
+from .intmat import SparseIntMatrix, add_term, linear_extend
 
 Vector = tuple[int, ...]
 Lattice = tuple[Vector, ...]  # rows in Hermite normal form

@@ -17,9 +17,10 @@ from titshom.barres import (
     verify_bar_exactness,
 )
 from titshom.building import chamber_permutation, gl_generators, identity_matrix, rref, steinberg, subspaces
-from titshom.complexes import HomologyGroup, add_term, assemble_complex
+from titshom.complexes import HomologyGroup, assemble_complex
 from titshom.errors import BudgetExceeded, CertificateFailure, NonComplementary
 from titshom.fqfield import field
+from titshom.intmat import add_term
 from titshom.snf import kernel_basis, nullity
 
 from oracle_linalg import span_vectors

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from titshom import barres, building, partsix
-from titshom.intmat import SparseIntMatrix
+from titshom.intmat import SparseIntMatrix, add_chain, add_term, linear_extend
 from titshom.snf import (
     LatticeSolver,
     _ColumnEngine,
@@ -188,17 +188,17 @@ def test_lattice_solver_roundtrip():
         x = solver.solve(b)
         assert x is not None
         assert a.mul_vec(x) == b
-        # a shifted vector: either an exact preimage or rejected, and
-        # always rejected when it leaves the Q-span of the columns
+        # a shifted vector, which may hold an explicit zero: solved exactly
+        # when it lies in the lattice, that is when adding it as a column
+        # leaves the Smith divisors of the columns as they were
         off = dict(b)
         off[m - 1] = off.get(m - 1, 0) + 1
         got = solver.solve(off)
-        assert got is None or a.mul_vec(got) == off
-        with_off = SparseIntMatrix.from_dense(
-            [row + [off.get(i, 0)] for i, row in enumerate(dense)]
-        )
-        if rank(with_off) > k:
-            assert got is None
+        with_off = [row + [off.get(i, 0)] for i, row in enumerate(dense)]
+        inside = snf_divisors_oracle(with_off) == snf_divisors_oracle(dense)
+        assert (got is not None) == inside
+        if inside:
+            assert a.mul_vec(got) == {i: v for i, v in off.items() if v}
 
 
 def test_lattice_solver_rejects_outside_vectors():
@@ -207,6 +207,9 @@ def test_lattice_solver_rejects_outside_vectors():
     assert solver.solve({0: 1}) is None
     assert solver.solve({1: 1}) is None
     assert solver.solve({0: -4}) == {0: -2}
+    # an explicit zero entry is the zero coordinate, not a residual
+    assert solver.solve({1: 0}) == {}
+    assert solver.solve({0: 2, 1: 0}) == {0: 1}
 
 
 @st.composite
@@ -259,3 +262,65 @@ def test_zero_and_empty_edge_cases():
     assert kernel_basis(z).n_cols == 5
     assert cokernel_invariants(SparseIntMatrix(4, 0)) == (4, ())
     assert rank(SparseIntMatrix(3, 3)) == 0
+
+
+# -- sparse chains and matrix products against dense oracles -----------------
+
+KEYS = "abcd"
+chains = st.dictionaries(st.sampled_from(KEYS), st.integers(-3, 3), max_size=len(KEYS))
+
+
+@settings(max_examples=150, deadline=None)
+@given(chains, st.dictionaries(st.sampled_from(KEYS), chains))
+def test_linear_extend_is_the_dense_sum(chain, table):
+    op = {key: table.get(key, {}) for key in KEYS}
+    got = linear_extend(chain, op.__getitem__)
+    dense = {k: sum(c * op[x].get(k, 0) for x, c in chain.items()) for k in KEYS}
+    assert got == {k: v for k, v in dense.items() if v}
+    assert 0 not in got.values()
+    # term by term with add_term: the same updates, so the same key order
+    by_terms: dict = {}
+    for x, c in chain.items():
+        for k, v in op[x].items():
+            add_term(by_terms, k, c * v)
+    assert list(got.items()) == list(by_terms.items())
+
+
+@settings(max_examples=100, deadline=None)
+@given(chains, chains)
+def test_add_chain_by_zero_and_by_minus_itself(dst, src):
+    before = list(dst.items())
+    add_chain(dst, src, 0)
+    assert list(dst.items()) == before
+    add_chain(dst, dict(dst), -1)
+    assert dst == {}
+
+
+def sparse_of(dense: list[list[int]], n_cols: int) -> SparseIntMatrix:
+    """`from_dense`, keeping the column count of a matrix with no rows."""
+    return SparseIntMatrix.from_dense(dense) if dense else SparseIntMatrix(0, n_cols)
+
+
+def dense_matrices(n_rows: int, n_cols: int):
+    row = st.lists(st.integers(-3, 3), min_size=n_cols, max_size=n_cols)
+    return st.lists(row, min_size=n_rows, max_size=n_rows)
+
+
+@st.composite
+def product_inputs(draw):
+    """Dense a (m x k), b (k x n) and a vector of length k, all shapes 0..5."""
+    m, k, n = (draw(st.integers(0, 5)) for _ in range(3))
+    vec = draw(st.dictionaries(st.integers(0, k - 1), st.integers(-3, 3))) if k else {}
+    return m, k, n, draw(dense_matrices(m, k)), draw(dense_matrices(k, n)), vec
+
+
+@settings(max_examples=150, deadline=None)
+@given(product_inputs())
+def test_products_and_transpose_match_dense(inputs):
+    m, k, n, da, db, vec = inputs
+    a, b = sparse_of(da, k), sparse_of(db, n)
+    prod = [[sum(row[t] * db[t][j] for t in range(k)) for j in range(n)] for row in da]
+    assert a.mul(b) == sparse_of(prod, n)
+    ax = {r: s for r, row in enumerate(da) if (s := sum(row[c] * x for c, x in vec.items()))}
+    assert a.mul_vec(vec) == ax
+    assert a.transpose() == sparse_of([[row[c] for row in da] for c in range(k)], m)

@@ -11,7 +11,6 @@ from titshom.complexes import (
     ChainComplexZ,
     _face_rule,
     HomologyGroup,
-    add_term,
     assemble_complex,
     canonical_generator,
     cycle_space,
@@ -24,7 +23,7 @@ from titshom.errors import (
     NotSpanning,
     ShapeUnavailable,
 )
-from titshom.intmat import SparseIntMatrix
+from titshom.intmat import SparseIntMatrix, add_term
 from titshom.partsix import (
     SHAPES,
     ZSetComplex,

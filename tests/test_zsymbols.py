@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from titshom import partsix, reports, zsymbols
 from titshom.building import perm_sign
-from titshom.complexes import _face_rule, add_term, canonical_generator, linear_extend
+from titshom.complexes import _face_rule, canonical_generator
 from titshom.errors import BudgetExceeded, DegreeZero, IdentityViolation, ZeroVector
-from titshom.intmat import SparseIntMatrix
+from titshom.intmat import SparseIntMatrix, add_term, linear_extend
 from titshom.snf import LatticeSolver
 from titshom.zsymbols import (
     ApartmentSymbol,
