@@ -114,6 +114,23 @@ def test_suite_report_matches_golden(name):
 
 
 @pytest.mark.parametrize(
+    "args, name",
+    [
+        (["part6", "--n", "4"], "part6-n4"),
+        (["part6", "--n", "5", "--shape", "x1-ii"], "part6-n5-x1-ii"),
+        (["reduce", "--symbol", "3,1;1,2"], "reduce-2x2"),
+        (["reduce", "--symbol", "2,1,0;0,3,1;1,0,5"], "reduce-3x3"),
+    ],
+    ids=lambda v: v if isinstance(v, str) else None,
+)
+def test_command_stdout_matches_golden(args, name):
+    """The printed output of these commands stays byte-identical."""
+    res = runner.invoke(main, args)
+    assert res.exit_code == 0, res.output
+    assert res.stdout_bytes == (GOLDEN / "cli" / f"{name}.txt").read_bytes()
+
+
+@pytest.mark.parametrize(
     "name, flags",
     [
         ("building", ["--n", "2", "--q", "3"]),
