@@ -17,10 +17,7 @@ from .snf import cokernel_invariants
 
 def permutation_matrix_int(perm: list[int]) -> SparseIntMatrix:
     """Matrix sending e_i to e_{perm[i]}."""
-    out = SparseIntMatrix(len(perm), len(perm))
-    for i, j in enumerate(perm):
-        out.rows[j][i] = 1
-    return out
+    return SparseIntMatrix(len(perm), len(perm), [{j: 1} for j in perm])
 
 
 def st_action_matrix(st: StModel, g) -> SparseIntMatrix:
@@ -28,14 +25,15 @@ def st_action_matrix(st: StModel, g) -> SparseIntMatrix:
 
     Column u is g applied to the apartment class A_u, whose coordinates are
     read off at the chambers opposite C0: M = opp_sign * (P_g * A)
-    restricted to the opposite rows. Verified as A * M == P_g * A before
-    returning.
+    restricted to the opposite rows, the row of the chamber opposite unit k
+    becoming row k. Verified as A * M == P_g * A before returning.
     """
     a, opposite = st.basis
     pa = permutation_matrix_int(chamber_permutation(st, g)).mul(a)
     sign = st.opp_sign
-    rows = [{u: sign * v for u, v in pa.rows[c].items()} for c in opposite]
-    m = SparseIntMatrix(a.n_cols, a.n_cols, rows)
+    row_of = {c: k for k, c in enumerate(opposite)}
+    cols = [{row_of[c]: sign * v for c, v in col.items() if c in row_of} for col in pa.cols]
+    m = SparseIntMatrix(a.n_cols, a.n_cols, cols)
     if a.mul(m) != pa:
         raise AssertionError("action matrix failed verification")
     return m
@@ -43,14 +41,9 @@ def st_action_matrix(st: StModel, g) -> SparseIntMatrix:
 
 def tensor_matrix(a: SparseIntMatrix, b: SparseIntMatrix) -> SparseIntMatrix:
     """Kronecker product acting on e_i (x) e_j at index i*cols(b)+j."""
-    out = SparseIntMatrix(a.n_rows * b.n_rows, a.n_cols * b.n_cols)
-    for ra, rowa in enumerate(a.rows):
-        for rb, rowb in enumerate(b.rows):
-            target = out.rows[ra * b.n_rows + rb]
-            for ca, va in rowa.items():
-                for cb, vb in rowb.items():
-                    target[ca * b.n_cols + cb] = va * vb
-    return out
+    n = b.n_rows
+    cols = [{ra * n + rb: va * vb for ra, va in ca.items() for rb, vb in cb.items()} for ca in a.cols for cb in b.cols]
+    return SparseIntMatrix(a.n_rows * b.n_rows, a.n_cols * b.n_cols, cols)
 
 
 def coinvariant_relations(rank: int, generator_matrices: Sequence[SparseIntMatrix]) -> SparseIntMatrix:
@@ -59,11 +52,12 @@ def coinvariant_relations(rank: int, generator_matrices: Sequence[SparseIntMatri
     for m in generator_matrices:
         if m.shape != (rank, rank):
             raise ValueError("generator matrix has wrong shape")
-        for i, col in enumerate(m.columns()):
+        for i, col in enumerate(m.cols):
+            col = dict(col)  # the generator's own column stays untouched
             add_term(col, i, -1)
             if col:
                 cols.append(col)
-    return SparseIntMatrix.from_columns(rank, cols)
+    return SparseIntMatrix(rank, len(cols), cols)
 
 
 def coinvariants(rank: int, generator_matrices: Sequence[SparseIntMatrix]) -> HomologyGroup:
@@ -124,7 +118,7 @@ def group_homology(
             merged = word[:j - 1] + (multiply(word[j - 1], word[j]),) + word[j + 1:]
             add_term(out, (merged, i), (-1) ** j)
         sign = (-1) ** k
-        for r, v in act(word[-1]).column(i).items():
+        for r, v in act(word[-1]).cols[i].items():
             add_term(out, (word[:-1], r), sign * v)
         return out
 

@@ -255,7 +255,7 @@ def rank2_pairing(st: StModel) -> list[dict[int, int]]:
     Phi[x][j] = opp_sign * sum of A[c][j] over the chambers c opposite x, with
     A = st.basis[0]. Phi[C0] reads each class at its own opposite chamber,
     so Phi[C0][j] = 1."""
-    rows = st.basis[0].rows.__getitem__
+    rows = st.basis[0].rows().__getitem__
     return [linear_extend(dict.fromkeys(opp, st.opp_sign), rows) for opp in opposite_chambers(st)]
 
 
@@ -275,9 +275,9 @@ def rank2_e1_surjectivity(q: int) -> Rank2Report:
 
     phi = rank2_pairing(st)
     for g in gl_generators(3, q):
-        m = st_action_matrix(st, g)
+        m_rows = st_action_matrix(st, g).rows().__getitem__
         for x, gx in enumerate(chamber_permutation(st, g)):
-            if linear_extend(phi[gx], m.rows.__getitem__) != phi[x]:
+            if linear_extend(phi[gx], m_rows) != phi[x]:
                 raise CertificateFailure("pairing-invariance")
 
     image_gcd = 0

@@ -236,7 +236,7 @@ class StModel:
         """
         ft, n, index = self.ft, self.n, self.chamber_index
         cols = self.apartments
-        a = SparseIntMatrix.from_columns(len(self.chambers), cols)
+        a = SparseIntMatrix(len(self.chambers), len(cols), cols)
         opposite = []
         for u in self.units:
             lines = matrix_columns(u)
@@ -369,7 +369,7 @@ def unipotent_basis_matrix(st: StModel) -> tuple[list[Matrix], SparseIntMatrix]:
         if x is None:
             raise NotSpanning("apartment class is not in the Steinberg lattice")
         cols.append(x)
-    return st.units, SparseIntMatrix.from_columns(kernel.n_cols, cols)
+    return st.units, SparseIntMatrix(kernel.n_cols, len(cols), cols)
 
 
 def bruhat_witness(n: int, q: int) -> Matrix:

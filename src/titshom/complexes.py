@@ -2,7 +2,8 @@
 
 A complex stores one basis list per degree and one boundary matrix per
 degree d (mapping degree d to degree d-1, columns indexed by the degree-d
-basis). Assembly always checks boundary-squared-is-zero.
+basis). Builders write each generator's boundary as a stored column, and
+assembly always checks boundary-squared-is-zero column by column.
 
 A boundary rule maps one generator to its boundary, a sparse chain in the
 format of `titshom.intmat`, for `linear_extend` and `assemble_complex`
@@ -12,7 +13,8 @@ alike. A canonical generator word is the pair (tokens, sign), with
 Homology runs in two phases. Coreduction first removes pairs (a, b) in
 which a is the only remaining face of b and the incidence is +-1; the
 cells left over are critical, and Morse boundaries between them, read
-off gradient paths, make a much smaller complex with the same homology.
+off gradient paths, make a much smaller complex with the same homology;
+faces are read from the stored columns, and only cofaces are listed.
 `smith_normal_form` then runs on those Morse boundaries only, so torsion
 stays exact. In the buildings checked here every critical cell sits in
 the top degree, so no Smith form runs at all. Cokernels, cycle spaces and
@@ -21,7 +23,7 @@ coinvariants call the elimination core directly.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from itertools import count
 from dataclasses import dataclass
@@ -113,10 +115,7 @@ class ChainComplexZ:
 
     def boundary_at(self, d: int) -> SparseIntMatrix:
         b = self.boundary.get(d)
-        if b is not None:
-            return b
-        rows = self.dim(d - 1)
-        return SparseIntMatrix(rows, self.dim(d))
+        return b if b is not None else SparseIntMatrix(self.dim(d - 1), self.dim(d))
 
 
 def assemble_complex(
@@ -137,29 +136,38 @@ def assemble_complex(
     boundary: dict[int, SparseIntMatrix] = {}
     for d in degrees:
         lower = index.get(d - 1, {})
-        mat = SparseIntMatrix(len(lower), len(bases[d]))
-        rows = mat.rows
-        for col, lab in enumerate(bases[d]):
+        cols = []
+        for lab in bases[d]:
+            col = {}
             for low, coeff in rule(lab).items():
                 if coeff == 0:
                     continue
                 try:
-                    r = lower[low]
+                    col[lower[low]] = coeff
                 except KeyError:
                     raise KeyError(f"boundary of {lab!r} hits unknown generator {low!r}") from None
-                rows[r][col] = coeff
-        boundary[d] = mat
+            cols.append(col)
+        boundary[d] = SparseIntMatrix(len(lower), len(cols), cols)
     return check_dd(ChainComplexZ(bases, boundary))
 
 
 def check_dd(cx: ChainComplexZ) -> ChainComplexZ:
-    """Return cx, or raise DDNotZero naming the first generator where d o d != 0."""
+    """Return cx, or raise DDNotZero naming the first generator where d o d != 0.
+
+    d_{d-1} is applied to each column of d_d in turn; no product is stored.
+    """
     for d in cx.degrees:
         if d - 1 not in cx.basis:
             continue
-        prod = cx.boundary_at(d - 1).mul(cx.boundary_at(d))
-        if not prod.is_zero():
-            raise DDNotZero(d, cx.basis[d][min(c for row in prod.rows for c in row)])
+        low = cx.boundary_at(d - 1).cols
+        for c, col in enumerate(cx.boundary_at(d).cols):
+            acc: dict[int, int] = {}
+            get = acc.get
+            for r, v in col.items():
+                for s, w in low[r].items():
+                    acc[s] = get(s, 0) + v * w
+            if any(acc.values()):
+                raise DDNotZero(d, cx.basis[d][c])
     return cx
 
 
@@ -185,20 +193,19 @@ def order_complex(vertices: list[Label], above: list[list[int]]) -> ChainComplex
             break
         total += size
         check_cells(total, "order complex cells")
-        boundary[deg] = SparseIntMatrix(len(chains), size)
-        rows = boundary[deg].rows
         index = {ch: r for r, ch in enumerate(chains)}
         last = -1 if deg & 1 else 1
         grown: list[tuple[int, ...]] = []
+        cols: list[dict[int, int]] = []
         for p, ch in enumerate(chains):
             faces = [(ch[:j] + ch[j + 1 :], -1 if j & 1 else 1) for j in range(deg)]
             for w in above[ch[-1]] if deg else range(size):
-                col = len(grown)
-                rows[p][col] = last
-                for face, sign in faces:
-                    rows[index[face + (w,)]][col] = sign
+                col = {index[face + (w,)]: sign for face, sign in faces}
+                col[p] = last
+                cols.append(col)
                 grown.append(ch + (w,))
         del index
+        boundary[deg] = SparseIntMatrix(len(chains), size, cols)
         chains = grown
         bases[deg] = [tuple(map(vertices.__getitem__, ch)) for ch in chains]
     return check_dd(ChainComplexZ(bases, boundary))
@@ -246,31 +253,34 @@ def _morse_complex(cx: ChainComplexZ) -> ChainComplexZ:
     a (Mrozek and Batko's coreduction); when no such pair is left, the
     lowest remaining cell has no remaining face and is critical. Every
     removed cell gets an increasing stamp. The pairs form an acyclic
-    matching, and the critical cells with the boundaries `_gradient_flow`
-    computes are a complex of the same homology (Skoeldberg's algebraic
-    Morse theory). Its basis holds the critical labels of each degree, in
-    basis order; a boundary is stored only where both degrees hold
-    critical cells.
+    matching, and the critical cells with the boundaries `flow` computes
+    are a complex of the same homology (Skoeldberg's algebraic Morse
+    theory). Its basis holds the critical labels of each degree, in basis
+    order; a boundary is stored only where both degrees hold critical cells.
+
+    Cells are numbered degree by degree, the i-th degree from start[i]. A
+    cell's faces are its degree's stored column, whose keys plus the start
+    of the degree below are cell numbers; no copy of the faces is made.
     """
     degrees = cx.degrees
-    offset: dict[int, int] = {}
+    start: list[int] = []
     cells = 0
     for d in degrees:
-        offset[d] = cells
+        start.append(cells)
         cells += cx.dim(d)
-    faces: list[dict[int, int]] = [{} for _ in range(cells)]
+    # a degree with no degree d - 1 below it gets empty columns: no faces, no `low`
+    face_cols = [
+        cx.boundary_at(d).cols if i and degrees[i - 1] == d - 1 else [{}] * cx.dim(d) for i, d in enumerate(degrees)
+    ]
     cofaces: list[list[int]] = [[] for _ in range(cells)]
-    for d in degrees:
-        if d - 1 not in offset:
-            continue
-        top, low = offset[d], offset[d - 1]
-        for r, row in enumerate(cx.boundary_at(d).rows):
-            ups = cofaces[low + r]
-            for c, v in row.items():
-                faces[top + c][low + r] = v
-                ups.append(top + c)
+    live: list[int] = []  # faces not yet removed
+    for i, cols in enumerate(face_cols):
+        low = start[i - 1]
+        for b, col in enumerate(cols, start[i]):
+            live.append(len(col))
+            for r in col:
+                cofaces[low + r].append(b)
 
-    live = [len(f) for f in faces]  # faces not yet removed
     stamp = [-1] * cells  # -1 while the cell is live
     order: list[int] = []  # removed cells, indexed by stamp
     partner: dict[int, int] = {}  # face cell of a pair -> its upper cell
@@ -293,7 +303,10 @@ def _morse_complex(cx: ChainComplexZ) -> ChainComplexZ:
             if stamp[b] >= 0:
                 continue
             if live[b] == 1:
-                for a, u in faces[b].items():
+                i = bisect_right(start, b) - 1
+                low = start[i - 1]
+                for a, u in face_cols[i][b - start[i]].items():
+                    a += low
                     if stamp[a] < 0:
                         break
                 if u == 1 or u == -1:
@@ -310,56 +323,51 @@ def _morse_complex(cx: ChainComplexZ) -> ChainComplexZ:
         critical.append(lowest)
         remove(lowest)
 
+    def flow(cols: list[dict[int, int]], c: int, top: int, low: int, row_of: dict[int, int]) -> dict[int, int]:
+        """Morse boundary of the critical cell c, keyed by row_of's rows.
+
+        c indexes cols, its degree's columns, numbered from cell top; the
+        chain and row_of are keyed by index in the degree below, numbered
+        from cell low. Starting from the boundary of c, the newest cell x in
+        the chain is taken first. A critical x is kept. A face x of a pair
+        (x, b) is replaced by subtracting (coeff / <db, x>) * db; the other
+        faces of b were removed before the pair was, so they have older
+        stamps and the loop ends. An upper cell of a pair one degree down is
+        dropped.
+        """
+        chain = dict(cols[c])
+        pending = sorted(stamp[low + x] for x in chain)  # stamps, newest last
+        out: dict[int, int] = {}
+        while pending:
+            x = order[pending.pop()] - low
+            v = chain.pop(x, 0)
+            if not v:
+                continue
+            b = partner.get(low + x)
+            if b is not None:
+                bd = cols[b - top]
+                m = v * bd[x]  # v / <db, x>, as the incidence is a unit
+                for y, w in bd.items():
+                    if y != x:
+                        if y not in chain:
+                            insort(pending, stamp[low + y])
+                        add_term(chain, y, -m * w)
+            elif x in row_of:
+                out[row_of[x]] = v
+        return out
+
     # `lowest` only grows, so `critical` is sorted by degree
-    by_degree = {d: [c for c in critical if offset[d] <= c < offset[d] + cx.dim(d)] for d in degrees}
-    basis = {d: [cx.basis[d][c - offset[d]] for c in crit] for d, crit in by_degree.items()}
+    by_degree = [[c - s for c in critical if s <= c < s + cx.dim(d)] for s, d in zip(start, degrees)]
+    basis = {d: [cx.basis[d][c] for c in crit] for d, crit in zip(degrees, by_degree)}
     boundary: dict[int, SparseIntMatrix] = {}
-    for d in degrees:
-        below = by_degree.get(d - 1)
-        if not below or not by_degree[d]:
+    for i in range(1, len(degrees)):
+        below = by_degree[i - 1]
+        if degrees[i - 1] != degrees[i] - 1 or not below or not by_degree[i]:
             continue
-        row_of = {c: i for i, c in enumerate(below)}
-        columns = [_gradient_flow(c, faces, stamp, order, partner, row_of) for c in by_degree[d]]
-        boundary[d] = SparseIntMatrix.from_columns(len(below), columns)
+        row_of = {c: j for j, c in enumerate(below)}
+        cols = [flow(face_cols[i], c, start[i], start[i - 1], row_of) for c in by_degree[i]]
+        boundary[degrees[i]] = SparseIntMatrix(len(below), len(cols), cols)
     return ChainComplexZ(basis, boundary)
-
-
-def _gradient_flow(
-    c: int,
-    faces: list[dict[int, int]],
-    stamp: list[int],
-    order: list[int],
-    partner: dict[int, int],
-    row_of: dict[int, int],
-) -> dict[int, int]:
-    """Morse boundary of the critical cell c, keyed by row_of's rows.
-
-    Starting from the boundary of c, the newest cell x in the chain is
-    taken first. A critical x is kept. A face x of a pair (x, b) is
-    replaced by subtracting (coeff / <db, x>) * db; the other faces of b
-    were removed before the pair was, so they have older stamps and the
-    loop ends. An upper cell of a pair one degree down is dropped.
-    """
-    chain = dict(faces[c])
-    pending = sorted(stamp[x] for x in chain)  # stamps, newest last
-    out: dict[int, int] = {}
-    while pending:
-        x = order[pending.pop()]
-        v = chain.pop(x, 0)
-        if not v:
-            continue
-        b = partner.get(x)
-        if b is not None:
-            bd = faces[b]
-            m = v * bd[x]  # v / <db, x>, as the incidence is a unit
-            for y, w in bd.items():
-                if y != x:
-                    if y not in chain:
-                        insort(pending, stamp[y])
-                    add_term(chain, y, -m * w)
-        elif x in row_of:
-            out[row_of[x]] = v
-    return out
 
 
 def cycle_space(cx: ChainComplexZ, d: int) -> SparseIntMatrix:

@@ -3,11 +3,17 @@
 A signed combination of generators is a sparse chain, the dict {key:
 nonzero coefficient}; absent keys are zero. `add_term` adds one term,
 `add_chain` adds a multiple of a whole chain, and `linear_extend` applies a
-map given on keys (a boundary rule, an evaluation, a matrix's rows) to a
+map given on keys (a boundary rule, an evaluation, a matrix's columns) to a
 chain. Each drops a key when its coefficient cancels, so no stored value is
-ever 0. The rows and columns of a `SparseIntMatrix` are chains keyed by
-column and row index. Python ints give unbounded exact arithmetic, so
-nothing here can overflow or round.
+ever 0. Python ints give unbounded exact arithmetic, so nothing here can
+overflow or round.
+
+A `SparseIntMatrix` stores its columns, each a chain keyed by row index:
+every builder writes a boundary one column at a time, and the elimination
+engine and coreduction read it that way. Rows are a derived view, built
+fresh by `rows()`, and `transpose()` is built on them. A column's key order
+is its builder's and need not be row order; no result here depends on it.
+No stored value is 0, and a builder that writes columns by hand keeps it so.
 """
 
 from __future__ import annotations
@@ -56,45 +62,30 @@ def linear_extend(chain: dict, op: Callable[[Hashable], dict]) -> dict:
 
 
 class SparseIntMatrix:
-    __slots__ = ("n_rows", "n_cols", "rows")
+    __slots__ = ("n_rows", "n_cols", "cols")
 
-    def __init__(self, n_rows: int, n_cols: int, rows: list[dict[int, int]] | None = None):
+    def __init__(self, n_rows: int, n_cols: int, cols: list[dict[int, int]] | None = None):
         if n_rows < 0 or n_cols < 0:
             raise ValueError("negative dimension")
         self.n_rows = n_rows
         self.n_cols = n_cols
-        self.rows: list[dict[int, int]] = rows if rows is not None else [dict() for _ in range(n_rows)]
-        if len(self.rows) != n_rows:
-            raise ValueError("row list length mismatch")
+        self.cols: list[dict[int, int]] = cols if cols is not None else [dict() for _ in range(n_cols)]
+        if len(self.cols) != n_cols:
+            raise ValueError("column list length mismatch")
 
     # -- construction ------------------------------------------------------
 
     @classmethod
     def from_dense(cls, dense: list[list[int]]) -> "SparseIntMatrix":
-        n_rows = len(dense)
         n_cols = len(dense[0]) if dense else 0
-        m = cls(n_rows, n_cols)
-        for r, drow in enumerate(dense):
-            if len(drow) != n_cols:
-                raise ValueError("ragged dense input")
-            m.rows[r] = {c: v for c, v in enumerate(drow) if v}
-        return m
-
-    @classmethod
-    def from_columns(cls, n_rows: int, columns: list[dict[int, int]]) -> "SparseIntMatrix":
-        m = cls(n_rows, len(columns))
-        for c, col in enumerate(columns):
-            for r, v in col.items():
-                if v:
-                    m.rows[r][c] = v
-        return m
+        if any(len(drow) != n_cols for drow in dense):
+            raise ValueError("ragged dense input")
+        cols = [{r: drow[c] for r, drow in enumerate(dense) if drow[c]} for c in range(n_cols)]
+        return cls(len(dense), n_cols, cols)
 
     @classmethod
     def identity(cls, n: int) -> "SparseIntMatrix":
-        m = cls(n, n)
-        for i in range(n):
-            m.rows[i][i] = 1
-        return m
+        return cls(n, n, [{i: 1} for i in range(n)])
 
     # -- queries -----------------------------------------------------------
 
@@ -103,31 +94,26 @@ class SparseIntMatrix:
         return (self.n_rows, self.n_cols)
 
     def entry(self, r: int, c: int) -> int:
-        return self.rows[r].get(c, 0)
+        return self.cols[c].get(r, 0)
 
     def nnz(self) -> int:
-        return sum(len(row) for row in self.rows)
+        return sum(map(len, self.cols))
 
     def is_zero(self) -> bool:
-        return all(not row for row in self.rows)
+        return not any(self.cols)
 
-    def column(self, c: int) -> dict[int, int]:
-        return {r: row[c] for r, row in enumerate(self.rows) if c in row}
-
-    def columns(self) -> list[dict[int, int]]:
-        cols: list[dict[int, int]] = [dict() for _ in range(self.n_cols)]
-        for r, row in enumerate(self.rows):
-            for c, v in row.items():
-                cols[c][r] = v
-        return cols
+    def rows(self) -> list[dict[int, int]]:
+        """The rows as chains keyed by column index, in column order."""
+        rows: list[dict[int, int]] = [dict() for _ in range(self.n_rows)]
+        for c, col in enumerate(self.cols):
+            for r, v in col.items():
+                rows[r][c] = v
+        return rows
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SparseIntMatrix):
             return NotImplemented
-        return self.shape == other.shape and self.rows == other.rows
-
-    def __hash__(self) -> int:  # pragma: no cover - matrices are not dict keys
-        raise TypeError("SparseIntMatrix is unhashable")
+        return self.shape == other.shape and self.cols == other.cols
 
     def __repr__(self) -> str:
         return f"SparseIntMatrix({self.n_rows}x{self.n_cols}, nnz={self.nnz()})"
@@ -135,14 +121,17 @@ class SparseIntMatrix:
     # -- algebra -----------------------------------------------------------
 
     def transpose(self) -> "SparseIntMatrix":
-        return SparseIntMatrix(self.n_cols, self.n_rows, self.columns())
+        return SparseIntMatrix(self.n_cols, self.n_rows, self.rows())
 
     def mul(self, other: "SparseIntMatrix") -> "SparseIntMatrix":
         if self.n_cols != other.n_rows:
             raise ValueError("shape mismatch in mul")
-        orow = other.rows.__getitem__
-        return SparseIntMatrix(self.n_rows, other.n_cols, [linear_extend(row, orow) for row in self.rows])
+        col = self.cols.__getitem__
+        return SparseIntMatrix(self.n_rows, other.n_cols, [linear_extend(ocol, col) for ocol in other.cols])
 
     def mul_vec(self, vec: dict[int, int]) -> dict[int, int]:
-        """Matrix times sparse column vector: the sum of vec[c] * column c."""
-        return linear_extend(vec, self.columns().__getitem__)
+        """Matrix times sparse column vector: the sum of vec[c] * column c.
+        A key outside range(n_cols) raises IndexError."""
+        if not all(0 <= c < self.n_cols for c in vec):
+            raise IndexError("vector key outside the column range")
+        return linear_extend(vec, self.cols.__getitem__)

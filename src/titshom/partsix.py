@@ -179,7 +179,7 @@ def zcomplex_poset_iso(zc: ZSetComplex) -> dict:
             images.append((canonical_generator(tuple(x for blk in lab for x in blk))[1], chain))
         if len(images) != ordered_partition_count(zc.d, deg + 2):
             raise IdentityViolation(f"poset map not onto in degree {deg}")
-        cols = zc.cx.boundary_at(deg).columns()
+        cols = zc.cx.boundary_at(deg).cols
         for lab, (eps, chain), col in zip(zc.cx.basis[deg], images, cols):
             through: dict = {}
             for i, v in col.items():
@@ -261,9 +261,9 @@ def line_components(lines) -> tuple[tuple[Vector, ...], ...]:
         if not relation.n_cols:
             basis.append(e)
             continue
-        for b, used in zip(basis, relation.rows):
-            if used:
-                parent[find(b)] = find(e)
+        # key len(basis) of a relation is e itself
+        for i in set().union(*relation.cols) - {len(basis)}:
+            parent[find(basis[i])] = find(e)
     comps: dict[int, list] = {}
     for i, v in enumerate(lines):
         comps.setdefault(find(i), []).append(v)
@@ -489,9 +489,9 @@ def _class_report(cx: ChainComplexZ, vec: dict[int, int], degree: int) -> dict:
     if down.mul_vec(vec):
         raise CertificateFailure("cycle lies outside the kernel lattice")
     free = rank(down)
-    img_cols = cx.boundary_at(degree + 1).columns()
-    betti, torsion = cokernel_invariants(SparseIntMatrix.from_columns(cx.dim(degree), img_cols))
-    after = cokernel_invariants(SparseIntMatrix.from_columns(cx.dim(degree), img_cols + [vec]))
+    image = cx.boundary_at(degree + 1)
+    betti, torsion = cokernel_invariants(image)
+    after = cokernel_invariants(SparseIntMatrix(image.n_rows, image.n_cols + 1, image.cols + [vec]))
     return {
         "homology": HomologyGroup(betti - free, torsion),
         "class_is_zero": after == (betti, torsion),

@@ -183,7 +183,7 @@ def _suite_linalg(seed: int, count: int) -> list[CheckSpec]:
             rows = rng.randint(1, 4)
             cols = rng.randint(rows, 5)
             dense = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
-            sat = snf.saturation(SparseIntMatrix.from_dense(dense).transpose())
+            sat = snf.saturation(zsymbols.rows_as_columns(dense))
             if not snf.is_saturated(sat):
                 bad += 1
         return {"trials": trials, "not_saturated": bad}

@@ -76,7 +76,7 @@ def smith_normal_form(a: SparseIntMatrix) -> SNFResult:
             return SNFResult((1,) * len(values))
         if all(len(cols[c]) == 1 for _, c in pivots):
             return SNFResult(_diagonal_divisors(values))
-        m = SparseIntMatrix(len(pivots), m.n_rows, [cols[c] for _, c in pivots])
+        m = SparseIntMatrix(m.n_rows, len(pivots), [cols[c] for _, c in pivots]).transpose()
 
 
 def _diagonal_divisors(values: list[int]) -> tuple[int, ...]:
@@ -100,7 +100,7 @@ def _diagonal_divisors(values: list[int]) -> tuple[int, ...]:
 class _ColumnEngine:
     def __init__(self, a: SparseIntMatrix, track_v: bool):
         self.m, self.n = a.shape
-        self.cols: list[dict[int, int]] = a.columns()
+        self.cols: list[dict[int, int]] = [dict(c) for c in a.cols]  # reduce mutates them
         self.rowidx: dict[int, set[int]] = {}
         for c, col in enumerate(self.cols):
             for r in col:
@@ -178,7 +178,7 @@ def kernel_basis(a: SparseIntMatrix) -> SparseIntMatrix:
     eng = _ColumnEngine(a, track_v=True)
     _, free = eng.reduce()
     assert eng.v_cols is not None
-    return SparseIntMatrix.from_columns(a.n_cols, [eng.v_cols[c] for c in free])
+    return SparseIntMatrix(a.n_cols, len(free), [eng.v_cols[c] for c in free])
 
 
 def nullity(a: SparseIntMatrix) -> int:

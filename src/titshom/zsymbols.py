@@ -116,29 +116,37 @@ def row_hnf(rows) -> Lattice:
     return tuple(tuple(row) for row in work[:r])
 
 
+def rows_as_columns(rows) -> SparseIntMatrix:
+    """The matrix whose column i is rows[i]; it has the rows' rank and Smith divisors."""
+    n = len(rows[0]) if rows else 0
+    if any(len(row) != n for row in rows):
+        raise ValueError("ragged rows")
+    return SparseIntMatrix(n, len(rows), [{i: v for i, v in enumerate(row) if v} for row in rows])
+
+
 def saturate_rows(rows) -> Lattice:
     """Hermite basis of the saturation of the row span inside Z^n: the
     kernel of the kernel, from `snf.saturation` of the rows as columns."""
-    sat = snf.saturation(SparseIntMatrix.from_dense(rows).transpose())
-    return row_hnf([tuple(col.get(i, 0) for i in range(sat.n_rows)) for col in sat.columns()])
+    sat = snf.saturation(rows_as_columns(rows))
+    return row_hnf([tuple(col.get(i, 0) for i in range(sat.n_rows)) for col in sat.cols])
 
 
 def is_saturated_rows(rows) -> bool:
     """True when the rows are independent and span a saturated summand:
     one Smith divisor per row, each 1."""
-    divisors = snf.smith_normal_form(SparseIntMatrix.from_dense(rows)).divisors
+    divisors = snf.smith_normal_form(rows_as_columns(rows)).divisors
     return len(divisors) == len(rows) and all(d == 1 for d in divisors)
 
 
 def rank_rows(rows) -> int:
     """Rank of the row span."""
-    return snf.rank(SparseIntMatrix.from_dense(rows))
+    return snf.rank(rows_as_columns(rows))
 
 
 def row_relations(rows) -> SparseIntMatrix:
     """Basis (columns) of the integer relations y with sum_i y_i rows[i] = 0;
-    row i of the result is empty exactly when no relation uses rows[i]."""
-    return snf.kernel_basis(SparseIntMatrix.from_dense(rows).transpose())
+    no column has key i exactly when no relation uses rows[i]."""
+    return snf.kernel_basis(rows_as_columns(rows))
 
 
 @dataclass(frozen=True)
@@ -416,7 +424,8 @@ def deletion_sum(rows: tuple[Vector, ...], rank: int) -> dict[tuple[Vector, ...]
     else:
         relations = row_relations(rows)
         r = len(rows) - relations.n_cols
-        spans = [r - (not used) >= rank for used in relations.rows]
+        used = set().union(*relations.cols)
+        spans = [r - (j not in used) >= rank for j in range(len(rows))]
     for j, keep in enumerate(spans):
         if not keep:
             continue

@@ -90,7 +90,7 @@ def abelian_invariants_oracle(rel_rows: list[list[int]], n_gens: int) -> tuple[i
 
 def rank_mod_p(a: SparseIntMatrix, p: int) -> int:
     """Rank of a over GF(p), for p prime, by a separate mod-p echelon."""
-    cols = [{r: v % p for r, v in col.items() if v % p} for col in a.columns()]
+    cols = [{r: v % p for r, v in col.items() if v % p} for col in a.cols]
     return len(_echelon_mod_p(cols, p))
 
 

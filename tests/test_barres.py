@@ -233,7 +233,7 @@ def test_rank2_pairing_matches_kernel_oracle(q):
     ]
     phi_mat = kernel_basis(coinvariant_relations(c * s, big).transpose())
     assert phi_mat.n_cols == 1
-    phi_direct = phi_mat.column(0)
+    phi_direct = phi_mat.cols[0]
     phi = rank2_pairing(st)
     flat = {x * s + j: v for x, row in enumerate(phi) for j, v in row.items()}
     assert phi_direct in (flat, {k: -v for k, v in flat.items()})

@@ -183,14 +183,14 @@ def _w_poset_oracle(d: int) -> ChainComplexZ:
     ids=["building-3-2", "building-3-3", "building-4-2", "w-1", "w-2", "w-3", "w-4"],
 )
 def test_order_complex_matches_face_rule_assembly(got, want):
-    # same basis order and the same rows, in the same order, in every degree
+    # same basis order and the same columns, keys in the same order, in every degree
     got, want = got(), want()
     assert got.basis == want.basis
     assert sorted(got.boundary) == sorted(want.boundary) == got.degrees
     for d in got.degrees:
         a, b = got.boundary_at(d), want.boundary_at(d)
         assert a.shape == b.shape, d
-        assert [list(row.items()) for row in a.rows] == [list(row.items()) for row in b.rows], d
+        assert [list(col.items()) for col in a.cols] == [list(col.items()) for col in b.cols], d
 
 
 def test_degree_out_of_range():

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import copy
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from titshom import barres, building, partsix
+from titshom.actions import coinvariant_relations
 from titshom.intmat import SparseIntMatrix, add_chain, add_term, linear_extend
 from titshom.snf import (
     LatticeSolver,
@@ -42,7 +44,7 @@ def test_kernel_frozen_example():
     a = SparseIntMatrix.from_dense([[1, 2, 3], [4, 5, 6]])
     k = kernel_basis(a)
     assert k.shape == (3, 1)
-    col = k.column(0)
+    col = k.cols[0]
     vec = tuple(col.get(i, 0) for i in range(3))
     assert vec in ((1, -2, 1), (-1, 2, -1))
 
@@ -166,7 +168,7 @@ def test_saturation_of_non_saturated_lattice():
     a = SparseIntMatrix.from_dense([[2, 0], [0, 3]])
     sat = saturation(a)
     assert rank(sat) == 2
-    assert abs(bareiss_det([[row.get(c, 0) for c in range(sat.n_cols)] for row in sat.rows])) == 1
+    assert abs(bareiss_det([[row.get(c, 0) for c in range(sat.n_cols)] for row in sat.rows()])) == 1
     assert not is_saturated(a)
     assert is_saturated(SparseIntMatrix.identity(3))
     # dependent columns: the lattice is what counts, not a basis of it
@@ -199,6 +201,45 @@ def test_lattice_solver_roundtrip():
         assert (got is not None) == inside
         if inside:
             assert a.mul_vec(got) == {i: v for i, v in off.items() if v}
+
+
+def test_mul_vec_rejects_keys_outside_the_columns():
+    a = SparseIntMatrix.from_dense([[1, 2], [3, 4]])
+    assert a.mul_vec({1: 1}) == {0: 2, 1: 4}
+    for key in (-1, a.n_cols):
+        with pytest.raises(IndexError):
+            a.mul_vec({key: 1})
+
+
+def _solver(a):
+    try:
+        return LatticeSolver(a)
+    except ValueError:  # dependent columns; the input must still be intact
+        return None
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        smith_normal_form,
+        rank,
+        kernel_basis,
+        saturation,
+        cokernel_invariants,
+        _solver,
+        lambda a: coinvariant_relations(a.n_rows, [a]),
+    ],
+    ids=["smith", "rank", "kernel", "saturation", "cokernel", "solver", "coinvariant-relations"],
+)
+def test_elimination_leaves_its_input_columns_unchanged(call):
+    # the engines reduce copies: the stored columns they read stay as they were
+    rng = random.Random(13)
+    for _ in range(30):
+        n = rng.randint(1, 5)
+        _, a = random_matrix(rng, n, n, lo=-4, hi=4, density=0.6)
+        before = copy.deepcopy(a.cols)
+        call(a)
+        assert a.cols == before
 
 
 def test_lattice_solver_rejects_outside_vectors():
@@ -316,9 +357,15 @@ def product_inputs(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(product_inputs())
+@example((0, 3, 2, [], [[1, 0], [0, 0], [2, -1]], {1: 2}))
+@example((3, 0, 2, [[], [], []], [], {}))
+@example((3, 3, 1, [[1, 0, 2], [0, 0, 0], [-3, 0, 1]], [[0], [0], [0]], {0: 1, 1: 5}))
 def test_products_and_transpose_match_dense(inputs):
     m, k, n, da, db, vec = inputs
     a, b = sparse_of(da, k), sparse_of(db, n)
+    # the derived rows are da's, and transposing twice gives a back
+    assert a.rows() == [{c: v for c, v in enumerate(row) if v} for row in da]
+    assert a.transpose().transpose() == a
     prod = [[sum(row[t] * db[t][j] for t in range(k)) for j in range(n)] for row in da]
     assert a.mul(b) == sparse_of(prod, n)
     ax = {r: s for r, row in enumerate(da) if (s := sum(row[c] * x for c, x in vec.items()))}
