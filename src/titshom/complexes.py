@@ -211,10 +211,6 @@ def order_complex(vertices: list[Label], above: list[list[int]]) -> ChainComplex
     return check_dd(ChainComplexZ(bases, boundary))
 
 
-def _face_rule(chain: tuple) -> dict[tuple, int]:
-    return {chain[:j] + chain[j + 1 :]: -1 if j & 1 else 1 for j in range(len(chain))}
-
-
 def homology(cx: ChainComplexZ, d: int) -> HomologyGroup:
     """Homology at degree d, read off `homology_profile`."""
     if d not in cx.basis:

@@ -28,7 +28,6 @@ from itertools import combinations, permutations, product
 from math import comb
 
 from .complexes import (
-    _face_rule,
     ChainComplexZ,
     HomologyGroup,
     assemble_complex,
@@ -49,7 +48,6 @@ from .snf import cokernel_invariants, rank
 from .zsymbols import (
     Vector,
     _combo,
-    deletion_sum,
     det_int,
     normalize_line,
     random_unimodular_basis,
@@ -57,6 +55,7 @@ from .zsymbols import (
     recognize_apf,
     row_relations,
     saturate_rows,
+    signed_deletions,
 )
 
 
@@ -151,43 +150,64 @@ def zcomplex_poset_iso(zc: ZSetComplex) -> dict:
 
     Each partition maps to the chain of its block-union prefixes, as bit
     masks of unit indices, signed by the parity of the concatenated blocks
-    against the sorted label set. In every degree each image must be a
-    strict chain {} < P_1 < ... < P_k < [d], the map must be injective, and
-    the images must number `ordered_partition_count(d, k + 1)`, the count of
-    all such chains, so the map is onto. The commuting square is checked
-    against `_face_rule` of each image chain; W(d) itself is never built.
+    against the sorted label set: the inversion count, read off a bitmask of
+    the labels already placed. In every degree each image must be a strict
+    chain {} < P_1 < ... < P_k < [d] (no block empty, no unit or label
+    placed twice), the map must be injective, and the images must number
+    `ordered_partition_count(d, k + 1)`, the count of all such chains, so
+    the map is onto. The commuting square is checked by looking up the
+    faces of each image among the previous degree's images: the column
+    must hold exactly those rows, each with the product of both signs and
+    (-1)^j for the face dropping P_j. W(d) itself is never built.
     Returns the per-degree rank table.
     """
     if zc.cx.degrees != list(range(-1, zc.d - 1)):
         raise IdentityViolation(f"degrees {zc.cx.degrees} are not -1..{zc.d - 2}")
     unit_bit = {x: 1 << i for i, u in enumerate(zc.units) for x in u}
-    below: list = []
+    everything = (1 << len(zc.labels)) - 1
+    # per label: its bit, the labels ranked above it, its unit's bit
+    info = {x: (1 << i, everything ^ ((2 << i) - 1), unit_bit[x]) for i, x in enumerate(zc.labels)}
+    below_pos: dict = {}
+    below_signs: list = []
     for deg in zc.cx.degrees:
-        images, seen = [], set()
-        for lab in zc.cx.basis[deg]:
-            acc, chain = 0, ()
-            for blk in lab[:-1]:
+        basis = zc.cx.basis[deg]
+        pos: dict = {}
+        signs: list = []
+        for lab in basis:
+            placed = covered = inversions = 0
+            prefixes = []
+            for blk in lab:
+                units = 0
                 for x in blk:
-                    acc |= unit_bit[x]
-                chain += (acc,)
-            # the prefixes only grow, so the chain is strict when neighbours differ
-            if not all(a != b for a, b in zip((0,) + chain, chain + ((1 << zc.d) - 1,))):
+                    bit, up, ubit = info[x]
+                    inversions += (placed & up).bit_count()
+                    placed |= bit
+                    units |= ubit
+                if not units or units & covered:
+                    raise IdentityViolation(f"poset map image of {lab} is not a strict chain")
+                covered |= units
+                prefixes.append(covered)
+            # a label repeated inside one block leaves fewer bits than labels
+            if placed.bit_count() != sum(map(len, lab)):
                 raise IdentityViolation(f"poset map image of {lab} is not a strict chain")
-            if chain in seen:
+            chain = tuple(prefixes[:-1])
+            if chain in pos:
                 raise IdentityViolation(f"poset map not injective at {lab}")
-            seen.add(chain)
-            images.append((canonical_generator(tuple(x for blk in lab for x in blk))[1], chain))
-        if len(images) != ordered_partition_count(zc.d, deg + 2):
+            pos[chain] = len(signs)
+            signs.append(-1 if inversions & 1 else 1)
+        if len(signs) != ordered_partition_count(zc.d, deg + 2):
             raise IdentityViolation(f"poset map not onto in degree {deg}")
         cols = zc.cx.boundary_at(deg).cols
-        for lab, (eps, chain), col in zip(zc.cx.basis[deg], images, cols):
-            through: dict = {}
-            for i, v in col.items():
-                sign, face = below[i]
-                add_term(through, face, eps * sign * v)
-            if through != _face_rule(chain):
+        # pos lists the images in basis order
+        for lab, chain, eps, col in zip(basis, pos, signs, cols):
+            if len(col) != len(chain):
                 raise IdentityViolation(f"poset map fails to commute at {lab}")
-        below = images
+            for j in range(len(chain)):
+                i = below_pos.get(chain[:j] + chain[j + 1 :])
+                if i is None or col.get(i) != eps * below_signs[i]:
+                    raise IdentityViolation(f"poset map fails to commute at {lab}")
+                eps = -eps
+        below_pos, below_signs = pos, signs
     return {d: zc.cx.dim(d) for d in zc.cx.degrees}
 
 
@@ -311,8 +331,14 @@ def x_localized(lines, q: int | None = None) -> ChainComplexZ:
 
 
 def block_delta(block: tuple[Vector, ...]) -> dict[tuple[Vector, ...], int]:
-    """Deletion differential of one block, keeping only span-preserving terms."""
-    return deletion_sum(block, rank_rows(block))
+    """Deletion differential of one block, keeping only span-preserving terms.
+
+    One kernel decides every term: deleting row j keeps the block's span
+    exactly when some integer relation uses row j, so an independent block,
+    whose kernel is empty, has nothing to delete.
+    """
+    used = set().union(*row_relations(block).cols)
+    return signed_deletions(block, [j in used for j in range(len(block))])
 
 
 def cell_bar_boundary(cell) -> dict:

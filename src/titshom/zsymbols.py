@@ -416,9 +416,8 @@ def deletion_sum(rows: tuple[Vector, ...], rank: int) -> dict[tuple[Vector, ...]
     deletion: with r the rank of all rows, deleting row j leaves rank r,
     or r - 1 when row j is a coloop, used by no integer relation.
     """
-    out: dict[tuple[Vector, ...], int] = {}
     if len(rows) <= rank:
-        return out
+        return {}
     if len(rows) - 1 == rank == len(rows[0]):
         spans = [det_int(rows[:j] + rows[j + 1 :]) != 0 for j in range(len(rows))]
     else:
@@ -426,8 +425,15 @@ def deletion_sum(rows: tuple[Vector, ...], rank: int) -> dict[tuple[Vector, ...]
         r = len(rows) - relations.n_cols
         used = set().union(*relations.cols)
         spans = [r - (j not in used) >= rank for j in range(len(rows))]
-    for j, keep in enumerate(spans):
-        if not keep:
+    return signed_deletions(rows, spans)
+
+
+def signed_deletions(rows: tuple[Vector, ...], keep: list[bool]) -> dict[tuple[Vector, ...], int]:
+    """Sum of (-1)^j times the canonical generator of rows without row j,
+    over the j with keep[j]; a deletion with a repeated row is zero."""
+    out: dict[tuple[Vector, ...], int] = {}
+    for j, kept in enumerate(keep):
+        if not kept:
             continue
         tokens, sign = canonical_generator(rows[:j] + rows[j + 1 :])
         if sign:

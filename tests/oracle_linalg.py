@@ -5,7 +5,9 @@ divisors are recovered from gcds of k-by-k minors (determinantal divisors)
 with exact Bareiss determinants, and ranks over GF(p) come from a separate
 mod-p echelon, which the tests check Z ranks, Smith divisors and homology
 against (universal coefficients). Subspaces of F_q^n are checked against
-their explicit vector sets.
+their explicit vector sets. The partition complex's isomorphism onto the
+subset poset is rechecked by sorting each cell's labels and applying the
+face rule of each image chain.
 """
 
 from __future__ import annotations
@@ -14,8 +16,11 @@ from itertools import combinations
 from math import gcd
 
 from titshom.building import Subspace, Vector, vec_add, vec_scale
+from titshom.complexes import canonical_generator
+from titshom.errors import IdentityViolation
 from titshom.fqfield import FieldTable
-from titshom.intmat import SparseIntMatrix
+from titshom.intmat import SparseIntMatrix, add_term
+from titshom.partsix import ZSetComplex, ordered_partition_count
 
 
 def bareiss_det(mat: list[list[int]]) -> int:
@@ -143,3 +148,50 @@ def span_vectors(ft: FieldTable, basis: Subspace) -> frozenset[Vector]:
                 nxt.add(vec_add(ft, v, vec_scale(ft, c, row)))
         out = nxt
     return frozenset(out)
+
+
+def face_rule(chain: tuple) -> dict[tuple, int]:
+    """Boundary of an order-complex chain: drop entry j with sign (-1)^j."""
+    return {chain[:j] + chain[j + 1 :]: -1 if j & 1 else 1 for j in range(len(chain))}
+
+
+def poset_iso_oracle(zc: ZSetComplex) -> dict:
+    """`partsix.zcomplex_poset_iso` by sorting and by chain arithmetic.
+
+    Each cell's sign is `canonical_generator` of its concatenated blocks, and
+    each column, pushed through the map, must equal `face_rule` of its image
+    chain. The rank table and the messages are the fast check's, except
+    that a label repeated inside one block gets sign 0 here and so fails the
+    square rather than the strict-chain test.
+    """
+    if zc.cx.degrees != list(range(-1, zc.d - 1)):
+        raise IdentityViolation(f"degrees {zc.cx.degrees} are not -1..{zc.d - 2}")
+    unit_bit = {x: 1 << i for i, u in enumerate(zc.units) for x in u}
+    below: list = []
+    for deg in zc.cx.degrees:
+        images, seen = [], set()
+        for lab in zc.cx.basis[deg]:
+            acc, chain = 0, ()
+            for blk in lab[:-1]:
+                for x in blk:
+                    acc |= unit_bit[x]
+                chain += (acc,)
+            # the prefixes only grow, so the chain is strict when neighbours differ
+            if not all(a != b for a, b in zip((0,) + chain, chain + ((1 << zc.d) - 1,))):
+                raise IdentityViolation(f"poset map image of {lab} is not a strict chain")
+            if chain in seen:
+                raise IdentityViolation(f"poset map not injective at {lab}")
+            seen.add(chain)
+            images.append((canonical_generator(tuple(x for blk in lab for x in blk))[1], chain))
+        if len(images) != ordered_partition_count(zc.d, deg + 2):
+            raise IdentityViolation(f"poset map not onto in degree {deg}")
+        cols = zc.cx.boundary_at(deg).cols
+        for lab, (eps, chain), col in zip(zc.cx.basis[deg], images, cols):
+            through: dict = {}
+            for i, v in col.items():
+                sign, face = below[i]
+                add_term(through, face, eps * sign * v)
+            if through != face_rule(chain):
+                raise IdentityViolation(f"poset map fails to commute at {lab}")
+        below = images
+    return {d: zc.cx.dim(d) for d in zc.cx.degrees}

@@ -17,7 +17,6 @@ from titshom.building import building_complex, subspaces
 from titshom.complexes import (
     ChainComplexZ,
     HomologyGroup,
-    _face_rule,
     assemble_complex,
     canonical_generator,
     check_dd,
@@ -33,7 +32,7 @@ from titshom.fqfield import field
 from titshom.partsix import SHAPES, shape_arity, shape_lines, w_poset_complex, x_localized, zcomplex
 from titshom.snf import smith_normal_form
 
-from oracle_linalg import rank_mod_p, span_vectors
+from oracle_linalg import face_rule, rank_mod_p, span_vectors
 
 
 def test_canonical_generator_frozen():
@@ -152,13 +151,13 @@ def test_check_dd_names_the_first_bad_generator():
 
 
 def _order_complex_oracle(vertices: list, less) -> ChainComplexZ:
-    """Chains grown by the pairwise order test, assembled through `_face_rule`."""
+    """Chains grown by the pairwise order test, assembled through `face_rule`."""
     bases = {-1: [()]}
     frontier = [(v,) for v in vertices]
     while frontier:
         bases[len(bases) - 1] = frontier
         frontier = [chain + (w,) for chain in frontier for w in vertices if less(chain[-1], w)]
-    return assemble_complex(bases, _face_rule)
+    return assemble_complex(bases, face_rule)
 
 
 def _building_oracle(n: int, q: int) -> ChainComplexZ:

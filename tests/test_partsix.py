@@ -9,7 +9,6 @@ from titshom import partsix
 from titshom.building import building_complex
 from titshom.complexes import (
     ChainComplexZ,
-    _face_rule,
     HomologyGroup,
     assemble_complex,
     canonical_generator,
@@ -48,6 +47,8 @@ from titshom.partsix import (
 )
 from titshom.snf import LatticeSolver
 from titshom.zsymbols import det_int, normalize_line, random_unimodular_basis, row_hnf, saturate_rows
+
+from oracle_linalg import face_rule, poset_iso_oracle
 
 Z = HomologyGroup(1, ())
 O = HomologyGroup(0, ())
@@ -127,6 +128,22 @@ def _empty_block(labels, cols):
     labels[0] = ((),) + labels[0]
 
 
+def _repeat_label(labels, cols):
+    # same units, and no inversion from the copy: a sign by inversions alone misses it
+    first = labels[0][0]
+    labels[0] = ((first[0],) + first,) + labels[0][1:]
+
+
+def _split_unit(labels, cols):
+    # the first block's last label moves into the second block
+    lab = labels[0]
+    labels[0] = (lab[0][:-1], lab[0][-1:] + lab[1]) + lab[2:]
+
+
+def _negate_column(labels, cols):
+    cols[0] = {r: -v for r, v in cols[0].items()}
+
+
 @pytest.mark.parametrize(
     "labels, rsets, degree, edit, message",
     [
@@ -137,6 +154,9 @@ def _empty_block(labels, cols):
         ("abc", (), 0, _duplicate_first, "not injective"),
         ("abcd", ({"a", "b"},), 1, _duplicate_first, "not injective"),
         ("abc", (), 0, _empty_block, "not a strict chain"),
+        ("abc", (), 0, _repeat_label, "not a strict chain"),
+        ("abcd", ({"a", "b"},), 1, _split_unit, "not a strict chain"),
+        ("abcd", (), 1, _negate_column, "fails to commute"),
     ],
     ids=[
         "drop-top",
@@ -146,6 +166,9 @@ def _empty_block(labels, cols):
         "duplicate-0",
         "duplicate-top",
         "empty-block",
+        "repeat-label",
+        "shared-unit",
+        "negate-column",
     ],
 )
 def test_zcomplex_poset_iso_rejects_broken_copies(labels, rsets, degree, edit, message):
@@ -173,15 +196,21 @@ def test_zcomplex_poset_iso():
 def test_zcomplex_exhaustive_small():
     # every restriction shape on at most four labels, up to relabeling
     for size in range(1, 5):
-        for sizes in _size_multisets(size):
-            rsets, at = [], 0
-            for k in sizes:
-                rsets.append(frozenset(range(at, at + k)))
-                at += k
+        for sizes, rsets in _restriction_shapes(size):
             zc = zcomplex(range(size), rsets)
-            assert zc.d == size - at + len(sizes)
+            assert zc.d == size - sum(sizes) + len(sizes)
             assert zcomplex_is_spherical(zc)
             zcomplex_poset_iso(zc)
+
+
+def _restriction_shapes(size):
+    """(block sizes, restriction sets) of every shape on `size` labels."""
+    for sizes in _size_multisets(size):
+        rsets, at = [], 0
+        for k in sizes:
+            rsets.append(frozenset(range(at, at + k)))
+            at += k
+        yield sizes, rsets
 
 
 def _size_multisets(total):
@@ -192,6 +221,42 @@ def _size_multisets(total):
                 yield (k,) + rest
 
     return sorted(set(parts(total, 1)))
+
+
+def _oracle_instances():
+    """Every restriction shape on at most five labels, then seeded random
+    restrictions on six and seven."""
+    for size in range(1, 6):
+        for _, rsets in _restriction_shapes(size):
+            yield zcomplex(range(size), rsets)
+    rng = random.Random(22)
+    for size in (6, 7):
+        for _ in range(2):
+            yield zcomplex(*random_restriction(size, rng))
+
+
+def test_zcomplex_poset_iso_matches_sorting_oracle():
+    for zc in _oracle_instances():
+        assert zcomplex_poset_iso(zc) == poset_iso_oracle(zc) == {d: zc.cx.dim(d) for d in zc.cx.degrees}
+
+
+def test_zcomplex_poset_iso_and_oracle_reject_sign_flips():
+    # one entry of a random column negated, in a random degree with entries
+    rng = random.Random(2215)
+    instances = [zc for zc in _oracle_instances() if zc.d >= 2]
+    for _ in range(60):
+        zc = rng.choice(instances)
+        degree = rng.randrange(0, zc.d - 1)
+        c = rng.randrange(zc.cx.dim(degree))
+
+        def flip(labels, cols):
+            row = rng.choice(sorted(cols[c]))
+            cols[c][row] = -cols[c][row]
+
+        broken = _broken_copy(zc, degree, flip)
+        for check in (zcomplex_poset_iso, poset_iso_oracle):
+            with pytest.raises(IdentityViolation, match="fails to commute"):
+                check(broken)
 
 
 def test_zcomplex_random_instances():
@@ -296,8 +361,8 @@ def test_x_localized_frame_matches_zcomplex():
         (zcomplex(range(5), [{0, 1}, {2, 3}]).cx, cell_bar_boundary),
         (x_localized(shape_lines("x1-ii", 3, (1, -1, 1))[0], 1), cell_bar_boundary),
         (x_localized(shape_lines("x2-i", 3, (1, 1, -1))[0], 2), cell_bar_boundary),
-        (building_complex(3, 2), _face_rule),
-        (building_complex(3, 3), _face_rule),
+        (building_complex(3, 2), face_rule),
+        (building_complex(3, 3), face_rule),
     ],
     ids=["z4", "z5-restricted", "x1-ii", "x2-i", "building-3-2", "building-3-3"],
 )

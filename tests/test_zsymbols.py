@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from titshom import partsix, reports, zsymbols
 from titshom.building import perm_sign
-from titshom.complexes import _face_rule, canonical_generator
+from titshom.complexes import canonical_generator
 from titshom.errors import BudgetExceeded, DegreeZero, IdentityViolation, ZeroVector
 from titshom.intmat import SparseIntMatrix, add_term, linear_extend
 from titshom.snf import LatticeSolver
@@ -36,7 +36,7 @@ from titshom.zsymbols import (
     saturate_rows,
 )
 
-from oracle_linalg import snf_divisors_oracle
+from oracle_linalg import face_rule, snf_divisors_oracle
 
 
 def test_normalize_line():
@@ -145,7 +145,7 @@ def test_apartment_eval_is_cycle():
             if any(not any(v) for v in vecs):
                 continue
             chain = apartment_eval(vecs)
-            assert linear_extend(chain, _face_rule) == {}
+            assert linear_extend(chain, face_rule) == {}
 
 
 def _eval_combination(terms):
@@ -409,12 +409,11 @@ def test_deletion_sum_determinant_shortcut_matches_rank_test():
                 got = deletion_sum(lines, n)
                 assert got == _deletion_sum_by_rank(lines, n)
                 dropped += len(lines) - len(got)
-                # blocks of lower rank: len(rem) == rank < n is not square
-                for size in range(2, n + 1):
+                # blocks of every rank, up to one row past a frame: full-rank
+                # blocks are where a square deletion could lose rank
+                for size in range(2, n + 2):
                     for block in combinations(lines, size):
-                        r = rank_rows(block)
-                        if r < n:
-                            assert partsix.block_delta(block) == _deletion_sum_by_rank(block, r)
+                        assert partsix.block_delta(block) == _deletion_sum_by_rank(block, rank_rows(block))
     # square deletions that lose rank occur and are dropped
     assert dropped
 
