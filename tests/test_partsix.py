@@ -135,7 +135,7 @@ def _repeat_label(labels, cols):
 
 
 def _split_unit(labels, cols):
-    # the first block's last label moves into the second block
+    # the first block's last label moves into the second, so two blocks share its unit
     lab = labels[0]
     labels[0] = (lab[0][:-1], lab[0][-1:] + lab[1]) + lab[2:]
 
