@@ -214,6 +214,8 @@ def reduce(symbol, batch, report):
     texts = [symbol] if symbol is not None else [
         line for line in Path(batch).read_text().splitlines() if line.strip()
     ]
+    if not texts:
+        raise click.UsageError(f"batch file {batch!r} holds no symbol")
     results = []
     for text in texts:
         try:

@@ -44,7 +44,7 @@ from .errors import (
     ShapeUnavailable,
 )
 from .intmat import SparseIntMatrix, add_chain, add_term, linear_extend
-from .snf import cokernel_invariants, rank
+from .snf import cokernel_invariants, rank, saturation
 from .zsymbols import (
     Vector,
     _combo,
@@ -54,7 +54,7 @@ from .zsymbols import (
     rank_rows,
     recognize_apf,
     row_relations,
-    saturate_rows,
+    rows_as_columns,
     signed_deletions,
 )
 
@@ -251,10 +251,10 @@ def random_restriction(size: int, rng: random.Random) -> tuple[tuple, tuple]:
 
 def _blocks_decompose(blocks, n: int) -> bool:
     """True when the block spans are a direct-sum decomposition of Z^n."""
-    spans = [saturate_rows(b) for b in blocks]
-    if sum(len(s) for s in spans) != n:
+    spans = [saturation(rows_as_columns(b)) for b in blocks]
+    if sum(s.n_cols for s in spans) != n:
         return False
-    stacked = [row for s in spans for row in s]
+    stacked = [tuple(col.get(i, 0) for i in range(n)) for s in spans for col in s.cols]
     return abs(det_int(stacked)) == 1
 
 

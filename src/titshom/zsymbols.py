@@ -6,11 +6,13 @@ descent rewrites any symbol as a sum of unimodular ones. The X-degree
 machinery (augmented partial frames, deletion differential, the map to
 Steinberg chains) lives here too.
 
-Rank, saturation, the summand test and the integer relations among a few
-rows in Z^n run on the one elimination core in `snf`; determinants decide
-the rest: a square set of rows spans exactly when its determinant is
-nonzero, and e_k lies in a full-rank lattice exactly when Cramer's rule
-gives it integer coordinates.
+A saturated sublattice in a flag is keyed by its primitive Plücker vector,
+which the minors of any independent rows spanning it up to finite index
+give, so evaluating a symbol needs no elimination. Rank, the summand test
+and the integer relations among a few rows in Z^n run on the one
+elimination core in `snf`; determinants decide the rest: a square set of
+rows spans exactly when its determinant is nonzero, and e_k lies in a
+full-rank lattice exactly when Cramer's rule gives it integer coordinates.
 """
 
 from __future__ import annotations
@@ -28,7 +30,11 @@ from .errors import BudgetExceeded, DegreeZero, IdentityViolation, ZeroVector
 from .intmat import SparseIntMatrix, add_term, linear_extend
 
 Vector = tuple[int, ...]
-Lattice = tuple[Vector, ...]  # rows in Hermite normal form
+# a saturated rank-k sublattice, keyed by its primitive Plücker vector: the
+# k x k minors of any basis over their gcd, first nonzero positive
+Lattice = tuple[int, ...]
+# member i of a flag has rank i + 1, so keys of ranks k and n - k, which have
+# the same length, are never compared
 Flag = tuple[Lattice, ...]
 
 
@@ -38,17 +44,13 @@ def normalize_line(v) -> tuple[Vector, int]:
     Returns the representative together with the sign relating v's primitive
     part to it.
     """
-    vec = tuple(int(x) for x in v)
-    g = 0
-    for x in vec:
-        g = gcd(g, x)
+    vec = tuple(v)
+    g = gcd(*vec)
     if g == 0:
         raise ZeroVector("cannot normalize the zero vector")
-    vec = tuple(x // g for x in vec)
-    lead = next(x for x in vec if x)
-    if lead < 0:
-        return tuple(-x for x in vec), -1
-    return vec, 1
+    if next(filter(None, vec)) < 0:
+        g = -g
+    return tuple(x // g for x in vec), 1 if g > 0 else -1
 
 
 def det_int(rows) -> int:
@@ -78,57 +80,12 @@ def det_int(rows) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def row_hnf(rows) -> Lattice:
-    """Canonical Hermite form of the row lattice: positive pivots, entries
-    above each pivot reduced into [0, pivot)."""
-    work = [list(r) for r in rows]
-    if not work:
-        return ()
-    ncols = len(work[0])
-    r = 0
-    for c in range(ncols):
-        while True:
-            nz = [i for i in range(r, len(work)) if work[i][c]]
-            if not nz:
-                break
-            i0 = min(nz, key=lambda i: abs(work[i][c]))
-            work[r], work[i0] = work[i0], work[r]
-            done = True
-            for i in range(r + 1, len(work)):
-                if work[i][c]:
-                    q = work[i][c] // work[r][c]
-                    work[i] = [x - q * y for x, y in zip(work[i], work[r])]
-                    if work[i][c]:
-                        done = False
-            if done:
-                break
-        if r < len(work) and work[r][c]:
-            if work[r][c] < 0:
-                work[r] = [-x for x in work[r]]
-            p = work[r][c]
-            for j in range(r):
-                q = work[j][c] // p
-                if q:
-                    work[j] = [x - q * y for x, y in zip(work[j], work[r])]
-            r += 1
-            if r == len(work):
-                break
-    return tuple(tuple(row) for row in work[:r])
-
-
 def rows_as_columns(rows) -> SparseIntMatrix:
     """The matrix whose column i is rows[i]; it has the rows' rank and Smith divisors."""
     n = len(rows[0]) if rows else 0
     if any(len(row) != n for row in rows):
         raise ValueError("ragged rows")
     return SparseIntMatrix(n, len(rows), [{i: v for i, v in enumerate(row) if v} for row in rows])
-
-
-def saturate_rows(rows) -> Lattice:
-    """Hermite basis of the saturation of the row span inside Z^n: the
-    kernel of the kernel, from `snf.saturation` of the rows as columns."""
-    sat = snf.saturation(rows_as_columns(rows))
-    return row_hnf([tuple(col.get(i, 0) for i in range(sat.n_rows)) for col in sat.cols])
 
 
 def is_saturated_rows(rows) -> bool:
@@ -159,6 +116,8 @@ class ApartmentSymbol:
     def __post_init__(self) -> None:
         if not self.lines:
             raise ValueError("empty apartment symbol (): a symbol needs at least one line")
+        if any(len(v) != len(self.lines[0]) for v in self.lines):
+            raise ValueError(f"lines of unequal length: {self.lines}")
 
     @classmethod
     def from_vectors(cls, vectors) -> "ApartmentSymbol":
@@ -176,8 +135,14 @@ class ApartmentSymbol:
 def apartment_eval(symbol) -> dict[Flag, int]:
     """Signed sum over all orderings of the flags of saturated prefix spans.
 
-    Dependent lines give the zero chain. The value depends only on the lines,
-    not on the choice of primitive representatives.
+    Each span is keyed by its primitive Plücker vector. k independent lines
+    have the k x k minors of a basis of their saturation times its index, so
+    their minors over the gcd key the saturated span, whether or not the
+    symbol is unimodular. The minors of a set of lines come from those of
+    the set without its last line by Laplace expansion along that line, and
+    the one n x n minor is the determinant: dependent lines give the zero
+    chain. The value depends only on the lines, not on the choice of
+    primitive representatives.
     """
     if not isinstance(symbol, ApartmentSymbol):
         symbol = ApartmentSymbol.from_vectors(symbol)
@@ -185,13 +150,22 @@ def apartment_eval(symbol) -> dict[Flag, int]:
     n = symbol.ambient
     if len(vectors) != n:
         raise ValueError("symbol length must match the ambient rank")
-    d = det_int(vectors)
-    if d == 0:
+    # k x k minors of each k-subset of the lines, column sets in combinations
+    # order, by Laplace expansion along the subset's last line: each term is
+    # (column, sign, position of the complementary minor of the first k - 1)
+    minors: dict[tuple[int, ...], tuple[int, ...]] = {(): (1,)}
+    for k in range(1, n + 1):
+        position = {cols: i for i, cols in enumerate(combinations(range(n), k - 1))}
+        plan = [
+            [(c, (-1) ** (k - 1 + j), position[cols[:j] + cols[j + 1 :]]) for j, c in enumerate(cols)]
+            for cols in combinations(range(n), k)
+        ]
+        for idx in combinations(range(n), k):
+            parent, row = minors[idx[:-1]], vectors[idx[-1]]
+            minors[idx] = tuple(sum(s * row[c] * parent[p] for c, s, p in terms) for terms in plan)
+    if not minors[tuple(range(n))][0]:
         return {}
-    # the lines of a unimodular symbol are a basis of Z^n, so every subset
-    # of them already spans a saturated summand
-    span = row_hnf if d in (1, -1) else saturate_rows
-    return apartment_chain(n, lambda idx: span([vectors[i] for i in idx]))
+    return apartment_chain(n, lambda idx: normalize_line(minors[idx])[0])
 
 
 def _round_half_toward_zero(p: int, q: int) -> int:

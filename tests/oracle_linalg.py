@@ -4,8 +4,12 @@ These are deliberately independent of the package implementation: Smith
 divisors are recovered from gcds of k-by-k minors (determinantal divisors)
 with exact Bareiss determinants, and ranks over GF(p) come from a separate
 mod-p echelon, which the tests check Z ranks, Smith divisors and homology
-against (universal coefficients). Subspaces of F_q^n are checked against
-their explicit vector sets. The partition complex's isomorphism onto the
+against (universal coefficients). Saturated sublattices of Z^n have a
+Hermite basis (`saturate_rows`, the kernel of the kernel put in `row_hnf`
+form) and a primitive Plücker vector from Bareiss minors
+(`plucker_oracle`), which the tests check are two faithful keys of the
+same lattices. Subspaces of F_q^n are checked against their explicit vector
+sets. The partition complex's isomorphism onto the
 subset poset is rechecked by sorting each cell's labels and applying the
 face rule of each image chain.
 """
@@ -21,6 +25,8 @@ from titshom.errors import IdentityViolation
 from titshom.fqfield import FieldTable
 from titshom.intmat import SparseIntMatrix, add_term
 from titshom.partsix import ZSetComplex, ordered_partition_count
+from titshom.snf import saturation
+from titshom.zsymbols import rows_as_columns
 
 
 def bareiss_det(mat: list[list[int]]) -> int:
@@ -91,6 +97,64 @@ def abelian_invariants_oracle(rel_rows: list[list[int]], n_gens: int) -> tuple[i
     betti = n_gens - len(divs)
     torsion = [d for d in divs if d > 1]
     return betti, torsion
+
+
+def row_hnf(rows) -> tuple[tuple[int, ...], ...]:
+    """Canonical Hermite form of the row lattice: positive pivots, entries
+    above each pivot reduced into [0, pivot)."""
+    work = [list(r) for r in rows]
+    if not work:
+        return ()
+    ncols = len(work[0])
+    r = 0
+    for c in range(ncols):
+        while True:
+            nz = [i for i in range(r, len(work)) if work[i][c]]
+            if not nz:
+                break
+            i0 = min(nz, key=lambda i: abs(work[i][c]))
+            work[r], work[i0] = work[i0], work[r]
+            done = True
+            for i in range(r + 1, len(work)):
+                if work[i][c]:
+                    q = work[i][c] // work[r][c]
+                    work[i] = [x - q * y for x, y in zip(work[i], work[r])]
+                    if work[i][c]:
+                        done = False
+            if done:
+                break
+        if r < len(work) and work[r][c]:
+            if work[r][c] < 0:
+                work[r] = [-x for x in work[r]]
+            p = work[r][c]
+            for j in range(r):
+                q = work[j][c] // p
+                if q:
+                    work[j] = [x - q * y for x, y in zip(work[j], work[r])]
+            r += 1
+            if r == len(work):
+                break
+    return tuple(tuple(row) for row in work[:r])
+
+
+def saturate_rows(rows) -> tuple[tuple[int, ...], ...]:
+    """Hermite basis of the saturation of the row span inside Z^n: the
+    kernel of the kernel, from `snf.saturation` of the rows as columns."""
+    sat = saturation(rows_as_columns(rows))
+    return row_hnf([tuple(col.get(i, 0) for i in range(sat.n_rows)) for col in sat.cols])
+
+
+def plucker_oracle(rows) -> tuple[int, ...]:
+    """k x k Bareiss minors of k independent rows, over every column set in
+    combinations order, divided by their gcd, first nonzero positive."""
+    k, n = len(rows), len(rows[0])
+    minors = [
+        bareiss_det([[row[c] for c in cols] for row in rows]) for cols in combinations(range(n), k)
+    ]
+    g = gcd(*minors)
+    if next(m for m in minors if m) < 0:
+        g = -g
+    return tuple(m // g for m in minors)
 
 
 def rank_mod_p(a: SparseIntMatrix, p: int) -> int:

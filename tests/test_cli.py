@@ -69,6 +69,17 @@ def test_reduce_batch(tmp_path):
     assert json.loads(out.read_text()) == lines
 
 
+def test_reduce_rejects_empty_batch(tmp_path):
+    batch = tmp_path / "symbols.txt"
+    out = tmp_path / "report.json"
+    for text in ("", "\n  \n"):
+        batch.write_text(text)
+        res = runner.invoke(main, ["reduce", "--batch", str(batch), "--report", str(out)])
+        assert res.exit_code == 2
+        assert "holds no symbol" in res.output
+        assert not out.exists()
+
+
 def test_reduce_needs_exactly_one_source():
     assert runner.invoke(main, ["reduce"]).exit_code != 0
 

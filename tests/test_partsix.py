@@ -46,9 +46,9 @@ from titshom.partsix import (
     zcomplex_poset_iso,
 )
 from titshom.snf import LatticeSolver
-from titshom.zsymbols import det_int, normalize_line, random_unimodular_basis, row_hnf, saturate_rows
+from titshom.zsymbols import det_int, normalize_line, random_unimodular_basis
 
-from oracle_linalg import face_rule, poset_iso_oracle
+from oracle_linalg import face_rule, poset_iso_oracle, row_hnf, saturate_rows
 
 Z = HomologyGroup(1, ())
 O = HomologyGroup(0, ())

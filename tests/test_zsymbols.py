@@ -32,11 +32,9 @@ from titshom.zsymbols import (
     random_unimodular_basis,
     rank_rows,
     recognize_apf,
-    row_hnf,
-    saturate_rows,
 )
 
-from oracle_linalg import face_rule, snf_divisors_oracle
+from oracle_linalg import face_rule, plucker_oracle, row_hnf, saturate_rows, snf_divisors_oracle
 
 
 def test_normalize_line():
@@ -95,7 +93,9 @@ def test_row_lattice_questions_match_minor_oracles():
 
 
 def _eval_saturating_every_prefix(vecs):
-    """`apartment_eval` without the unimodular shortcut."""
+    """`apartment_eval` with every prefix span saturated by `saturate_rows`,
+    each Hermite-keyed flag then translated member by member into
+    `plucker_oracle` keys."""
     lines = ApartmentSymbol.from_vectors(vecs).lines
     n = len(lines)
     if det_int(lines) == 0:
@@ -107,32 +107,73 @@ def _eval_saturating_every_prefix(vecs):
             for k in range(n - 1)
         )
         add_term(chain, flag, perm_sign(perm))
-    return chain
+    translated = {tuple(plucker_oracle(member) for member in flag): c for flag, c in chain.items()}
+    assert len(translated) == len(chain)
+    return translated
 
 
-def test_apartment_eval_shortcut_matches_saturated_prefixes():
+def _nonsingular(rng, n, bound, at_least=1):
+    while True:
+        rows = [tuple(rng.randint(-bound, bound) for _ in range(n)) for _ in range(n)]
+        if abs(det_int(rows)) >= at_least:
+            return rows
+
+
+def test_apartment_eval_matches_saturated_prefixes_through_plucker_keys():
     rng = random.Random(818)
-    for n in (2, 3, 4):
-        for _ in range(6):
+    for n, count in ((2, 6), (3, 6), (4, 6), (5, 2)):
+        for _ in range(count):
             basis = random_unimodular_basis(n, rng)
             assert abs(det_int(basis)) == 1
             assert apartment_eval(basis) == _eval_saturating_every_prefix(basis)
-        done = 0
-        while done < 6:
-            vecs = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(n)]
-            if any(not any(v) for v in vecs) or abs(det_int(vecs)) < 2:
-                continue
-            done += 1
+            vecs = _nonsingular(rng, n, 4, at_least=2)
             assert apartment_eval(vecs) == _eval_saturating_every_prefix(vecs)
+
+
+def test_plucker_keys_biject_with_saturated_forms():
+    # (k, primitive Plücker vector) and (k, Hermite basis of the saturation)
+    # determine each other on every proper subset of seeded unimodular and
+    # non-unimodular symbols, and on each subset times a nonsingular k x k
+    # matrix, which spans the same saturation up to finite index
+    rng = random.Random(2323)
+    forward, backward = {}, {}
+    pairs = 0
+    for n in (2, 3, 4, 5):
+        symbols = [random_unimodular_basis(n, rng) for _ in range(12)]
+        symbols += [_nonsingular(rng, n, 5, at_least=2) for _ in range(12)]
+        for vecs in symbols:
+            for k in range(1, n):
+                for idx in combinations(range(n), k):
+                    rows = [vecs[i] for i in idx]
+                    mixer = _nonsingular(rng, k, 2)
+                    mixed = [
+                        tuple(sum(m * row[t] for m, row in zip(mrow, rows)) for t in range(n))
+                        for mrow in mixer
+                    ]
+                    for sub in (rows, mixed):
+                        key, form = (k, plucker_oracle(sub)), (k, saturate_rows(sub))
+                        assert forward.setdefault(key, form) == form, sub
+                        assert backward.setdefault(form, key) == key, sub
+                        # the translation the prefix oracle uses
+                        assert plucker_oracle(form[1]) == key[1], sub
+                        pairs += 1
+    assert len(forward) == len(backward)
+    assert pairs > 2 * len(forward)
 
 
 def test_apartment_eval_standard():
     ev = apartment_eval([(1, 0), (0, 1)])
-    assert ev == {(((1, 0),),): 1, (((0, 1),),): -1}
+    assert ev == {((1, 0),): 1, ((0, 1),): -1}
     assert apartment_eval([(0, 1), (1, 0)]) == {k: -v for k, v in ev.items()}
     assert apartment_eval([(1, 0), (2, 0)]) == {}
     # scaling a slot does not change the line, hence not the chain
     assert apartment_eval([(3, 0), (0, -2)]) == ev
+    # e0 and the plane e0 ^ e1 share the key (1, 0, 0); their place in the flag
+    # tells them apart
+    ev3 = apartment_eval([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    assert len(ev3) == 6
+    assert ev3[((1, 0, 0), (1, 0, 0))] == 1 and ev3[((0, 1, 0), (1, 0, 0))] == -1
+    assert ev3[((0, 0, 1), (0, 1, 0))] == 1
 
 
 def test_apartment_eval_is_cycle():
@@ -167,7 +208,7 @@ def test_ash_rudolph_dependent():
 
 def test_ash_rudolph_known_case():
     lhs = apartment_eval([(1, 0), (1, 2)])
-    assert lhs == {(((1, 0),),): 1, (((1, 2),),): -1}
+    assert lhs == {((1, 0),): 1, ((1, 2),): -1}
     out = ash_rudolph([(1, 0), (1, 2)])
     assert _eval_combination(out) == lhs
     assert all(abs(det_int(s.lines)) == 1 for _, s in out)
@@ -268,6 +309,13 @@ def test_ash_rudolph_2x2_property(flat):
         return
     out = ash_rudolph(vecs)
     assert _eval_combination(out) == apartment_eval(vecs)
+
+
+def test_ragged_symbols_are_rejected():
+    for ragged in ([(1, 0), (1,)], [(1, 2, 3), (0, 1), (1, 0, 0)]):
+        for question in (apartment_eval, ash_rudolph, reduce_and_verify):
+            with pytest.raises(ValueError, match="lines of unequal length"):
+                question(ragged)
 
 
 def test_empty_symbol_is_rejected():
