@@ -18,6 +18,7 @@ import sys
 from pathlib import Path
 
 import click
+from click.core import ParameterSource
 
 from . import actions
 from . import bounds as bounds_mod
@@ -135,15 +136,22 @@ _GROUP_RE = re.compile(r"(gl|sl|borel)\((\d+),(\d+)\)\Z")
 @click.option("--group", "group_spec", default=None,
               help="gl(N,Q), sl(2,Q) or borel(N,Q); omit to run the full suite.")
 @click.option("--module", "module_spec", default="steinberg",
-              type=click.Choice(["steinberg", "trivial"]), show_default=True)
+              type=click.Choice(["steinberg", "trivial"]), show_default=True,
+              help="Module acted on; only with --group.")
 @report_option
 @stable_option
 @config_option
 def coinv(group_spec, module_spec, report, stable_timings, config):
     """Coinvariants of the Steinberg lattice under matrix group actions."""
     if group_spec is None:
+        source = click.get_current_context().get_parameter_source("module_spec")
+        if source is not ParameterSource.DEFAULT:
+            raise click.UsageError("--module applies only with --group")
         _run("coinv", _suite_params(_read_config(config)), report, stable=stable_timings)
         return
+    for flag, value in (("--config", config), ("--stable-timings", stable_timings)):
+        if value:
+            raise click.UsageError(f"{flag} applies only without --group")
     m = _GROUP_RE.match(group_spec.strip().lower())
     if not m:
         raise click.BadParameter("group must look like gl(3,2), sl(2,3) or borel(3,2)")

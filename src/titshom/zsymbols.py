@@ -369,7 +369,12 @@ def _cover_rest(
 def byk_delta(lines) -> dict[tuple[Vector, ...], int]:
     """Alternating deletion sum, each term sign-canonicalized.
 
-    Terms whose lines stop spanning are dropped (they are zero generators).
+    A deletion whose lines stop spanning Q^n is dropped, as is one with a
+    repeated line; both are zero generators. With n + 1 lines every
+    deletion is square and spans exactly when its determinant is nonzero.
+    Otherwise one kernel of the lines decides every deletion: with r the
+    rank of all lines, deleting line j leaves rank r, or r - 1 when line j
+    is a coloop, used by no integer relation.
     """
     normalized = tuple(normalize_line(v)[0] for v in lines)
     if not normalized:
@@ -377,29 +382,14 @@ def byk_delta(lines) -> dict[tuple[Vector, ...], int]:
     n = len(normalized[0])
     if len(normalized) <= n:
         raise DegreeZero("deletion differential needs X-degree >= 1")
-    return deletion_sum(normalized, n)
-
-
-def deletion_sum(rows: tuple[Vector, ...], rank: int) -> dict[tuple[Vector, ...], int]:
-    """Sum of (-1)^j times the canonical generator of rows without row j.
-
-    A deletion whose rows span less than `rank` is dropped, as is one with a
-    repeated row; both are zero generators. When the remaining rows are
-    square (as many as `rank` and as long), they span exactly when their
-    determinant is nonzero. Otherwise one kernel of the rows decides every
-    deletion: with r the rank of all rows, deleting row j leaves rank r,
-    or r - 1 when row j is a coloop, used by no integer relation.
-    """
-    if len(rows) <= rank:
-        return {}
-    if len(rows) - 1 == rank == len(rows[0]):
-        spans = [det_int(rows[:j] + rows[j + 1 :]) != 0 for j in range(len(rows))]
+    if len(normalized) == n + 1:
+        spans = [det_int(normalized[:j] + normalized[j + 1 :]) != 0 for j in range(n + 1)]
     else:
-        relations = row_relations(rows)
-        r = len(rows) - relations.n_cols
+        relations = row_relations(normalized)
+        r = len(normalized) - relations.n_cols
         used = set().union(*relations.cols)
-        spans = [r - (j not in used) >= rank for j in range(len(rows))]
-    return signed_deletions(rows, spans)
+        spans = [r - (j not in used) == n for j in range(len(normalized))]
+    return signed_deletions(normalized, spans)
 
 
 def signed_deletions(rows: tuple[Vector, ...], keep: list[bool]) -> dict[tuple[Vector, ...], int]:

@@ -303,6 +303,27 @@ def test_coinv_direct_group():
         assert isinstance(res.exception, SystemExit), group
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--group", "gl(2,2)", "--config", "CFG"], "--config applies only without --group"),
+        (["--group", "gl(2,2)", "--stable-timings"], "--stable-timings applies only without --group"),
+        (["--module", "trivial"], "--module applies only with --group"),
+    ],
+    ids=["group-config", "group-stable-timings", "module-without-group"],
+)
+def test_coinv_rejects_a_flag_that_changes_nothing(tmp_path, args, message):
+    # the config holds a key the suite refuses, so reading it would fail too
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("n = 3\n")
+    rep_path = tmp_path / "r.json"
+    args = [str(cfg) if a == "CFG" else a for a in args]
+    res = runner.invoke(main, ["coinv", *args, "--report", str(rep_path)])
+    assert res.exit_code == 2, res.output
+    assert message in res.output
+    assert not rep_path.exists()
+
+
 def test_building_subcommand_quick():
     res = runner.invoke(main, ["building", "--n", "2", "--q", "3"])
     assert res.exit_code == 0

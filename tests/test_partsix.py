@@ -338,6 +338,23 @@ def test_x_localized_components_match_all_partitions(shape):
                     assert got.boundary_at(d).cols == want.boundary_at(d).cols, (n, eps, basis, d)
 
 
+@pytest.mark.parametrize("shape", list(SHAPES))
+def test_every_coarsening_of_line_components_decomposes(shape):
+    # the theorem in x_localized's docstring, at every rank up to 6 and sign
+    # pattern, at the identity and a seeded basis; x2-iv needs rank 6
+    arity = shape_arity(shape)
+    spans = {}
+    for n in range(max(arity, 1), 7):
+        rng = random.Random(f"{shape}-{n}")
+        for eps in product((1, -1), repeat=arity):
+            for basis in (None, random_unimodular_basis(n, rng)):
+                lines, _ = shape_lines(shape, n, eps, basis)
+                normalized = tuple(sorted(normalize_line(v)[0] for v in lines))
+                for part in partsix._unordered_partitions(line_components(normalized)):
+                    blocks = [tuple(sorted(x for comp in blk for x in comp)) for blk in part]
+                    assert _decomposes(blocks, n, spans), (n, eps, basis, blocks)
+
+
 def test_line_components_hand_cases():
     e1, e2, e3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
     assert line_components((e3, e2, e1, (1, 1, 0))) == ((e3,), (e2, e1, (1, 1, 0)))

@@ -24,7 +24,6 @@ from titshom.zsymbols import (
     byk_delta,
     byk_delta_combination,
     byk_psi,
-    deletion_sum,
     det_int,
     normalize_line,
     is_saturated_rows,
@@ -428,7 +427,7 @@ def test_x1_images_evaluate_each_symbol_once_per_basis(monkeypatch, n, seed):
         assert images == [byk_psi(byk_delta(lines)) for lines in instances]
 
 
-def _deletion_sum_by_rank(rows, rank):
+def _deletions_by_rank(rows, rank):
     # every deletion tested by its echelon rank, with no determinant shortcut
     out = {}
     if len(rows) <= rank:
@@ -443,7 +442,7 @@ def _deletion_sum_by_rank(rows, rank):
     return out
 
 
-def test_deletion_sum_determinant_shortcut_matches_rank_test():
+def test_byk_delta_determinant_shortcut_matches_rank_test():
     rng = random.Random(1515)
     dropped = 0
     for shape in partsix.SHAPES:
@@ -454,14 +453,14 @@ def test_deletion_sum_determinant_shortcut_matches_rank_test():
                 lines = partsix.shape_lines(shape, n, eps, basis)[0]
                 if len(lines) == n:
                     continue
-                got = deletion_sum(lines, n)
-                assert got == _deletion_sum_by_rank(lines, n)
+                got = byk_delta(lines)
+                assert got == _deletions_by_rank(lines, n)
                 dropped += len(lines) - len(got)
                 # blocks of every rank, up to one row past a frame: full-rank
                 # blocks are where a square deletion could lose rank
                 for size in range(2, n + 2):
                     for block in combinations(lines, size):
-                        assert partsix.block_delta(block) == _deletion_sum_by_rank(block, rank_rows(block))
+                        assert partsix.block_delta(block) == _deletions_by_rank(block, rank_rows(block))
     # square deletions that lose rank occur and are dropped
     assert dropped
 
