@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, permutations, product
+from math import factorial
 from typing import Callable, Hashable
 
 from .complexes import ChainComplexZ, check_cells, cycle_space, order_complex
@@ -318,8 +319,10 @@ def apartment_chain(n: int, span: Callable[[tuple[int, ...]], Hashable]) -> dict
     spans, keyed by flag.
 
     `span` maps a sorted tuple of line indices to the subspace they span; it
-    is called once per proper nonempty subset.
+    is called once per proper nonempty subset. `check_cells` runs on the n!
+    orderings before any is built.
     """
+    check_cells(factorial(n), "apartment orderings")
     spans = {idx: span(idx) for k in range(1, n) for idx in combinations(range(n), k)}
     chain: dict = {}
     for sign, prefixes in _orderings(n):

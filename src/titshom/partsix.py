@@ -48,7 +48,7 @@ from .snf import cokernel_invariants, rank
 from .zsymbols import (
     Vector,
     _combo,
-    det_int,
+    minors,
     normalize_line,
     random_unimodular_basis,
     rank_rows,
@@ -605,7 +605,9 @@ def kappa_eta_certificate(basis=None, eps=(1, 1, 1), eta_comb=None) -> dict:
         basis = tuple(
             tuple(1 if i == j else 0 for j in range(4)) for i in range(4)
         )
-    if abs(det_int(basis)) != 1:
+    if [len(b) for b in basis] != [4] * 4:
+        raise ValueError("basis must be 4 x 4")
+    if abs(minors(basis)[(0, 1, 2, 3)][0]) != 1:
         raise ValueError("basis must be unimodular")
     if len(eps) != 3:
         raise ValueError("three signs required")

@@ -17,6 +17,7 @@ import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
+from math import gcd
 from typing import Callable
 
 from . import actions, barres, bounds, building, partsix, snf, zsymbols
@@ -205,27 +206,17 @@ def _suite_linalg(seed: int, count: int) -> list[CheckSpec]:
 
 
 def _divisors_by_minors(dense: list[list[int]]) -> list[int]:
-    from math import gcd
-    from itertools import combinations
-
-    rows, cols = len(dense), len(dense[0])
+    """Smith divisors as quotients of the gcds of each level of minors."""
+    table = zsymbols.minors(dense)
     out = []
     prev = 1
-    for k in range(1, min(rows, cols) + 1):
-        g = 0
-        for ridx in combinations(range(rows), k):
-            for cidx in combinations(range(cols), k):
-                g = gcd(g, _minor(dense, ridx, cidx))
+    for k in range(1, min(len(dense), len(dense[0])) + 1):
+        g = gcd(*(m for idx, level in table.items() if len(idx) == k for m in level))
         if g == 0:
             break
         out.append(g // prev)
         prev = g
     return out
-
-
-def _minor(dense, ridx, cidx) -> int:
-    sub = [[dense[r][c] for c in cidx] for r in ridx]
-    return zsymbols.det_int(sub)
 
 
 def _suite_building(n: int, q: int) -> list[CheckSpec]:

@@ -10,9 +10,10 @@ A saturated sublattice in a flag is keyed by its primitive Plücker vector,
 which the minors of any independent rows spanning it up to finite index
 give, so evaluating a symbol needs no elimination. Rank, the summand test
 and the integer relations among a few rows in Z^n run on the one
-elimination core in `snf`; determinants decide the rest: a square set of
-rows spans exactly when its determinant is nonzero, and e_k lies in a
-full-rank lattice exactly when Cramer's rule gives it integer coordinates.
+elimination core in `snf`. Every minor, determinants included, comes from
+`minors`, one Laplace expansion whose plan is built once per (n, k): the
+descent reads Cramer's numerators there as cofactors, and e_k lies in a
+full-rank lattice exactly when they give it integer coordinates.
 """
 
 from __future__ import annotations
@@ -53,31 +54,37 @@ def normalize_line(v) -> tuple[Vector, int]:
     return tuple(x // g for x in vec), 1 if g > 0 else -1
 
 
-def det_int(rows) -> int:
-    """Determinant of a square integer matrix (fraction-free elimination)."""
-    m = [list(r) for r in rows]
-    n = len(m)
-    if any(len(r) != n for r in m):
-        raise ValueError("matrix is not square")
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+@lru_cache(maxsize=None)
+def _laplace_plan(n: int, k: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """For each k-column set of range(n), in combinations order, the terms of
+    its Laplace expansion along the last of k rows: (column, sign, position
+    of the complementary (k - 1)-column set)."""
+    position = {cols: i for i, cols in enumerate(combinations(range(n), k - 1))}
+    return tuple(
+        tuple((c, (-1) ** (k - 1 + j), position[cols[:j] + cols[j + 1 :]]) for j, c in enumerate(cols))
+        for cols in combinations(range(n), k)
+    )
+
+
+def minors(rows) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """The k x k minors of every k-subset of m rows in Z^n, k <= min(m, n).
+
+    Keyed by the sorted row indices, with () mapping to (1,); each value
+    lists the minors over the k-column sets of range(n) in combinations
+    order. A subset's minors come from those of the subset without its last
+    row by Laplace expansion along that row; for n rows in Z^n the one
+    n x n minor is the determinant.
+    """
+    n = len(rows[0]) if rows else 0
+    if any(len(row) != n for row in rows):
+        raise ValueError("ragged rows")
+    out: dict[tuple[int, ...], tuple[int, ...]] = {(): (1,)}
+    for k in range(1, min(len(rows), n) + 1):
+        plan = _laplace_plan(n, k)
+        for idx in combinations(range(len(rows)), k):
+            parent, row = out[idx[:-1]], rows[idx[-1]]
+            out[idx] = tuple(sum(s * row[c] * parent[p] for c, s, p in terms) for terms in plan)
+    return out
 
 
 def rows_as_columns(rows) -> SparseIntMatrix:
@@ -118,6 +125,10 @@ class ApartmentSymbol:
             raise ValueError("empty apartment symbol (): a symbol needs at least one line")
         if any(len(v) != len(self.lines[0]) for v in self.lines):
             raise ValueError(f"lines of unequal length: {self.lines}")
+        if len(self.lines) != len(self.lines[0]):
+            raise ValueError(
+                f"{len(self.lines)} lines in Z^{len(self.lines[0])}: a symbol needs one line per coordinate"
+            )
 
     @classmethod
     def from_vectors(cls, vectors) -> "ApartmentSymbol":
@@ -129,7 +140,7 @@ class ApartmentSymbol:
         return len(self.lines[0])
 
     def det(self) -> int:
-        return det_int(self.lines)
+        return minors(self.lines)[tuple(range(self.ambient))][0]
 
 
 def apartment_eval(symbol) -> dict[Flag, int]:
@@ -138,34 +149,18 @@ def apartment_eval(symbol) -> dict[Flag, int]:
     Each span is keyed by its primitive Plücker vector. k independent lines
     have the k x k minors of a basis of their saturation times its index, so
     their minors over the gcd key the saturated span, whether or not the
-    symbol is unimodular. The minors of a set of lines come from those of
-    the set without its last line by Laplace expansion along that line, and
-    the one n x n minor is the determinant: dependent lines give the zero
-    chain. The value depends only on the lines, not on the choice of
-    primitive representatives.
+    symbol is unimodular. `minors` gives them all, and the one n x n minor
+    is the determinant: dependent lines give the zero chain. The value
+    depends only on the lines, not on the choice of primitive
+    representatives.
     """
     if not isinstance(symbol, ApartmentSymbol):
         symbol = ApartmentSymbol.from_vectors(symbol)
-    vectors = symbol.lines
     n = symbol.ambient
-    if len(vectors) != n:
-        raise ValueError("symbol length must match the ambient rank")
-    # k x k minors of each k-subset of the lines, column sets in combinations
-    # order, by Laplace expansion along the subset's last line: each term is
-    # (column, sign, position of the complementary minor of the first k - 1)
-    minors: dict[tuple[int, ...], tuple[int, ...]] = {(): (1,)}
-    for k in range(1, n + 1):
-        position = {cols: i for i, cols in enumerate(combinations(range(n), k - 1))}
-        plan = [
-            [(c, (-1) ** (k - 1 + j), position[cols[:j] + cols[j + 1 :]]) for j, c in enumerate(cols)]
-            for cols in combinations(range(n), k)
-        ]
-        for idx in combinations(range(n), k):
-            parent, row = minors[idx[:-1]], vectors[idx[-1]]
-            minors[idx] = tuple(sum(s * row[c] * parent[p] for c, s, p in terms) for terms in plan)
-    if not minors[tuple(range(n))][0]:
+    table = minors(symbol.lines)
+    if not table[tuple(range(n))][0]:
         return {}
-    return apartment_chain(n, lambda idx: normalize_line(minors[idx])[0])
+    return apartment_chain(n, lambda idx: normalize_line(table[idx])[0])
 
 
 def _round_half_toward_zero(p: int, q: int) -> int:
@@ -175,34 +170,37 @@ def _round_half_toward_zero(p: int, q: int) -> int:
     return (2 * p + q - 1) // (2 * q)
 
 
-def _descent_vector(vectors, d: int) -> Vector:
+def _descent_vector(vectors) -> tuple[Vector, list[int]]:
     """Primitive w outside no proper face: the rounded defect of the first
-    standard basis vector missing from the symbol's lattice.
+    standard basis vector missing from the symbol's lattice; and the
+    determinant of the symbol with each slot in turn replaced by w.
 
-    By Cramer's rule e_k = sum x_i v_i with x_i = det(v with row i replaced
-    by e_k) / d, so e_k lies in the lattice exactly when d divides all n of
-    those determinants; some e_k is missing whenever |d| > 1.
+    By Cramer's rule e_k = sum x_i v_i with x_i = num_i / d, where num_i,
+    the determinant of v with row i replaced by e_k, is the cofactor
+    (-1)^(i+k) times the minor of v without row i and column k. So e_k lies
+    in the lattice exactly when d divides all n numerators; some e_k is
+    missing whenever |d| > 1. With m_i the rounded x_i, w is
+    e_k - sum m_i v_i over its gcd g, and by multilinearity replacing
+    slot i by w gives determinant (num_i - m_i d) / g.
     """
     n = len(vectors)
+    table = minors(vectors)
+    d = table[tuple(range(n))][0]
     absd = abs(d)
+    rest = [tuple(j for j in range(n) if j != i) for i in range(n)]
     for k in range(n):
-        target = tuple(1 if i == k else 0 for i in range(n))
-        nums = [
-            det_int([target if j == i else v for j, v in enumerate(vectors)])
-            for i in range(n)
-        ]
+        # in combinations order, the (n - 1)-column set without column k is number n - 1 - k
+        nums = [(-1) ** (i + k) * table[rest[i]][n - 1 - k] for i in range(n)]
         if any(num % absd for num in nums):
             break
-    w0 = list(target)
-    for i, num in enumerate(nums):
-        m = _round_half_toward_zero(-num if d < 0 else num, absd)
+    ms = [_round_half_toward_zero(-num if d < 0 else num, absd) for num in nums]
+    w0 = [1 if t == k else 0 for t in range(n)]
+    for i, m in enumerate(ms):
         if m:
             for t in range(n):
                 w0[t] -= m * vectors[i][t]
-    g = 0
-    for x in w0:
-        g = gcd(g, x)
-    return tuple(x // g for x in w0)
+    g = gcd(*w0)
+    return tuple(x // g for x in w0), [(num - m * d) // g for num, m in zip(nums, ms)]
 
 
 def ash_rudolph(symbol, trace: list | None = None) -> list[tuple[int, ApartmentSymbol]]:
@@ -226,13 +224,8 @@ def ash_rudolph(symbol, trace: list | None = None) -> list[tuple[int, ApartmentS
             key = tuple(normalize_line(v)[0] for v in vectors)
             leaves[key] = leaves.get(key, 0) + 1
             return
-        w = _descent_vector(vectors, d)
-        children = []
-        for i in range(len(vectors)):
-            replaced = vectors[:i] + (w,) + vectors[i + 1 :]
-            nd = det_int(replaced)
-            if nd:
-                children.append((replaced, nd))
+        w, dets = _descent_vector(vectors)
+        children = [(vectors[:i] + (w,) + vectors[i + 1 :], nd) for i, nd in enumerate(dets) if nd]
         # |x_i| <= 1/2 bounds each child by |d|/2, and w != 0 leaves one nonzero
         if not children or any(abs(nd) >= absd for _, nd in children):
             raise IdentityViolation(("descent does not shrink", vectors))
@@ -370,11 +363,10 @@ def byk_delta(lines) -> dict[tuple[Vector, ...], int]:
     """Alternating deletion sum, each term sign-canonicalized.
 
     A deletion whose lines stop spanning Q^n is dropped, as is one with a
-    repeated line; both are zero generators. With n + 1 lines every
-    deletion is square and spans exactly when its determinant is nonzero.
-    Otherwise one kernel of the lines decides every deletion: with r the
-    rank of all lines, deleting line j leaves rank r, or r - 1 when line j
-    is a coloop, used by no integer relation.
+    repeated line; both are zero generators. One kernel of the lines
+    decides every deletion, as in `partsix.block_delta`: with r the rank of
+    all lines, deleting line j leaves rank r, or r - 1 when line j is a
+    coloop, used by no integer relation.
     """
     normalized = tuple(normalize_line(v)[0] for v in lines)
     if not normalized:
@@ -382,14 +374,10 @@ def byk_delta(lines) -> dict[tuple[Vector, ...], int]:
     n = len(normalized[0])
     if len(normalized) <= n:
         raise DegreeZero("deletion differential needs X-degree >= 1")
-    if len(normalized) == n + 1:
-        spans = [det_int(normalized[:j] + normalized[j + 1 :]) != 0 for j in range(n + 1)]
-    else:
-        relations = row_relations(normalized)
-        r = len(normalized) - relations.n_cols
-        used = set().union(*relations.cols)
-        spans = [r - (j not in used) == n for j in range(len(normalized))]
-    return signed_deletions(normalized, spans)
+    relations = row_relations(normalized)
+    r = len(normalized) - relations.n_cols
+    used = set().union(*relations.cols)
+    return signed_deletions(normalized, [r - (j not in used) == n for j in range(len(normalized))])
 
 
 def signed_deletions(rows: tuple[Vector, ...], keep: list[bool]) -> dict[tuple[Vector, ...], int]:

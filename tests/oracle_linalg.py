@@ -8,10 +8,12 @@ against (universal coefficients). Saturated sublattices of Z^n have a
 Hermite basis (`saturate_rows`, the kernel of the kernel put in `row_hnf`
 form) and a primitive Plücker vector from Bareiss minors
 (`plucker_oracle`), which the tests check are two faithful keys of the
-same lattices. Subspaces of F_q^n are checked against their explicit vector
-sets. The partition complex's isomorphism onto the
-subset poset is rechecked by sorting each cell's labels and applying the
-face rule of each image chain.
+same lattices. Bareiss elimination lives only here: the package takes
+every minor and determinant from the Laplace expansion `zsymbols.minors`,
+which the tests check against `bareiss_det`. Subspaces of F_q^n are
+checked against their explicit vector sets. The partition complex's
+isomorphism onto the subset poset is rechecked by sorting each cell's
+labels and applying the face rule of each image chain.
 """
 
 from __future__ import annotations
@@ -29,12 +31,12 @@ from titshom.snf import saturation
 from titshom.zsymbols import rows_as_columns
 
 
-def bareiss_det(mat: list[list[int]]) -> int:
-    """Exact determinant by fraction-free Gaussian elimination."""
+def bareiss_det(mat) -> int:
+    """Exact determinant of a square matrix by fraction-free Gaussian elimination."""
     n = len(mat)
     if n == 0:
         return 1
-    a = [row[:] for row in mat]
+    a = [list(row) for row in mat]
     sign = 1
     prev = 1
     for k in range(n - 1):

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from titshom import reports
+from titshom import complexes, reports
 from titshom.cli import main
 from titshom.errors import UnknownSuite
 from titshom.reports import CheckSpec, SuiteReport, run_suite
@@ -78,6 +78,16 @@ def test_reduce_rejects_empty_batch(tmp_path):
         assert res.exit_code == 2
         assert "holds no symbol" in res.output
         assert not out.exists()
+
+
+def test_reduce_refuses_a_symbol_past_the_apartment_ordering_budget(tmp_path, monkeypatch):
+    out = tmp_path / "report.json"
+    identity = ";".join(",".join(str(int(i == j)) for j in range(5)) for i in range(5))
+    monkeypatch.setattr(complexes, "CELL_BUDGET", 119)
+    res = runner.invoke(main, ["reduce", "--symbol", identity, "--report", str(out)])
+    assert res.exit_code == 1
+    assert "120 apartment orderings exceed budget 119" in res.output
+    assert not out.exists()
 
 
 def test_reduce_needs_exactly_one_source():

@@ -31,6 +31,7 @@ from titshom.intmat import SparseIntMatrix
 from titshom.fqfield import field
 from titshom.partsix import SHAPES, shape_arity, shape_lines, w_poset_complex, x_localized, zcomplex
 from titshom.snf import smith_normal_form
+from titshom.zsymbols import reduce_and_verify
 
 from oracle_linalg import face_rule, rank_mod_p, span_vectors
 
@@ -424,6 +425,12 @@ BUDGETED = {
         lambda: group_homology(*_cyclic(2), trivial_action(1), 1, 2),
         15,
         [(actions, "assemble_complex")],
+    ),
+    # the 5! orderings of a unimodular 5 x 5 symbol's lines
+    "reduce_and_verify-5": (
+        lambda: reduce_and_verify([tuple(int(i == j) for j in range(5)) for i in range(5)]),
+        120,
+        [(building, "_orderings")],
     ),
 }
 

@@ -46,9 +46,9 @@ from titshom.partsix import (
     zcomplex_poset_iso,
 )
 from titshom.snf import LatticeSolver
-from titshom.zsymbols import det_int, normalize_line, random_unimodular_basis
+from titshom.zsymbols import normalize_line, random_unimodular_basis
 
-from oracle_linalg import face_rule, poset_iso_oracle, row_hnf, saturate_rows
+from oracle_linalg import bareiss_det, face_rule, poset_iso_oracle, row_hnf, saturate_rows
 
 Z = HomologyGroup(1, ())
 O = HomologyGroup(0, ())
@@ -299,7 +299,7 @@ def _decomposes(blocks, n, spans):
         if b not in spans:
             spans[b] = saturate_rows(b)
     stacked = [row for b in blocks for row in spans[b]]
-    return len(stacked) == n and abs(det_int(stacked)) == 1
+    return len(stacked) == n and abs(bareiss_det(stacked)) == 1
 
 
 def _sorting_merge_rule(cell):
@@ -581,8 +581,15 @@ def test_kappa_eta_certificate_random_bases():
     for _ in range(3):
         basis = random_unimodular_basis(4, rng)
         assert kappa_eta_certificate(basis=basis, eps=(1, -1, 1))["ok"]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unimodular"):
         kappa_eta_certificate(basis=((1, 0, 0, 0),) * 4)
+    # the raw basis is tested, not its normalized lines: (2, 0, 0, 0) is the line of e_0
+    doubled = ((2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    with pytest.raises(ValueError, match="unimodular"):
+        kappa_eta_certificate(basis=doubled)
+    for shape in (doubled[1:], tuple(row[:3] for row in doubled), doubled + doubled[:1]):
+        with pytest.raises(ValueError, match="4 x 4"):
+            kappa_eta_certificate(basis=shape)
 
 
 def test_kappa_eta_certificate_rejects_corruption():

@@ -24,7 +24,7 @@ from titshom.zsymbols import (
     byk_delta,
     byk_delta_combination,
     byk_psi,
-    det_int,
+    minors,
     normalize_line,
     is_saturated_rows,
     reduce_and_verify,
@@ -33,7 +33,14 @@ from titshom.zsymbols import (
     recognize_apf,
 )
 
-from oracle_linalg import face_rule, plucker_oracle, row_hnf, saturate_rows, snf_divisors_oracle
+from oracle_linalg import (
+    bareiss_det,
+    face_rule,
+    plucker_oracle,
+    row_hnf,
+    saturate_rows,
+    snf_divisors_oracle,
+)
 
 
 def test_normalize_line():
@@ -91,13 +98,34 @@ def test_row_lattice_questions_match_minor_oracles():
                 question(ragged)
 
 
+def test_minors_match_bareiss_on_every_row_and_column_subset():
+    rng = random.Random(6061)
+    # every shape twice: once as drawn, once with a zero row
+    for zero_row, m, n in product((False, True), range(1, 6), range(1, 6)):
+        rows = [tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(m)]
+        if zero_row:
+            rows[rng.randrange(m)] = (0,) * n
+        table = minors(rows)
+        k_max = min(m, n)
+        assert set(table) == {idx for k in range(k_max + 1) for idx in combinations(range(m), k)}
+        for idx, got in table.items():
+            want = [
+                bareiss_det([[rows[i][c] for c in cols] for i in idx])
+                for cols in combinations(range(n), len(idx))
+            ]
+            assert list(got) == want, (rows, idx)
+    assert minors([]) == {(): (1,)}
+    with pytest.raises(ValueError, match="ragged"):
+        minors([(1, 2), (1,)])
+
+
 def _eval_saturating_every_prefix(vecs):
     """`apartment_eval` with every prefix span saturated by `saturate_rows`,
     each Hermite-keyed flag then translated member by member into
     `plucker_oracle` keys."""
     lines = ApartmentSymbol.from_vectors(vecs).lines
     n = len(lines)
-    if det_int(lines) == 0:
+    if bareiss_det(lines) == 0:
         return {}
     chain = {}
     for perm in permutations(range(n)):
@@ -114,7 +142,7 @@ def _eval_saturating_every_prefix(vecs):
 def _nonsingular(rng, n, bound, at_least=1):
     while True:
         rows = [tuple(rng.randint(-bound, bound) for _ in range(n)) for _ in range(n)]
-        if abs(det_int(rows)) >= at_least:
+        if abs(bareiss_det(rows)) >= at_least:
             return rows
 
 
@@ -123,7 +151,7 @@ def test_apartment_eval_matches_saturated_prefixes_through_plucker_keys():
     for n, count in ((2, 6), (3, 6), (4, 6), (5, 2)):
         for _ in range(count):
             basis = random_unimodular_basis(n, rng)
-            assert abs(det_int(basis)) == 1
+            assert abs(bareiss_det(basis)) == 1
             assert apartment_eval(basis) == _eval_saturating_every_prefix(basis)
             vecs = _nonsingular(rng, n, 4, at_least=2)
             assert apartment_eval(vecs) == _eval_saturating_every_prefix(vecs)
@@ -210,7 +238,7 @@ def test_ash_rudolph_known_case():
     assert lhs == {((1, 0),): 1, ((1, 2),): -1}
     out = ash_rudolph([(1, 0), (1, 2)])
     assert _eval_combination(out) == lhs
-    assert all(abs(det_int(s.lines)) == 1 for _, s in out)
+    assert all(abs(bareiss_det(s.lines)) == 1 for _, s in out)
 
 
 def test_ash_rudolph_random():
@@ -227,14 +255,14 @@ def test_ash_rudolph_random():
             trace = []
             out = ash_rudolph(vecs, trace=trace)
             assert all(child < parent for parent, child in trace)
-            assert all(abs(det_int(s.lines)) == 1 for _, s in out)
+            assert all(abs(bareiss_det(s.lines)) == 1 for _, s in out)
             assert _eval_combination(out) == apartment_eval(vecs)
 
 
 def test_ash_rudolph_raises_when_descent_does_not_shrink(monkeypatch):
     # a w equal to one of the symbol's vectors keeps |d| = 2 in that slot
     vectors = [(1, 0), (1, 2)]
-    monkeypatch.setattr(zsymbols, "_descent_vector", lambda vecs, d: vecs[1])
+    monkeypatch.setattr(zsymbols, "_descent_vector", lambda vecs: (vecs[1], [0, 2]))
     with pytest.raises(IdentityViolation, match="descent does not shrink"):
         ash_rudolph(vectors)
 
@@ -252,7 +280,7 @@ def _descent_vector_reference(vectors, d):
     target = tuple(1 if i == k else 0 for i in range(n))
     w0 = list(target)
     for i in range(n):
-        num = det_int(vectors[:i] + (target,) + vectors[i + 1 :])
+        num = bareiss_det(vectors[:i] + (target,) + vectors[i + 1 :])
         m = _round_half_toward_zero(num if d > 0 else -num, abs(d))
         w0 = [x - m * y for x, y in zip(w0, vectors[i])]
     g = gcd(*w0)
@@ -269,13 +297,16 @@ def test_descent_vector_matches_lattice_solver_reference():
         vectors = tuple(
             tuple(rng.randint(-bound, bound) for _ in range(n)) for _ in range(n)
         )
-        d = det_int(vectors)
+        d = bareiss_det(vectors)
         if abs(d) <= 1:
             continue
         done += 1
         k, want = _descent_vector_reference(vectors, d)
         picked.add(k)
-        assert _descent_vector(vectors, d) == want, vectors
+        w, dets = _descent_vector(vectors)
+        assert w == want, vectors
+        # each child determinant, read by multilinearity, against elimination
+        assert dets == [bareiss_det(vectors[:i] + (w,) + vectors[i + 1 :]) for i in range(n)], vectors
     # e_0 (and e_0, e_1) lie in some of the lattices, so later e_k get picked
     assert picked >= {0, 1, 2}
 
@@ -311,10 +342,18 @@ def test_ash_rudolph_2x2_property(flat):
 
 
 def test_ragged_symbols_are_rejected():
-    for ragged in ([(1, 0), (1,)], [(1, 2, 3), (0, 1), (1, 0, 0)]):
+    cases = [
+        ([(1, 0), (1,)], "lines of unequal length"),
+        ([(1, 2, 3), (0, 1), (1, 0, 0)], "lines of unequal length"),
+        # n lines of one length m != n: too few lines, and too many
+        ([(1, 0, 0), (0, 1, 0)], "2 lines in Z\\^3"),
+        ([(1, 0), (0, 1), (1, 1)], "3 lines in Z\\^2"),
+        ([(2, 3, 5)], "1 lines in Z\\^3"),
+    ]
+    for symbol, message in cases:
         for question in (apartment_eval, ash_rudolph, reduce_and_verify):
-            with pytest.raises(ValueError, match="lines of unequal length"):
-                question(ragged)
+            with pytest.raises(ValueError, match=message):
+                question(symbol)
 
 
 def test_empty_symbol_is_rejected():
@@ -428,7 +467,7 @@ def test_x1_images_evaluate_each_symbol_once_per_basis(monkeypatch, n, seed):
 
 
 def _deletions_by_rank(rows, rank):
-    # every deletion tested by its echelon rank, with no determinant shortcut
+    # every deletion tested by its own echelon rank, not by one shared kernel
     out = {}
     if len(rows) <= rank:
         return out
@@ -442,7 +481,7 @@ def _deletions_by_rank(rows, rank):
     return out
 
 
-def test_byk_delta_determinant_shortcut_matches_rank_test():
+def test_byk_delta_and_block_delta_match_rank_test():
     rng = random.Random(1515)
     dropped = 0
     for shape in partsix.SHAPES:
@@ -456,12 +495,12 @@ def test_byk_delta_determinant_shortcut_matches_rank_test():
                 got = byk_delta(lines)
                 assert got == _deletions_by_rank(lines, n)
                 dropped += len(lines) - len(got)
-                # blocks of every rank, up to one row past a frame: full-rank
-                # blocks are where a square deletion could lose rank
+                # blocks of every rank, up to one row past a frame, where a
+                # deletion can lose rank
                 for size in range(2, n + 2):
                     for block in combinations(lines, size):
                         assert partsix.block_delta(block) == _deletions_by_rank(block, rank_rows(block))
-    # square deletions that lose rank occur and are dropped
+    # deletions that lose rank occur and are dropped
     assert dropped
 
 
