@@ -453,9 +453,30 @@ def _x2_instances(rng: random.Random):
 
 
 def _suite_barset(n: int, seed: int, count: int) -> list[CheckSpec]:
+    """Restricted partition complexes: every restriction shape on at most n
+    labels, and `count` random restrictions on n + 2 labels.
+
+    Every instance is counted. Each distinct unit partition is built and
+    checked once per call: two restrictions with equal
+    `partsix.restriction_units` give equal complexes, so both checks share
+    one memo of each unit partition's result, which lives as long as this
+    call's checks.
+    """
+    spherical: dict[tuple, bool] = {}
+
     def check_size() -> None:
         if n < 1:
             raise ValueError(f"barset needs n >= 1, got n={n}")
+
+    def is_sphere(labels, rsets) -> bool:
+        units = partsix.restriction_units(labels, rsets)
+        if units not in spherical:
+            zc = partsix.zcomplex(labels, rsets)
+            ok = partsix.zcomplex_is_spherical(zc)
+            if ok:
+                partsix.zcomplex_poset_iso(zc)
+            spherical[units] = ok
+        return spherical[units]
 
     def exhaustive() -> dict:
         check_size()
@@ -467,12 +488,8 @@ def _suite_barset(n: int, seed: int, count: int) -> list[CheckSpec]:
                 for k in sizes:
                     rsets.append(frozenset(range(at, at + k)))
                     at += k
-                zc = partsix.zcomplex(range(size), rsets)
                 instances += 1
-                if not partsix.zcomplex_is_spherical(zc):
-                    failures += 1
-                    continue
-                partsix.zcomplex_poset_iso(zc)
+                failures += not is_sphere(range(size), rsets)
         return {"instances": instances, "failures": failures}
 
     def randomized() -> dict:
@@ -480,12 +497,7 @@ def _suite_barset(n: int, seed: int, count: int) -> list[CheckSpec]:
         rng = random.Random(seed)
         failures = 0
         for _ in range(count):
-            labels, rsets = partsix.random_restriction(n + 2, rng)
-            zc = partsix.zcomplex(labels, rsets)
-            if not partsix.zcomplex_is_spherical(zc):
-                failures += 1
-                continue
-            partsix.zcomplex_poset_iso(zc)
+            failures += not is_sphere(*partsix.random_restriction(n + 2, rng))
         return {"instances": count, "failures": failures}
 
     expected_instances = sum(len(_partition_multisets(s)) for s in range(1, n + 1))

@@ -22,11 +22,11 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
-from math import gcd
+from math import comb, gcd
 
 from . import snf
 from .building import apartment_chain
-from .complexes import canonical_generator
+from .complexes import canonical_generator, check_cells
 from .errors import BudgetExceeded, DegreeZero, IdentityViolation, ZeroVector
 from .intmat import SparseIntMatrix, add_term, linear_extend
 
@@ -73,11 +73,14 @@ def minors(rows) -> dict[tuple[int, ...], tuple[int, ...]]:
     lists the minors over the k-column sets of range(n) in combinations
     order. A subset's minors come from those of the subset without its last
     row by Laplace expansion along that row; for n rows in Z^n the one
-    n x n minor is the determinant.
+    n x n minor is the determinant. The sum over k of C(m, k) * C(n, k),
+    which is C(m + n, n), counts the minors of m rows and goes to
+    `check_cells` before the first level.
     """
     n = len(rows[0]) if rows else 0
     if any(len(row) != n for row in rows):
         raise ValueError("ragged rows")
+    check_cells(comb(len(rows) + n, n), "minors")
     out: dict[tuple[int, ...], tuple[int, ...]] = {(): (1,)}
     for k in range(1, min(len(rows), n) + 1):
         plan = _laplace_plan(n, k)

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from titshom import complexes, reports
+from titshom import complexes, reports, zsymbols
 from titshom.cli import main
 from titshom.errors import UnknownSuite
 from titshom.reports import CheckSpec, SuiteReport, run_suite
@@ -80,13 +80,31 @@ def test_reduce_rejects_empty_batch(tmp_path):
         assert not out.exists()
 
 
+def _identity_symbol(n: int) -> str:
+    return ";".join(",".join(str(int(i == j)) for j in range(n)) for i in range(n))
+
+
 def test_reduce_refuses_a_symbol_past_the_apartment_ordering_budget(tmp_path, monkeypatch):
+    # 7! = 5040 orderings, while its C(14, 7) = 3432 minors stay within the budget
     out = tmp_path / "report.json"
-    identity = ";".join(",".join(str(int(i == j)) for j in range(5)) for i in range(5))
-    monkeypatch.setattr(complexes, "CELL_BUDGET", 119)
-    res = runner.invoke(main, ["reduce", "--symbol", identity, "--report", str(out)])
+    monkeypatch.setattr(complexes, "CELL_BUDGET", 5039)
+    res = runner.invoke(main, ["reduce", "--symbol", _identity_symbol(7), "--report", str(out)])
     assert res.exit_code == 1
-    assert "120 apartment orderings exceed budget 119" in res.output
+    assert "5040 apartment orderings exceed budget 5039" in res.output
+    assert not out.exists()
+
+
+def _refuse_plan(n, k):
+    raise AssertionError("a level of minors was started")
+
+
+def test_reduce_refuses_a_symbol_past_the_minors_budget(tmp_path, monkeypatch):
+    # C(24, 12) minors at the default budget, refused before any is taken
+    out = tmp_path / "report.json"
+    monkeypatch.setattr(zsymbols, "_laplace_plan", _refuse_plan)
+    res = runner.invoke(main, ["reduce", "--symbol", _identity_symbol(12), "--report", str(out)])
+    assert res.exit_code == 1
+    assert f"2704156 minors exceed budget {complexes.CELL_BUDGET}" in res.output
     assert not out.exists()
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from titshom import actions, barres, building, complexes, partsix
+from titshom import actions, barres, building, complexes, partsix, zsymbols
 from titshom.actions import group_homology, trivial_action
 from titshom.barres import bar_complex_fq
 from titshom.building import building_complex, subspaces
@@ -31,7 +31,7 @@ from titshom.intmat import SparseIntMatrix
 from titshom.fqfield import field
 from titshom.partsix import SHAPES, shape_arity, shape_lines, w_poset_complex, x_localized, zcomplex
 from titshom.snf import smith_normal_form
-from titshom.zsymbols import reduce_and_verify
+from titshom.zsymbols import minors, reduce_and_verify
 
 from oracle_linalg import face_rule, rank_mod_p, span_vectors
 
@@ -426,11 +426,18 @@ BUDGETED = {
         15,
         [(actions, "assemble_complex")],
     ),
-    # the 5! orderings of a unimodular 5 x 5 symbol's lines
-    "reduce_and_verify-5": (
-        lambda: reduce_and_verify([tuple(int(i == j) for j in range(5)) for i in range(5)]),
-        120,
+    # the 7! orderings of a unimodular 7 x 7 symbol's lines; below n = 7 its
+    # C(2n, n) minors pass the budget later than n! does
+    "reduce_and_verify-7": (
+        lambda: reduce_and_verify([tuple(int(i == j) for j in range(7)) for i in range(7)]),
+        5040,
         [(building, "_orderings")],
+    ),
+    # the C(10, 5) minors of five rows in Z^5
+    "minors-5x5": (
+        lambda: minors([tuple(int(i == j) for j in range(5)) for i in range(5)]),
+        252,
+        [(zsymbols, "_laplace_plan")],
     ),
 }
 

@@ -1,6 +1,7 @@
 """Block-partition complexes, the localized double complex, and the claims."""
 
 import random
+from functools import lru_cache
 from itertools import permutations, product
 
 import pytest
@@ -36,6 +37,7 @@ from titshom.partsix import (
     ordered_partition_count,
     part6_claims,
     random_restriction,
+    restriction_units,
     shape_arity,
     shape_lines,
     verify_double_identities,
@@ -45,6 +47,7 @@ from titshom.partsix import (
     zcomplex_is_spherical,
     zcomplex_poset_iso,
 )
+from titshom.reports import run_suite
 from titshom.snf import LatticeSolver
 from titshom.zsymbols import normalize_line, random_unimodular_basis
 
@@ -238,6 +241,98 @@ def _oracle_instances():
 def test_zcomplex_poset_iso_matches_sorting_oracle():
     for zc in _oracle_instances():
         assert zcomplex_poset_iso(zc) == poset_iso_oracle(zc) == {d: zc.cx.dim(d) for d in zc.cx.degrees}
+
+
+def _same_complex(a: ZSetComplex, b: ZSetComplex) -> bool:
+    """Equal units, d, bases and boundary columns: equal, not merely isomorphic."""
+    return (
+        a.units == b.units
+        and a.d == b.d
+        and a.cx.degrees == b.cx.degrees
+        and all(a.cx.basis[deg] == b.cx.basis[deg] for deg in a.cx.degrees)
+        and all(
+            (a.cx.boundary_at(deg).n_rows, a.cx.boundary_at(deg).cols)
+            == (b.cx.boundary_at(deg).n_rows, b.cx.boundary_at(deg).cols)
+            for deg in a.cx.degrees
+        )
+    )
+
+
+def test_singleton_restrictions_leave_the_complex_unchanged():
+    # the memo key of the barset suite: restriction_units ignores one-label sets
+    for size in range(1, 6):
+        labels = range(size)
+        for sizes, rsets in _restriction_shapes(size):
+            proper = [r for r in rsets if len(r) > 1]
+            every = proper + [frozenset({x}) for x in labels if not any(x in r for r in proper)]
+            base = zcomplex(labels, proper)
+            for variant in (rsets, every):
+                zc = zcomplex(labels, variant)
+                assert zc.units == restriction_units(labels, variant) == base.units
+                assert _same_complex(zc, base), (sizes, variant)
+
+
+@pytest.mark.parametrize(
+    "labels, rsets",
+    [
+        ("aab", ()),
+        ("abc", [{"a", "z"}]),
+        ("abc", [set()]),
+        ("abcd", [{"a", "b"}, {"b", "c"}]),
+        ("abcd", [{"a"}, {"a"}]),
+    ],
+)
+def test_restriction_units_raises_what_zcomplex_raises(labels, rsets):
+    with pytest.raises(ValueError) as direct:
+        restriction_units(labels, rsets)
+    with pytest.raises(ValueError) as built:
+        zcomplex(labels, rsets)
+    assert str(direct.value) == str(built.value)
+
+
+def _barset_by_direct_loop(n, seed, count, is_spherical):
+    """The barset counts with every instance built and checked, no memo."""
+    def check(zc) -> bool:
+        if not is_spherical(zc):
+            return False
+        zcomplex_poset_iso(zc)
+        return True
+
+    instances = [zcomplex(range(size), rsets) for size in range(1, n + 1) for _, rsets in _restriction_shapes(size)]
+    exhaustive = {"instances": len(instances), "failures": sum(not check(zc) for zc in instances)}
+    rng = random.Random(seed)
+    drawn = [zcomplex(*random_restriction(n + 2, rng)) for _ in range(count)]
+    return [exhaustive, {"instances": count, "failures": sum(not check(zc) for zc in drawn)}]
+
+
+def _planted_failure(zc) -> bool:
+    """`zcomplex_is_spherical`, except that a complex on an even number of
+    labels fails, so that failures are counted too: among them are unit
+    partitions that recur (every label alone) and ones whose d a passing
+    complex shares."""
+    return zcomplex_is_spherical(zc) and len(zc.labels) % 2 == 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("is_spherical", [zcomplex_is_spherical, _planted_failure])
+def test_barset_counts_match_a_direct_loop(monkeypatch, n, seed, is_spherical):
+    want = _barset_by_direct_loop(n, seed, 6, is_spherical)
+    built = []
+
+    def counted(labels, restriction=()):
+        zc = zcomplex(labels, restriction)
+        built.append(zc.units)
+        return zc
+
+    monkeypatch.setattr(partsix, "zcomplex", counted)
+    monkeypatch.setattr(partsix, "zcomplex_is_spherical", is_spherical)
+    report = run_suite("barset", {"n": n, "seed": seed, "count": 6})
+    assert [c.computed for c in report.checks] == want
+    if is_spherical is _planted_failure and n >= 2:
+        assert want[0]["failures"]
+    # each distinct unit partition is built once for both checks together
+    assert sorted(built) == sorted(set(built))
 
 
 def test_zcomplex_poset_iso_and_oracle_reject_sign_flips():
@@ -436,6 +531,28 @@ def test_double_complex_identities():
     assert out["ok"] and out["cells"] == 60 and out["leibniz"] > 0
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_memoized_block_delta_matches_block_delta(monkeypatch, seed):
+    drawn = []
+    draw = partsix._random_valid_cell
+
+    def recorded(lines, groups, rng):
+        drawn.append(draw(lines, groups, rng))
+        return drawn[-1]
+
+    monkeypatch.setattr(partsix, "_random_valid_cell", recorded)
+    verify_double_identities(80, seed)
+    monkeypatch.undo()
+    assert len(drawn) == 80
+    delta = lru_cache(maxsize=None)(block_delta)
+    for cell in drawn:
+        # the cell, then every face that the squared and mixed checks reach
+        for c in (cell, *cell_delta(cell), *cell_bar_boundary(cell)):
+            assert cell_delta(c, delta) == cell_delta(c), c
+    # shared blocks were read from the memo
+    assert delta.cache_info().hits
+
+
 def _frame(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
@@ -566,6 +683,12 @@ def test_part6_claims_rank_five_and_six():
     for n in (0, -2):
         with pytest.raises(ValueError):
             part6_claims(n)
+
+
+def test_part6_claims_rank_six_every_shape():
+    checks = part6_claims(6)
+    assert len(checks) == 133
+    assert all(c["ok"] for c in checks)
 
 
 def test_kappa_eta_certificate_all_eps():

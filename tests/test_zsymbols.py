@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from titshom import partsix, reports, zsymbols
 from titshom.building import perm_sign
-from titshom.complexes import canonical_generator
+from titshom.complexes import CELL_BUDGET, canonical_generator
 from titshom.errors import BudgetExceeded, DegreeZero, IdentityViolation, ZeroVector
 from titshom.intmat import SparseIntMatrix, add_term, linear_extend
 from titshom.snf import LatticeSolver
@@ -117,6 +117,17 @@ def test_minors_match_bareiss_on_every_row_and_column_subset():
     assert minors([]) == {(): (1,)}
     with pytest.raises(ValueError, match="ragged"):
         minors([(1, 2), (1,)])
+
+
+def test_minors_budget_is_checked_before_the_first_level(monkeypatch):
+    def refuse(n, k):
+        raise AssertionError("a level of minors was started")
+
+    monkeypatch.setattr(zsymbols, "_laplace_plan", refuse)
+    identity = [tuple(int(i == j) for j in range(12)) for i in range(12)]
+    # sum over k of C(12, k)^2 = C(24, 12) minors
+    with pytest.raises(BudgetExceeded, match=f"^2704156 minors exceed budget {CELL_BUDGET}$"):
+        minors(identity)
 
 
 def _eval_saturating_every_prefix(vecs):
