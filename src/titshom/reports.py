@@ -432,15 +432,18 @@ def _x1_instances(n: int, basis) -> list[tuple]:
 def _x1_images(n: int, basis) -> list[dict]:
     """psi(delta(lines)) for every single-augmentation instance over one basis.
 
-    The instances over one basis share most of their deletion terms, so each
-    distinct symbol is evaluated once, through a cache that lives only as
-    long as this call.
+    Sign patterns eps and -eps give the same lines, so each distinct
+    instance is imaged once and its image listed for both. The instances
+    over one basis share most of their deletion terms, so each distinct
+    symbol is evaluated once, and their spans share one `spans` memo of
+    Plücker keys (`zsymbols.span_key`); both caches live only as long as
+    this call.
     """
-    evaluate = lru_cache(maxsize=None)(zsymbols.apartment_eval)
-    return [
-        linear_extend(zsymbols.byk_delta(lines), evaluate)
-        for lines in _x1_instances(n, basis)
-    ]
+    spans: dict = {}
+    evaluate = lru_cache(maxsize=None)(lambda symbol: zsymbols.apartment_eval(symbol, spans))
+    instances = _x1_instances(n, basis)
+    images = {lines: linear_extend(zsymbols.byk_delta(lines), evaluate) for lines in dict.fromkeys(instances)}
+    return [images[lines] for lines in instances]
 
 
 def _x2_instances(rng: random.Random):

@@ -13,7 +13,10 @@ and the integer relations among a few rows in Z^n run on the one
 elimination core in `snf`. Every minor, determinants included, comes from
 `minors`, one Laplace expansion whose plan is built once per (n, k): the
 descent reads Cramer's numerators there as cofactors, and e_k lies in a
-full-rank lattice exactly when they give it integer coordinates.
+full-rank lattice exactly when they give it integer coordinates. Plücker
+keys come from `span_key`, which takes the same one-row Laplace step,
+`_wedge`, on the key of the lines without the last, memoized in a dict
+that its caller keeps for one call.
 """
 
 from __future__ import annotations
@@ -85,9 +88,38 @@ def minors(rows) -> dict[tuple[int, ...], tuple[int, ...]]:
     for k in range(1, min(len(rows), n) + 1):
         plan = _laplace_plan(n, k)
         for idx in combinations(range(len(rows)), k):
-            parent, row = out[idx[:-1]], rows[idx[-1]]
-            out[idx] = tuple(sum(s * row[c] * parent[p] for c, s, p in terms) for terms in plan)
+            out[idx] = _wedge(out[idx[:-1]], rows[idx[-1]], plan)
     return out
+
+
+def _wedge(parent, row, plan) -> tuple[int, ...]:
+    """One Laplace step: the k x k minors of k - 1 rows with `row` appended,
+    from the (k - 1) x (k - 1) minors `parent` of those rows and the plan
+    of (n, k)."""
+    return tuple(sum(s * row[c] * parent[p] for c, s, p in terms) for terms in plan)
+
+
+def span_key(lines: tuple[Vector, ...], spans: dict) -> Lattice | None:
+    """Primitive Plücker key of the span of a sorted tuple of lines, or None
+    when they are dependent; memoized in the caller's `spans`.
+
+    The key of the lines without the last is +-(their wedge)/g, so its wedge
+    with the last line is +-(the wedge of all)/g, which normalizes to the
+    same primitive vector; a zero wedge means the lines are dependent. As in
+    `minors`, () has key (1,), so a single line is normalized too.
+    """
+    if not lines:
+        return (1,)
+    if lines in spans:
+        return spans[lines]
+    prefix = span_key(lines[:-1], spans)
+    key = None
+    if prefix is not None:
+        wedge = _wedge(prefix, lines[-1], _laplace_plan(len(lines[-1]), len(lines)))
+        if any(wedge):
+            key = normalize_line(wedge)[0]
+    spans[lines] = key
+    return key
 
 
 def rows_as_columns(rows) -> SparseIntMatrix:
@@ -146,24 +178,25 @@ class ApartmentSymbol:
         return minors(self.lines)[tuple(range(self.ambient))][0]
 
 
-def apartment_eval(symbol) -> dict[Flag, int]:
+def apartment_eval(symbol, spans: dict | None = None) -> dict[Flag, int]:
     """Signed sum over all orderings of the flags of saturated prefix spans.
 
     Each span is keyed by its primitive Plücker vector. k independent lines
     have the k x k minors of a basis of their saturation times its index, so
     their minors over the gcd key the saturated span, whether or not the
-    symbol is unimodular. `minors` gives them all, and the one n x n minor
-    is the determinant: dependent lines give the zero chain. The value
-    depends only on the lines, not on the choice of primitive
-    representatives.
+    symbol is unimodular. `span_key` takes them one Laplace step at a time,
+    the step `minors` takes, memoized in `spans` by the sorted lines, so
+    symbols evaluated with one `spans` share the spans of their common
+    lines. Dependent lines give the zero chain. The value depends only on
+    the lines, not on the choice of primitive representatives.
     """
     if not isinstance(symbol, ApartmentSymbol):
         symbol = ApartmentSymbol.from_vectors(symbol)
-    n = symbol.ambient
-    table = minors(symbol.lines)
-    if not table[tuple(range(n))][0]:
+    spans = {} if spans is None else spans
+    lines = symbol.lines
+    if span_key(tuple(sorted(lines)), spans) is None:
         return {}
-    return apartment_chain(n, lambda idx: normalize_line(table[idx])[0])
+    return apartment_chain(symbol.ambient, lambda idx: span_key(tuple(sorted(lines[i] for i in idx)), spans))
 
 
 def _round_half_toward_zero(p: int, q: int) -> int:
@@ -173,10 +206,11 @@ def _round_half_toward_zero(p: int, q: int) -> int:
     return (2 * p + q - 1) // (2 * q)
 
 
-def _descent_vector(vectors) -> tuple[Vector, list[int]]:
+def _descent_vector(vectors, table: dict | None = None) -> tuple[Vector, list[int]]:
     """Primitive w outside no proper face: the rounded defect of the first
     standard basis vector missing from the symbol's lattice; and the
-    determinant of the symbol with each slot in turn replaced by w.
+    determinant of the symbol with each slot in turn replaced by w. `table`
+    is `minors(vectors)` when the caller has it already.
 
     By Cramer's rule e_k = sum x_i v_i with x_i = num_i / d, where num_i,
     the determinant of v with row i replaced by e_k, is the cofactor
@@ -187,7 +221,7 @@ def _descent_vector(vectors) -> tuple[Vector, list[int]]:
     slot i by w gives determinant (num_i - m_i d) / g.
     """
     n = len(vectors)
-    table = minors(vectors)
+    table = minors(vectors) if table is None else table
     d = table[tuple(range(n))][0]
     absd = abs(d)
     rest = [tuple(j for j in range(n) if j != i) for i in range(n)]
@@ -206,28 +240,34 @@ def _descent_vector(vectors) -> tuple[Vector, list[int]]:
     return tuple(x // g for x in w0), [(num - m * d) // g for num, m in zip(nums, ms)]
 
 
-def ash_rudolph(symbol, trace: list | None = None) -> list[tuple[int, ApartmentSymbol]]:
+def ash_rudolph(
+    symbol, trace: list | None = None, table: dict | None = None
+) -> list[tuple[int, ApartmentSymbol]]:
     """Rewrite an apartment symbol as a nonnegative sum of unimodular ones.
 
     Each descent level replaces one slot by a primitive vector whose
     coordinates in the current basis all have absolute value <= 1/2, which
     makes every child determinant strictly smaller. The terms satisfy
     sum(coeff * apartment_eval(term)) == apartment_eval(symbol) exactly.
+    `table` is the symbol's `minors` when the caller has them already; each
+    node of the descent takes its own once.
     """
     if not isinstance(symbol, ApartmentSymbol):
         symbol = ApartmentSymbol.from_vectors(symbol)
-    d = symbol.det()
+    n = symbol.ambient
+    table = minors(symbol.lines) if table is None else table
+    d = table[tuple(range(n))][0]
     if d == 0:
         return []
     leaves: dict[tuple[Vector, ...], int] = {}
 
-    def descend(vectors: tuple[Vector, ...], d: int) -> None:
+    def descend(vectors: tuple[Vector, ...], d: int, table: dict | None = None) -> None:
         absd = abs(d)
         if absd == 1:
             key = tuple(normalize_line(v)[0] for v in vectors)
             leaves[key] = leaves.get(key, 0) + 1
             return
-        w, dets = _descent_vector(vectors)
+        w, dets = _descent_vector(vectors, table)
         children = [(vectors[:i] + (w,) + vectors[i + 1 :], nd) for i, nd in enumerate(dets) if nd]
         # |x_i| <= 1/2 bounds each child by |d|/2, and w != 0 leaves one nonzero
         if not children or any(abs(nd) >= absd for _, nd in children):
@@ -237,8 +277,7 @@ def ash_rudolph(symbol, trace: list | None = None) -> list[tuple[int, ApartmentS
                 trace.append((absd, abs(nd)))
             descend(replaced, nd)
 
-    descend(symbol.lines, d)
-    n = symbol.ambient
+    descend(symbol.lines, d, table)
     return [
         (coeff, ApartmentSymbol(key, (1,) * n))
         for key, coeff in sorted(leaves.items())
@@ -259,13 +298,21 @@ class Reduction:
 
 
 def reduce_and_verify(symbol, trace: list | None = None) -> Reduction:
-    """Run `ash_rudolph` and check its terms against the symbol's evaluation."""
+    """Run `ash_rudolph` and check its terms against the symbol's evaluation.
+
+    Each distinct row tuple has its minors taken once: a unimodular symbol
+    is its own one term, with the symbol's determinant, and evaluation keys
+    the spans of the symbol and all its terms in one `spans`.
+    """
     if not isinstance(symbol, ApartmentSymbol):
         symbol = ApartmentSymbol.from_vectors(symbol)
-    terms = ash_rudolph(symbol, trace=trace)
-    not_unimodular = sum(1 for _, term in terms if abs(term.det()) != 1)
-    rhs = linear_extend({term: coeff for coeff, term in terms}, apartment_eval)
-    return Reduction(terms, not_unimodular, apartment_eval(symbol) == rhs)
+    table = minors(symbol.lines)
+    d = table[tuple(range(symbol.ambient))][0]
+    terms = ash_rudolph(symbol, trace=trace, table=table)
+    not_unimodular = sum(1 for _, term in terms if abs(d if term.lines == symbol.lines else term.det()) != 1)
+    spans: dict = {}
+    rhs = linear_extend({term: coeff for coeff, term in terms}, lambda term: apartment_eval(term, spans))
+    return Reduction(terms, not_unimodular, apartment_eval(symbol, spans) == rhs)
 
 
 # -- augmented partial frames and the X-degree complex -------------------------
@@ -401,8 +448,10 @@ def byk_delta_combination(comb: dict) -> dict[tuple[Vector, ...], int]:
 
 
 def byk_psi(comb: dict) -> dict[Flag, int]:
-    """Linear extension of apartment evaluation to degree-zero combinations."""
-    return linear_extend(comb, apartment_eval)
+    """Linear extension of apartment evaluation to degree-zero combinations,
+    its spans keyed once for the call."""
+    spans: dict = {}
+    return linear_extend(comb, lambda lines: apartment_eval(lines, spans))
 
 
 def random_unimodular_basis(n: int, rng: random.Random) -> tuple[Vector, ...]:

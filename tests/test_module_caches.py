@@ -6,6 +6,10 @@ keeps a few on purpose; a cache that serves one computation lives inside the
 function that needs it (`reports._suite_barset`, `reports._x1_images`,
 `partsix.verify_double_identities`) and dies with the call. A new
 module-level cache fails this test until it is listed with its reason.
+
+A mutable default argument, such as `spans: dict = {}`, is a cache of the
+same lifetime that the scan above cannot see, so no function in the package
+may have one.
 """
 
 from __future__ import annotations
@@ -86,3 +90,49 @@ def test_scan_finds_module_caches_only():
         ),
     }
     assert module_caches(sources) == [("a", "plan"), ("a", "table"), ("a", "wrapped")]
+
+
+MUTABLE_DISPLAYS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+MUTABLE_CALLS = {"dict", "list", "set"}
+
+
+def _is_mutable_default(node: ast.AST | None) -> bool:
+    """`{}`, `[]`, a comprehension, or a call of `dict`, `list` or `set`."""
+    if isinstance(node, ast.Call):
+        return isinstance(node.func, ast.Name) and node.func.id in MUTABLE_CALLS
+    return isinstance(node, MUTABLE_DISPLAYS)
+
+
+def mutable_defaults(sources: dict[str, ast.Module]) -> list[tuple[str, str]]:
+    """(module, function) for each default argument, positional or
+    keyword-only, of a def or lambda at any depth that is a mutable literal."""
+    found = []
+    for mod, tree in sources.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                defaults = node.args.defaults + node.args.kw_defaults
+                if any(_is_mutable_default(d) for d in defaults):
+                    found.append((mod, getattr(node, "name", "<lambda>")))
+    return sorted(found)
+
+
+def test_no_function_has_a_mutable_default():
+    assert mutable_defaults(_package_sources()) == []
+
+
+def test_scan_finds_mutable_defaults():
+    sources = {
+        "a": ast.parse(
+            "def memo(x, spans={}): pass\n"
+            "def rows(x, out=[]): pass\n"
+            "def seen(x, *, done=set()): pass\n"
+            "class Model:\n"
+            "    def table(self, cache=dict()): pass\n"
+            "def outer():\n"
+            "    return lambda x, acc={k: 0 for k in 'ab'}: acc\n"
+            "def fine(x, spans=None, *, rows=(), name='', k=frozenset()): pass\n"
+        ),
+    }
+    assert mutable_defaults(sources) == [
+        ("a", "<lambda>"), ("a", "memo"), ("a", "rows"), ("a", "seen"), ("a", "table")
+    ]

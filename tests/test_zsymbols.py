@@ -31,6 +31,7 @@ from titshom.zsymbols import (
     random_unimodular_basis,
     rank_rows,
     recognize_apf,
+    span_key,
 )
 
 from oracle_linalg import (
@@ -168,6 +169,58 @@ def test_apartment_eval_matches_saturated_prefixes_through_plucker_keys():
             assert apartment_eval(vecs) == _eval_saturating_every_prefix(vecs)
 
 
+def _symbols_from_a_shared_pool(rng, n):
+    """Symbols drawn from one small pool of lines, so that they share spans:
+    reorderings of one another, repeated and dependent lines, and symbols
+    built directly from lines that are not primitive or lead negative."""
+    basis = random_unimodular_basis(n, rng)
+    pool = list(basis) + [tuple(rng.randint(-3, 3) or 1 for _ in range(n)) for _ in range(2)]
+    pool += [tuple(c * x for x in rng.choice(pool)) for c in (2, -1, -3)]
+    if n > 1:
+        # a sum of two pool lines makes dependent triples
+        pool.append(tuple(x + y for x, y in zip(pool[0], pool[1])))
+    symbols = []
+    for _ in range(6):
+        lines = [rng.choice(pool) for _ in range(n)]
+        symbols.append(ApartmentSymbol(tuple(lines), (1,) * n))
+        symbols.append(ApartmentSymbol.from_vectors(lines))
+        rng.shuffle(lines)
+        symbols.append(ApartmentSymbol(tuple(lines), (1,) * n))
+    scaled = tuple(tuple(c * x for x in v) for c, v in zip((2, -3, 1, -1, 5), basis))
+    symbols.append(ApartmentSymbol(scaled, (1,) * n))
+    return symbols
+
+
+def test_span_memo_matches_fresh_evaluation_and_the_saturation_oracle():
+    rng = random.Random(4242)
+    zero = nonzero = 0
+    for n in (1, 2, 3, 4, 5):
+        spans = {}
+        symbols = _symbols_from_a_shared_pool(rng, n)
+        for symbol in symbols:
+            want = _eval_saturating_every_prefix(symbol.lines)
+            zero, nonzero = zero + (not want), nonzero + bool(want)
+            assert apartment_eval(symbol, spans) == want, symbol
+            assert apartment_eval(symbol) == want, symbol
+            for k in range(1, n + 1):
+                for idx in combinations(range(n), k):
+                    rows = [symbol.lines[i] for i in idx]
+                    rng.shuffle(rows)
+                    top = minors(rows)[tuple(range(k))]
+                    want_key = normalize_line(top)[0] if any(top) else None
+                    # any ordering, through the shared memo and afresh
+                    assert span_key(tuple(rows), spans) == want_key, rows
+                    assert span_key(tuple(rows), {}) == want_key, rows
+    assert zero and nonzero
+
+
+def test_span_key_normalizes_a_single_line():
+    symbol = ApartmentSymbol(((2, 0), (0, 3)), (1, 1))
+    assert span_key(((2, 0),), {}) == (1, 0)
+    assert apartment_eval(symbol) == apartment_eval(ApartmentSymbol.from_vectors(symbol.lines))
+    assert span_key(((1, 2), (-2, -4)), {}) is None
+
+
 def test_plucker_keys_biject_with_saturated_forms():
     # (k, primitive Plücker vector) and (k, Hermite basis of the saturation)
     # determine each other on every proper subset of seeded unimodular and
@@ -270,10 +323,40 @@ def test_ash_rudolph_random():
             assert _eval_combination(out) == apartment_eval(vecs)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_reduce_and_verify_takes_each_row_tuples_minors_once(monkeypatch, n):
+    calls = []
+
+    def counted(rows):
+        calls.append(tuple(rows))
+        return minors(rows)
+
+    monkeypatch.setattr(zsymbols, "minors", counted)
+    rng = random.Random(61 + n)
+    unimodular = descended = 0
+    for i in range(60):
+        vectors = tuple(tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(n))
+        if i % 4 == 0:
+            vectors = random_unimodular_basis(n, rng)
+        if not all(any(v) for v in vectors):
+            continue
+        calls.clear()
+        red = reduce_and_verify(vectors)
+        assert red.verified, vectors
+        assert len(calls) == len(set(calls)), vectors
+        # the symbol and every term had their minors taken
+        root = ApartmentSymbol.from_vectors(vectors).lines
+        assert {root} | {t.lines for _, t in red.terms} <= set(calls)
+        unimodular += [(c, t.lines) for c, t in red.terms] == [(1, root)]
+        descended += len(red.terms) > 1
+    # both the passthrough and the descent were exercised
+    assert unimodular and descended
+
+
 def test_ash_rudolph_raises_when_descent_does_not_shrink(monkeypatch):
     # a w equal to one of the symbol's vectors keeps |d| = 2 in that slot
     vectors = [(1, 0), (1, 2)]
-    monkeypatch.setattr(zsymbols, "_descent_vector", lambda vecs: (vecs[1], [0, 2]))
+    monkeypatch.setattr(zsymbols, "_descent_vector", lambda vecs, table: (vecs[1], [0, 2]))
     with pytest.raises(IdentityViolation, match="descent does not shrink"):
         ash_rudolph(vectors)
 
@@ -458,9 +541,9 @@ def test_delta_delta_and_psi_on_x2_shapes():
 def test_x1_images_evaluate_each_symbol_once_per_basis(monkeypatch, n, seed):
     calls = []
 
-    def counted(symbol):
+    def counted(symbol, spans=None):
         calls.append(symbol)
-        return apartment_eval(symbol)
+        return apartment_eval(symbol, spans)
 
     rng = random.Random(seed + n)
     for _ in range(4):
@@ -475,6 +558,43 @@ def test_x1_images_evaluate_each_symbol_once_per_basis(monkeypatch, n, seed):
         assert len(calls) == len(set(calls)) and set(calls) == terms
         assert len(calls) < sum(len(byk_delta(lines)) for lines in instances)
         assert images == [byk_psi(byk_delta(lines)) for lines in instances]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_x1_images_delta_each_distinct_instance_once(monkeypatch, n):
+    calls = []
+
+    def counted(lines):
+        calls.append(lines)
+        return byk_delta(lines)
+
+    monkeypatch.setattr(zsymbols, "byk_delta", counted)
+    rng = random.Random(3 + n)
+    for _ in range(3):
+        basis = random_unimodular_basis(n, rng)
+        instances = reports._x1_instances(n, basis)
+        calls.clear()
+        images = reports._x1_images(n, basis)
+        # eps and -eps give the same lines: half the instances repeat
+        assert len(instances) == 2 * len(set(instances))
+        assert calls == list(dict.fromkeys(instances))
+        assert len(images) == len(instances)
+
+
+def test_x1_zero_counts_a_planted_image_once_per_instance(monkeypatch):
+    n, seed = 3, 11
+    basis = random_unimodular_basis(n, random.Random(seed + n))
+    instances = reports._x1_instances(n, basis)
+    planted = instances[0]
+    assert instances.count(planted) == 2
+
+    def planting(lines):
+        # the basis alone is unimodular, so it evaluates to a nonzero chain
+        return {lines[:n]: 1} if lines == planted else byk_delta(lines)
+
+    monkeypatch.setattr(zsymbols, "byk_delta", planting)
+    spec = next(s for s in reports._suite_bykovskii(seed, 1) if s.description.endswith("(n=3)"))
+    assert spec.compute() == 2
 
 
 def _deletions_by_rank(rows, rank):
