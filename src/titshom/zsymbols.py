@@ -30,7 +30,7 @@ from math import comb, gcd
 from . import snf
 from .building import apartment_chain
 from .complexes import canonical_generator, check_cells
-from .errors import BudgetExceeded, DegreeZero, IdentityViolation, ZeroVector
+from .errors import DegreeZero, IdentityViolation, ZeroVector
 from .intmat import SparseIntMatrix, add_term, linear_extend
 
 Vector = tuple[int, ...]
@@ -351,14 +351,13 @@ def _combo(frame, members, signs) -> Vector:
 def recognize_apf(lines: tuple[Vector, ...]) -> ApfCertificate | None:
     """Exhaustive certificate search; None when no certificate exists.
 
-    Restricted to at most n+2 lines in ambient rank n <= 6.
+    Each subset of the L lines is tried as the frame, so the 2^L frame
+    candidates go to `check_cells` before the first is tried.
     """
     if not lines:
         return ApfCertificate((), ())
     normalized = tuple(normalize_line(v)[0] for v in lines)
-    n = len(normalized[0])
-    if n > 6 or len(normalized) > n + 2:
-        raise BudgetExceeded("recognition restricted to <= n+2 lines, n <= 6")
+    check_cells(2 ** len(normalized), "frame candidates")
     if len(set(normalized)) < len(normalized):
         return None
     positions = range(len(normalized))

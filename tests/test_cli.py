@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from titshom import complexes, reports, zsymbols
+from titshom import complexes, partsix, reports, zsymbols
 from titshom.cli import main
 from titshom.errors import UnknownSuite
 from titshom.reports import CheckSpec, SuiteReport, run_suite
@@ -108,6 +108,20 @@ def test_reduce_refuses_a_symbol_past_the_minors_budget(tmp_path, monkeypatch):
     assert not out.exists()
 
 
+def _refuse_partitions(items):
+    raise AssertionError("partitions were enumerated")
+
+
+def test_part6_refuses_rank_nine_by_the_partition_cell_budget(tmp_path, monkeypatch):
+    # the x0 complex on 9 units, refused before any partition is enumerated
+    out = tmp_path / "report.json"
+    monkeypatch.setattr(partsix, "_unordered_partitions", _refuse_partitions)
+    res = runner.invoke(main, ["part6", "--n", "9", "--report", str(out)])
+    assert res.exit_code == 1
+    assert f"7087261 partition cells exceed budget {complexes.CELL_BUDGET}" in res.output
+    assert not out.exists()
+
+
 def test_reduce_needs_exactly_one_source():
     assert runner.invoke(main, ["reduce"]).exit_code != 0
 
@@ -159,6 +173,7 @@ def test_suite_report_matches_golden(name):
         (["part6", "--n", "5", "--shape", "x1-ii"], "part6-n5-x1-ii"),
         (["reduce", "--symbol", "3,1;1,2"], "reduce-2x2"),
         (["reduce", "--symbol", "2,1,0;0,3,1;1,0,5"], "reduce-3x3"),
+        (["part6", "--n", "7", "--shape", "x2-iv"], "part6-n7-x2-iv"),
     ],
     ids=lambda v: v if isinstance(v, str) else None,
 )

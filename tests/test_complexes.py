@@ -31,7 +31,7 @@ from titshom.intmat import SparseIntMatrix
 from titshom.fqfield import field
 from titshom.partsix import SHAPES, shape_arity, shape_lines, w_poset_complex, x_localized, zcomplex
 from titshom.snf import smith_normal_form
-from titshom.zsymbols import minors, reduce_and_verify
+from titshom.zsymbols import minors, recognize_apf, reduce_and_verify
 
 from oracle_linalg import face_rule, rank_mod_p, span_vectors
 
@@ -432,6 +432,13 @@ BUDGETED = {
         lambda: reduce_and_verify([tuple(int(i == j) for j in range(7)) for i in range(7)]),
         5040,
         [(building, "_orderings")],
+    ),
+    # the 2^5 frame candidates of five lines; the search is cached, so these
+    # lines are passed by no other test
+    "recognize_apf-5": (
+        lambda: recognize_apf(((1, 2, 0), (0, 1, 0), (0, 0, 1), (1, 3, 0), (1, 3, 1))),
+        32,
+        [(zsymbols, "is_saturated_rows")],
     ),
     # the C(10, 5) minors of five rows in Z^5
     "minors-5x5": (

@@ -1,8 +1,9 @@
 """Block-partition complexes, the localized double complex, and the claims."""
 
 import random
+import re
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -49,7 +50,7 @@ from titshom.partsix import (
 )
 from titshom.reports import run_suite
 from titshom.snf import LatticeSolver
-from titshom.zsymbols import normalize_line, random_unimodular_basis
+from titshom.zsymbols import normalize_line, random_unimodular_basis, recognize_apf
 
 from oracle_linalg import bareiss_det, face_rule, poset_iso_oracle, row_hnf, saturate_rows
 
@@ -689,6 +690,87 @@ def test_part6_claims_rank_six_every_shape():
     checks = part6_claims(6)
     assert len(checks) == 133
     assert all(c["ok"] for c in checks)
+
+
+def test_part6_claims_rank_seven():
+    # past the rank the frame search was once capped at
+    checks = part6_claims(7, ("x2-iv",))
+    assert len(checks) == 64 and all(c["ok"] for c in checks)
+
+
+def _two_build_check(shape, n, eps):
+    """The claim from two builds: X[S] beside Z_* on the shape's groups,
+    with equal dimensions and homology, Z in degree d - 2 alone. It reads
+    the groups where `_shape_check` does, so a patch reaches both."""
+    lines, groups = partsix.shape_lines(shape, n, eps)
+    cx = x_localized(lines, len(lines) - n)
+    zc = zcomplex(range(len(lines)), groups)
+    prof = homology_profile(cx)
+    dims = all(cx.dim(d) == zc.cx.dim(d) for d in set(cx.degrees) | set(zc.cx.degrees))
+    spherical = all(h == HomologyGroup(1 if deg == zc.d - 2 else 0, ()) for deg, h in prof.items())
+    return zc.d, prof, dims and prof == homology_profile(zc.cx) and spherical
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_unit_certificate_agrees_with_two_builds(n):
+    # every shape and sign pattern up to rank 6
+    for shape in [s for s in SHAPES if shape_arity(s) <= n]:
+        for eps in product((1, -1), repeat=shape_arity(shape)):
+            got = partsix._shape_check(shape, n, eps)
+            d, prof, ok = _two_build_check(shape, n, eps)
+            if "badcase" in got:
+                ok = ok and got["badcase"]["class_generates"]
+            assert got["units_match"], (shape, eps)
+            assert (got["d"], got["profile"], got["ok"]) == (d, prof, ok), (shape, eps)
+
+
+@pytest.mark.parametrize(
+    "shape, n, eps, edit, two_builds_ok",
+    [
+        # x1-i's groups ((0, 1, 4), (2,), (3,)) with the first two merged
+        ("x1-i", 4, (1, -1), lambda g: tuple(sorted((g[0] + g[1],) + g[2:])), False),
+        # x2-ii's groups ((0, 1, 4), (2, 3, 5)) with lines 1 and 2 swapped: as
+        # many units, so dimensions and homology cannot tell
+        ("x2-ii", 4, (1, 1, 1, 1), lambda g: ((0, 2, 4), (1, 3, 5)), True),
+    ],
+    ids=["merged", "relabelled"],
+)
+def test_unit_certificate_refuses_groups_that_are_not_the_units(monkeypatch, shape, n, eps, edit, two_builds_ok):
+    real = shape_lines
+
+    def edited(shape, n, eps, basis=None):
+        lines, groups = real(shape, n, eps, basis)
+        return lines, edit(groups)
+
+    monkeypatch.setattr(partsix, "shape_lines", edited)
+    got = partsix._shape_check(shape, n, eps)
+    assert not got["units_match"] and not got["ok"]
+    assert _two_build_check(shape, n, eps)[2] == two_builds_ok
+
+
+def test_x_localized_checks_every_union_of_components(monkeypatch):
+    # the blocks of degrees -1 and 0 are every nonempty union of the
+    # components, and each goes to recognize_apf
+    lines, _ = shape_lines("x2-ii", 5, (1, -1, 1, 1))
+    comps = line_components(tuple(sorted(lines)))
+    unions = {
+        tuple(sorted(x for comp in sub for x in comp))
+        for k in range(1, len(comps) + 1)
+        for sub in combinations(comps, k)
+    }
+    seen = []
+
+    def record(block):
+        seen.append(block)
+        return recognize_apf(block)
+
+    monkeypatch.setattr(partsix, "recognize_apf", record)
+    x_localized(lines)
+    # the whole line set twice: once as the input, once as the one block
+    assert len(comps) == 3 and sorted(seen) == sorted([*unions, tuple(sorted(lines))])
+    monkeypatch.setattr(partsix, "recognize_apf", lambda block: None if len(block) == 1 else recognize_apf(block))
+    with pytest.raises(IdentityViolation, match=re.escape("block ((0, 0, 0, 0, 1),) is not")):
+        x_localized(lines)
 
 
 def test_kappa_eta_certificate_all_eps():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from titshom import partsix, reports, zsymbols
+from titshom import complexes, partsix, reports, zsymbols
 from titshom.building import perm_sign
 from titshom.complexes import CELL_BUDGET, canonical_generator
 from titshom.errors import BudgetExceeded, DegreeZero, IdentityViolation, ZeroVector
@@ -635,7 +635,7 @@ def test_byk_delta_and_block_delta_match_rank_test():
     assert dropped
 
 
-def test_recognize_apf():
+def test_recognize_apf(monkeypatch):
     # paper-shaped block: triple augmented by its pair and triple lines
     lines = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, -1, 0), (1, -1, 1))
     cert = recognize_apf(lines)
@@ -646,8 +646,11 @@ def test_recognize_apf():
     assert recognize_apf(((1, 0), (1, 2))) is None
     # repeats are never augmented partial frames
     assert recognize_apf(((1, 0), (1, 0), (0, 1))) is None
-    with pytest.raises(BudgetExceeded):
-        recognize_apf(tuple((1,) * 7 for _ in range(1)))
+    # the search is bounded by its 2^L frame candidates, not by the rank
+    assert recognize_apf(((1,) * 7,)) == ApfCertificate(((1,) * 7,), ())
+    monkeypatch.setattr(complexes, "CELL_BUDGET", 7)
+    with pytest.raises(BudgetExceeded, match="^8 frame candidates exceed budget 7$"):
+        recognize_apf(((3, 1), (2, 1), (5, 2)))
 
 
 def certificate_lines(cert: ApfCertificate) -> list[tuple[int, ...]]:
