@@ -42,7 +42,7 @@ from .building import (
 from .complexes import ChainComplexZ, HomologyGroup, assemble_complex, check_cells, homology_profile
 from .errors import CertificateFailure, NonComplementary
 from .fqfield import FieldTable, check_order, field
-from .intmat import add_term, linear_extend
+from .intmat import add_chain, add_term, linear_extend
 
 
 def lines_to_matrix(vectors: list[Vector]) -> Matrix:
@@ -254,9 +254,21 @@ def rank2_pairing(st: StModel) -> list[dict[int, int]]:
     """The GL_3 chamber pairing Z[chambers] (x) St -> Z, one row per chamber:
     Phi[x][j] = opp_sign * sum of A[c][j] over the chambers c opposite x, with
     A = st.basis[0]. Phi[C0] reads each class at its own opposite chamber,
-    so Phi[C0][j] = 1."""
+    so Phi[C0][j] = 1.
+
+    q^3 of the q^3 + 2q^2 + 2q + 1 chambers are opposite x, so each row is
+    summed by complement: opp_sign times (the sum of A's rows over all
+    chambers minus the sum over the chambers not opposite x)."""
     rows = st.basis[0].rows().__getitem__
-    return [linear_extend(dict.fromkeys(opp, st.opp_sign), rows) for opp in opposite_chambers(st)]
+    sign = st.opp_sign
+    everything = set(range(len(st.chambers)))
+    total = linear_extend(dict.fromkeys(everything, sign), rows)
+    phi = []
+    for opp in opposite_chambers(st):
+        row = linear_extend(dict.fromkeys(everything.difference(opp), -sign), rows)
+        add_chain(row, total, 1)
+        phi.append(row)
+    return phi
 
 
 def rank2_e1_surjectivity(q: int) -> Rank2Report:

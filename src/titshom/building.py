@@ -21,7 +21,7 @@ from typing import Callable, Hashable
 from .complexes import ChainComplexZ, check_cells, cycle_space, order_complex
 from .errors import NotSpanning
 from .fqfield import FieldTable, check_order, field
-from .intmat import SparseIntMatrix, add_term, linear_extend
+from .intmat import SparseIntMatrix, linear_extend
 from .snf import LatticeSolver, nullity
 
 Vector = tuple[int, ...]
@@ -306,10 +306,14 @@ def matrix_columns(g: Matrix) -> list[Vector]:
 
 
 @lru_cache(maxsize=None)
-def _orderings(n: int) -> list[tuple[int, tuple[tuple[int, ...], ...]]]:
-    """Every ordering of range(n) as its sign and its n-1 sorted prefixes."""
-    return [
-        (perm_sign(perm), tuple(tuple(sorted(perm[: k + 1])) for k in range(n - 1)))
+def _orderings(n: int) -> tuple[list[tuple[int, ...]], list[tuple[int, tuple[int, ...]]]]:
+    """The proper nonempty subsets of range(n), by size and then in
+    combinations order; and every ordering of range(n) as its sign and the
+    positions in that list of its n-1 prefixes, each taken as a set."""
+    subsets = [idx for k in range(1, n) for idx in combinations(range(n), k)]
+    position = {idx: i for i, idx in enumerate(subsets)}
+    return subsets, [
+        (perm_sign(perm), tuple(position[tuple(sorted(perm[: k + 1]))] for k in range(n - 1)))
         for perm in permutations(range(n))
     ]
 
@@ -319,14 +323,18 @@ def apartment_chain(n: int, span: Callable[[tuple[int, ...]], Hashable]) -> dict
     spans, keyed by flag.
 
     `span` maps a sorted tuple of line indices to the subspace they span; it
-    is called once per proper nonempty subset. `check_cells` runs on the n!
-    orderings before any is built.
+    is called once per proper nonempty subset, into a list that each
+    ordering's flag reads by the positions of its prefixes. `check_cells`
+    runs on the n! orderings before any is built. Independent lines have
+    distinct subset spans, so the n! flags are distinct; fewer raise
+    NotSpanning.
     """
     check_cells(factorial(n), "apartment orderings")
-    spans = {idx: span(idx) for k in range(1, n) for idx in combinations(range(n), k)}
-    chain: dict = {}
-    for sign, prefixes in _orderings(n):
-        add_term(chain, tuple(spans[idx] for idx in prefixes), sign)
+    subsets, orderings = _orderings(n)
+    spans = [span(idx) for idx in subsets]
+    chain = {tuple([spans[i] for i in prefixes]): sign for sign, prefixes in orderings}
+    if len(chain) < len(orderings):
+        raise NotSpanning("two orderings give the same flag: the lines are dependent")
     return chain
 
 

@@ -11,12 +11,13 @@ which the minors of any independent rows spanning it up to finite index
 give, so evaluating a symbol needs no elimination. Rank, the summand test
 and the integer relations among a few rows in Z^n run on the one
 elimination core in `snf`. Every minor, determinants included, comes from
-`minors`, one Laplace expansion whose plan is built once per (n, k): the
-descent reads Cramer's numerators there as cofactors, and e_k lies in a
-full-rank lattice exactly when they give it integer coordinates. Plücker
-keys come from `span_key`, which takes the same one-row Laplace step,
-`_wedge`, on the key of the lines without the last, memoized in a dict
-that its caller keeps for one call.
+one Laplace step, `_laplace_plan(n, k)`, compiled once per (n, k) into
+straight-line code: `minors` takes it over every row subset, and the
+descent reads Cramer's numerators there as cofactors, so e_k lies in a
+full-rank lattice exactly when they give it integer coordinates;
+`ApartmentSymbol.det` takes it over the row prefixes only. Plücker keys
+come from `span_key`, which takes the same step on the key of the lines
+without the last, memoized in a dict that its caller keeps for one call.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 from math import comb, gcd
+from typing import Callable
 
 from . import snf
 from .building import apartment_chain
@@ -52,21 +54,46 @@ def normalize_line(v) -> tuple[Vector, int]:
     g = gcd(*vec)
     if g == 0:
         raise ZeroVector("cannot normalize the zero vector")
-    if next(filter(None, vec)) < 0:
+    for lead in vec:
+        if lead:
+            break
+    if lead < 0:
         g = -g
+    elif g == 1:
+        return vec, 1
     return tuple(x // g for x in vec), 1 if g > 0 else -1
 
 
 @lru_cache(maxsize=None)
-def _laplace_plan(n: int, k: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-    """For each k-column set of range(n), in combinations order, the terms of
-    its Laplace expansion along the last of k rows: (column, sign, position
-    of the complementary (k - 1)-column set)."""
+def _laplace_plan(n: int, k: int) -> Callable[[tuple[int, ...], Vector], tuple[int, ...]]:
+    """The one-row Laplace step of (n, k), compiled once.
+
+    `step(parent, row)` returns the k x k minors of k - 1 rows with `row`
+    appended, over the k-column sets of range(n) in combinations order,
+    from the (k - 1) x (k - 1) minors `parent` of those rows. Each minor is
+    one straight-line expression, its expansion along the last row: entry
+    c_j of `row` times the parent's minor on the other k - 1 columns, with
+    sign (-1)^(k - 1 + j). The source is built from integer indices only;
+    `parent` and `row` are unpacked into locals, so an argument of the
+    wrong length raises ValueError.
+    """
     position = {cols: i for i, cols in enumerate(combinations(range(n), k - 1))}
-    return tuple(
-        tuple((c, (-1) ** (k - 1 + j), position[cols[:j] + cols[j + 1 :]]) for j, c in enumerate(cols))
-        for cols in combinations(range(n), k)
+    exprs = []
+    for cols in combinations(range(n), k):
+        terms = "".join(
+            f"{'-' if (k - 1 + j) % 2 else '+'}r{c}*p{position[cols[:j] + cols[j + 1 :]]}"
+            for j, c in enumerate(cols)
+        )
+        exprs.append(terms.lstrip("+"))
+    source = (
+        "def step(parent, row):\n"
+        f"    {''.join(f'p{i}, ' for i in range(len(position)))}= parent\n"
+        f"    {''.join(f'r{c}, ' for c in range(n))}= row\n"
+        f"    return ({', '.join(exprs)},)\n"
     )
+    namespace: dict = {}
+    exec(compile(source, f"<laplace step n={n} k={k}>", "exec"), namespace)
+    return namespace["step"]
 
 
 def minors(rows) -> dict[tuple[int, ...], tuple[int, ...]]:
@@ -75,10 +102,10 @@ def minors(rows) -> dict[tuple[int, ...], tuple[int, ...]]:
     Keyed by the sorted row indices, with () mapping to (1,); each value
     lists the minors over the k-column sets of range(n) in combinations
     order. A subset's minors come from those of the subset without its last
-    row by Laplace expansion along that row; for n rows in Z^n the one
-    n x n minor is the determinant. The sum over k of C(m, k) * C(n, k),
-    which is C(m + n, n), counts the minors of m rows and goes to
-    `check_cells` before the first level.
+    row by one call of the compiled Laplace step `_laplace_plan(n, k)`; for
+    n rows in Z^n the one n x n minor is the determinant. The sum over k of
+    C(m, k) * C(n, k), which is C(m + n, n), counts the minors of m rows and
+    goes to `check_cells` before the first level.
     """
     n = len(rows[0]) if rows else 0
     if any(len(row) != n for row in rows):
@@ -86,27 +113,21 @@ def minors(rows) -> dict[tuple[int, ...], tuple[int, ...]]:
     check_cells(comb(len(rows) + n, n), "minors")
     out: dict[tuple[int, ...], tuple[int, ...]] = {(): (1,)}
     for k in range(1, min(len(rows), n) + 1):
-        plan = _laplace_plan(n, k)
+        step = _laplace_plan(n, k)
         for idx in combinations(range(len(rows)), k):
-            out[idx] = _wedge(out[idx[:-1]], rows[idx[-1]], plan)
+            out[idx] = step(out[idx[:-1]], rows[idx[-1]])
     return out
-
-
-def _wedge(parent, row, plan) -> tuple[int, ...]:
-    """One Laplace step: the k x k minors of k - 1 rows with `row` appended,
-    from the (k - 1) x (k - 1) minors `parent` of those rows and the plan
-    of (n, k)."""
-    return tuple(sum(s * row[c] * parent[p] for c, s, p in terms) for terms in plan)
 
 
 def span_key(lines: tuple[Vector, ...], spans: dict) -> Lattice | None:
     """Primitive Plücker key of the span of a sorted tuple of lines, or None
     when they are dependent; memoized in the caller's `spans`.
 
-    The key of the lines without the last is +-(their wedge)/g, so its wedge
-    with the last line is +-(the wedge of all)/g, which normalizes to the
-    same primitive vector; a zero wedge means the lines are dependent. As in
-    `minors`, () has key (1,), so a single line is normalized too.
+    The key of the lines without the last is +-(their wedge)/g, so one call
+    of the Laplace step `_laplace_plan(n, k)` on it and the last line gives
+    +-(the wedge of all)/g, which normalizes to the same primitive vector;
+    a zero wedge means the lines are dependent. As in `minors`, () has key
+    (1,), so a single line is normalized too.
     """
     if not lines:
         return (1,)
@@ -115,7 +136,7 @@ def span_key(lines: tuple[Vector, ...], spans: dict) -> Lattice | None:
     prefix = span_key(lines[:-1], spans)
     key = None
     if prefix is not None:
-        wedge = _wedge(prefix, lines[-1], _laplace_plan(len(lines[-1]), len(lines)))
+        wedge = _laplace_plan(len(lines[-1]), len(lines))(prefix, lines[-1])
         if any(wedge):
             key = normalize_line(wedge)[0]
     spans[lines] = key
@@ -175,7 +196,14 @@ class ApartmentSymbol:
         return len(self.lines[0])
 
     def det(self) -> int:
-        return minors(self.lines)[tuple(range(self.ambient))][0]
+        """The determinant, by the Laplace step along the row prefixes only:
+        n steps, whose 2^n minors (() included) go to `check_cells` first."""
+        n = self.ambient
+        check_cells(2**n, "minors")
+        top: tuple[int, ...] = (1,)
+        for k, row in enumerate(self.lines, 1):
+            top = _laplace_plan(n, k)(top, row)
+        return top[0]
 
 
 def apartment_eval(symbol, spans: dict | None = None) -> dict[Flag, int]:
@@ -184,19 +212,22 @@ def apartment_eval(symbol, spans: dict | None = None) -> dict[Flag, int]:
     Each span is keyed by its primitive Plücker vector. k independent lines
     have the k x k minors of a basis of their saturation times its index, so
     their minors over the gcd key the saturated span, whether or not the
-    symbol is unimodular. `span_key` takes them one Laplace step at a time,
-    the step `minors` takes, memoized in `spans` by the sorted lines, so
-    symbols evaluated with one `spans` share the spans of their common
-    lines. Dependent lines give the zero chain. The value depends only on
-    the lines, not on the choice of primitive representatives.
+    symbol is unimodular. The lines are sorted once: the class alternates
+    in its lines, so it is the sorted symbol's class, negated when the sort
+    is odd, and every subset of the sorted lines, taken in index order, is
+    already the sorted tuple that `span_key` memoizes in `spans`. Symbols
+    evaluated with one `spans` share the spans of their common lines.
+    Repeated or dependent lines give the zero chain. The value depends only
+    on the lines, not on the choice of primitive representatives.
     """
     if not isinstance(symbol, ApartmentSymbol):
         symbol = ApartmentSymbol.from_vectors(symbol)
+    ordered, sign = canonical_generator(symbol.lines)
     spans = {} if spans is None else spans
-    lines = symbol.lines
-    if span_key(tuple(sorted(lines)), spans) is None:
+    if not sign or span_key(ordered, spans) is None:
         return {}
-    return apartment_chain(symbol.ambient, lambda idx: span_key(tuple(sorted(lines[i] for i in idx)), spans))
+    chain = apartment_chain(symbol.ambient, lambda idx: span_key(tuple([ordered[i] for i in idx]), spans))
+    return chain if sign > 0 else {flag: -c for flag, c in chain.items()}
 
 
 def _round_half_toward_zero(p: int, q: int) -> int:

@@ -10,10 +10,11 @@ form) and a primitive Plücker vector from Bareiss minors
 (`plucker_oracle`), which the tests check are two faithful keys of the
 same lattices. Bareiss elimination lives only here: the package takes
 every minor and determinant from the Laplace expansion `zsymbols.minors`,
-which the tests check against `bareiss_det`. Subspaces of F_q^n are
-checked against their explicit vector sets. The partition complex's
-isomorphism onto the subset poset is rechecked by sorting each cell's
-labels and applying the face rule of each image chain.
+which the tests check against `bareiss_det`, and its compiled one-row
+step is checked against the interpreted step `laplace_wedge`. Subspaces
+of F_q^n are checked against their explicit vector sets. The partition
+complex's isomorphism onto the subset poset is rechecked by sorting each
+cell's labels and applying the face rule of each image chain.
 """
 
 from __future__ import annotations
@@ -157,6 +158,21 @@ def plucker_oracle(rows) -> tuple[int, ...]:
     if next(m for m in minors if m) < 0:
         g = -g
     return tuple(m // g for m in minors)
+
+
+def laplace_wedge(parent, row, k: int) -> tuple[int, ...]:
+    """The k x k minors of k - 1 rows with `row` appended, over the k-column
+    sets in combinations order, from the (k - 1) x (k - 1) minors `parent`
+    of those rows: a generator sum along the last row, its terms
+    (column, sign, position of the complementary column set) planned
+    afresh on every call."""
+    n = len(row)
+    position = {cols: i for i, cols in enumerate(combinations(range(n), k - 1))}
+    plan = [
+        [(c, (-1) ** (k - 1 + j), position[cols[:j] + cols[j + 1 :]]) for j, c in enumerate(cols)]
+        for cols in combinations(range(n), k)
+    ]
+    return tuple(sum(s * row[c] * parent[p] for c, s, p in terms) for terms in plan)
 
 
 def rank_mod_p(a: SparseIntMatrix, p: int) -> int:

@@ -20,7 +20,7 @@ from titshom.building import chamber_permutation, gl_generators, identity_matrix
 from titshom.complexes import HomologyGroup, assemble_complex
 from titshom.errors import BudgetExceeded, CertificateFailure, NonComplementary
 from titshom.fqfield import field
-from titshom.intmat import add_term
+from titshom.intmat import add_term, linear_extend
 from titshom.snf import kernel_basis, nullity
 
 from oracle_linalg import span_vectors
@@ -254,6 +254,14 @@ def test_opposite_chambers_match_the_vector_set_test(q):
     assert got == want
     # q^3 chambers are opposite each one: the length of the longest element
     assert {len(opp) for opp in got} == {q**3}
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_rank2_pairing_by_complement_matches_the_opposite_sum(q):
+    st = steinberg(3, q)
+    rows = st.basis[0].rows().__getitem__
+    opposite_sum = [linear_extend(dict.fromkeys(opp, st.opp_sign), rows) for opp in opposite_chambers(st)]
+    assert rank2_pairing(st) == opposite_sum
 
 
 def test_rank2_rejects_non_invariant_pairing(monkeypatch):

@@ -233,6 +233,17 @@ def test_apartment_chain_spans_each_subset_once():
     assert chain == naive
 
 
+def test_apartment_chain_refuses_a_span_that_merges_two_subsets():
+    # lines 0 and 1 given one span: the orderings through either prefix
+    # collide, as they would for dependent lines
+    def span(idx):
+        return frozenset({0, 1}) if idx in ((0,), (1,)) else frozenset(idx)
+
+    with pytest.raises(NotSpanning, match="same flag"):
+        apartment_chain(3, span)
+    assert len(apartment_chain(3, frozenset)) == 6
+
+
 @pytest.mark.parametrize("n, q", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)])
 def test_unipotent_basis_is_z_basis(n, q):
     st = steinberg(n, q)

@@ -31,7 +31,7 @@ from titshom.intmat import SparseIntMatrix
 from titshom.fqfield import field
 from titshom.partsix import SHAPES, shape_arity, shape_lines, w_poset_complex, x_localized, zcomplex
 from titshom.snf import smith_normal_form
-from titshom.zsymbols import minors, recognize_apf, reduce_and_verify
+from titshom.zsymbols import ApartmentSymbol, minors, recognize_apf, reduce_and_verify
 
 from oracle_linalg import face_rule, rank_mod_p, span_vectors
 
@@ -439,6 +439,12 @@ BUDGETED = {
         lambda: recognize_apf(((1, 2, 0), (0, 1, 0), (0, 0, 1), (1, 3, 0), (1, 3, 1))),
         32,
         [(zsymbols, "is_saturated_rows")],
+    ),
+    # the 2^5 minors of the row prefixes of a 5 x 5 symbol
+    "det-5": (
+        lambda: ApartmentSymbol(tuple(tuple(int(i == j) for j in range(5)) for i in range(5)), (1,) * 5).det(),
+        32,
+        [(zsymbols, "_laplace_plan")],
     ),
     # the C(10, 5) minors of five rows in Z^5
     "minors-5x5": (

@@ -15,6 +15,8 @@ may have one.
 from __future__ import annotations
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "titshom"
@@ -136,3 +138,21 @@ def test_scan_finds_mutable_defaults():
     assert mutable_defaults(sources) == [
         ("a", "<lambda>"), ("a", "memo"), ("a", "rows"), ("a", "seen"), ("a", "table")
     ]
+
+
+def test_importing_the_reports_compiles_no_kernel_and_builds_no_ordering():
+    # a fresh interpreter, so that no other test has filled the caches; the
+    # Laplace steps and the orderings are built on first use, never at import
+    probe = (
+        "import titshom.reports\n"
+        "from titshom import building, zsymbols\n"
+        "print(zsymbols._laplace_plan.cache_info().currsize, building._orderings.cache_info().currsize)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={"PYTHONPATH": str(PACKAGE.parent)},
+    )
+    assert out.stdout.split() == ["0", "0"]

@@ -2,7 +2,7 @@
 
 import random
 from itertools import combinations, permutations, product
-from math import gcd
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -37,6 +37,7 @@ from titshom.zsymbols import (
 from oracle_linalg import (
     bareiss_det,
     face_rule,
+    laplace_wedge,
     plucker_oracle,
     row_hnf,
     saturate_rows,
@@ -47,6 +48,10 @@ from oracle_linalg import (
 def test_normalize_line():
     assert normalize_line((2, -4)) == ((1, -2), 1)
     assert normalize_line((-1, 2)) == ((1, -2), -1)
+    # a primitive line that leads positive comes back as it is
+    assert normalize_line([0, 3, -2]) == ((0, 3, -2), 1)
+    assert normalize_line((0, -3, 2)) == ((0, 3, -2), -1)
+    assert normalize_line((0, -6, 4)) == ((0, 3, -2), -1)
     with pytest.raises(ZeroVector):
         normalize_line((0, 0))
 
@@ -102,7 +107,7 @@ def test_row_lattice_questions_match_minor_oracles():
 def test_minors_match_bareiss_on_every_row_and_column_subset():
     rng = random.Random(6061)
     # every shape twice: once as drawn, once with a zero row
-    for zero_row, m, n in product((False, True), range(1, 6), range(1, 6)):
+    for zero_row, m, n in product((False, True), range(1, 7), range(1, 7)):
         rows = [tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(m)]
         if zero_row:
             rows[rng.randrange(m)] = (0,) * n
@@ -118,6 +123,34 @@ def test_minors_match_bareiss_on_every_row_and_column_subset():
     assert minors([]) == {(): (1,)}
     with pytest.raises(ValueError, match="ragged"):
         minors([(1, 2), (1,)])
+
+
+def test_laplace_kernel_matches_the_interpreted_wedge():
+    rng = random.Random(2929)
+    for n in range(1, 8):
+        for k in range(1, n + 1):
+            step = zsymbols._laplace_plan(n, k)
+            parents = comb(n, k - 1)
+            for _ in range(4):
+                parent = tuple(rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(parents))
+                row = tuple(rng.choice((0, rng.randint(-9, -1), rng.randint(1, 9))) for _ in range(n))
+                assert step(parent, row) == laplace_wedge(parent, row, k), (n, k, parent, row)
+    # arguments are unpacked by length, so a wrong length cannot pass silently
+    with pytest.raises(ValueError):
+        zsymbols._laplace_plan(3, 2)((1, 2, 3), (1, 2))
+    with pytest.raises(ValueError):
+        zsymbols._laplace_plan(3, 2)((1, 2), (1, 2, 3))
+
+
+def test_det_matches_bareiss_and_the_top_minor():
+    rng = random.Random(3030)
+    for n in range(1, 7):
+        for _ in range(6):
+            rows = [tuple(rng.randint(-6, 6) for _ in range(n)) for _ in range(n)]
+            if not all(any(row) for row in rows):
+                continue
+            symbol = ApartmentSymbol(tuple(rows), (1,) * n)
+            assert symbol.det() == bareiss_det(rows) == minors(rows)[tuple(range(n))][0], rows
 
 
 def test_minors_budget_is_checked_before_the_first_level(monkeypatch):
@@ -267,6 +300,24 @@ def test_apartment_eval_standard():
     assert ev3[((0, 0, 1), (0, 1, 0))] == 1
 
 
+def test_apartment_eval_alternates_over_every_permutation_of_the_lines():
+    rng = random.Random(5151)
+    for n in (1, 2, 3, 4):
+        symbols = [random_unimodular_basis(n, rng), tuple(_nonsingular(rng, n, 3, at_least=2))]
+        # dependent lines: one line repeated, and the last line replaced by -2 times the first
+        symbols.append((symbols[0][0],) * n)
+        symbols.append(symbols[1][:-1] + (tuple(-2 * x for x in symbols[1][0]),))
+        for vecs in symbols:
+            want = apartment_eval(vecs)
+            assert want == _eval_saturating_every_prefix(vecs), vecs
+            spans = {}
+            for perm in permutations(range(n)):
+                permuted = [vecs[i] for i in perm]
+                sign = perm_sign(perm)
+                assert apartment_eval(permuted, spans) == {f: sign * c for f, c in want.items()}, (vecs, perm)
+                assert apartment_eval(permuted) == _eval_saturating_every_prefix(permuted), (vecs, perm)
+
+
 def test_apartment_eval_is_cycle():
     rng = random.Random(11)
     for n in (2, 3):
@@ -331,7 +382,15 @@ def test_reduce_and_verify_takes_each_row_tuples_minors_once(monkeypatch, n):
         calls.append(tuple(rows))
         return minors(rows)
 
+    dets = []
+    honest_det = ApartmentSymbol.det
+
+    def counted_det(symbol):
+        dets.append(symbol.lines)
+        return honest_det(symbol)
+
     monkeypatch.setattr(zsymbols, "minors", counted)
+    monkeypatch.setattr(ApartmentSymbol, "det", counted_det)
     rng = random.Random(61 + n)
     unimodular = descended = 0
     for i in range(60):
@@ -341,12 +400,14 @@ def test_reduce_and_verify_takes_each_row_tuples_minors_once(monkeypatch, n):
         if not all(any(v) for v in vectors):
             continue
         calls.clear()
+        dets.clear()
         red = reduce_and_verify(vectors)
         assert red.verified, vectors
-        assert len(calls) == len(set(calls)), vectors
-        # the symbol and every term had their minors taken
+        assert len(calls) == len(set(calls)) and len(dets) == len(set(dets)), vectors
+        # the symbol had its minors taken, and every other term its determinant
         root = ApartmentSymbol.from_vectors(vectors).lines
-        assert {root} | {t.lines for _, t in red.terms} <= set(calls)
+        assert root in calls
+        assert {t.lines for _, t in red.terms} - {root} <= set(dets)
         unimodular += [(c, t.lines) for c, t in red.terms] == [(1, root)]
         descended += len(red.terms) > 1
     # both the passthrough and the descent were exercised
