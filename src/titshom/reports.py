@@ -393,10 +393,12 @@ def _suite_bykovskii(seed: int, bases: int) -> list[CheckSpec]:
         shapes = 0
         for lines in _x2_instances(rng):
             shapes += 1
-            second = zsymbols.byk_delta_combination(zsymbols.byk_delta(lines))
+            # one memo of Plücker keys per instance, shared by its three steps
+            spans: dict = {}
+            second = zsymbols.byk_delta_combination(zsymbols.byk_delta(lines, spans), spans)
             if second:
                 dd_failures += 1
-            if zsymbols.byk_psi(second):
+            if zsymbols.byk_psi(second, spans):
                 psi_failures += 1
         return {"shapes": shapes, "dd_failures": dd_failures, "psi_failures": psi_failures}
 
@@ -433,16 +435,21 @@ def _x1_images(n: int, basis) -> list[dict]:
     """psi(delta(lines)) for every single-augmentation instance over one basis.
 
     Sign patterns eps and -eps give the same lines, so each distinct
-    instance is imaged once and its image listed for both. The instances
-    over one basis share most of their deletion terms, so each distinct
-    symbol is evaluated once, and their spans share one `spans` memo of
-    Plücker keys (`zsymbols.span_key`); both caches live only as long as
-    this call.
+    instance is imaged once and its image listed for both. An instance has
+    n + 1 lines, so `zsymbols.byk_delta` decides each deletion by its
+    Plücker key (`zsymbols.span_key`) in this call's `spans`, with no
+    kernel, and returns the kept deletions normalized and sorted. Each
+    distinct kept deletion is then evaluated once, as a symbol with those
+    lines and no sign change, and its evaluation finds the keys of its
+    lines and their prefixes already in `spans`. Both memos live only as
+    long as this call.
     """
     spans: dict = {}
-    evaluate = lru_cache(maxsize=None)(lambda symbol: zsymbols.apartment_eval(symbol, spans))
+    evaluate = lru_cache(maxsize=None)(
+        lambda key: zsymbols.apartment_eval(zsymbols.ApartmentSymbol(key, (1,) * n), spans)
+    )
     instances = _x1_instances(n, basis)
-    images = {lines: linear_extend(zsymbols.byk_delta(lines), evaluate) for lines in dict.fromkeys(instances)}
+    images = {lines: linear_extend(zsymbols.byk_delta(lines, spans), evaluate) for lines in dict.fromkeys(instances)}
     return [images[lines] for lines in instances]
 
 

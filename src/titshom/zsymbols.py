@@ -439,25 +439,41 @@ def _cover_rest(
     return None
 
 
-def byk_delta(lines) -> dict[tuple[Vector, ...], int]:
+def byk_delta(lines, spans: dict | None = None) -> dict[tuple[Vector, ...], int]:
     """Alternating deletion sum, each term sign-canonicalized.
 
     A deletion whose lines stop spanning Q^n is dropped, as is one with a
-    repeated line; both are zero generators. One kernel of the lines
-    decides every deletion, as in `partsix.block_delta`: with r the rank of
-    all lines, deleting line j leaves rank r, or r - 1 when line j is a
-    coloop, used by no integer relation.
+    repeated line; both are zero generators. n + 1 lines decide each
+    deletion by its Plücker key: at rank n, Cramer's rule spans their
+    relations by y_j = (-1)^j det(lines without j), so line j is used by a
+    relation exactly when its deletion is independent, that is when
+    `span_key` of the sorted deletion is not None; below rank n every
+    deletion is dependent. Those keys stay in the caller's `spans`, where
+    evaluating the kept terms finds them. More lines take one kernel of all
+    of them, as in `partsix.block_delta`: with r the rank of all lines,
+    deleting line j leaves rank r, or r - 1 when line j is a coloop, used
+    by no integer relation; that path does not read `spans`.
     """
     normalized = tuple(normalize_line(v)[0] for v in lines)
     if not normalized:
         raise ValueError("empty symbol (): the deletion differential needs at least one line")
     n = len(normalized[0])
+    if any(len(v) != n for v in normalized):
+        raise ValueError("ragged rows")
     if len(normalized) <= n:
         raise DegreeZero("deletion differential needs X-degree >= 1")
-    relations = row_relations(normalized)
-    r = len(normalized) - relations.n_cols
-    used = set().union(*relations.cols)
-    return signed_deletions(normalized, [r - (j not in used) == n for j in range(len(normalized))])
+    if len(normalized) > n + 1:
+        relations = row_relations(normalized)
+        r = len(normalized) - relations.n_cols
+        used = set().union(*relations.cols)
+        return signed_deletions(normalized, [r - (j not in used) == n for j in range(len(normalized))])
+    spans = {} if spans is None else spans
+    out: dict[tuple[Vector, ...], int] = {}
+    for j in range(n + 1):
+        tokens, sign = canonical_generator(normalized[:j] + normalized[j + 1 :])
+        if sign and span_key(tokens, spans) is not None:
+            add_term(out, tokens, (-1) ** j * sign)
+    return out
 
 
 def signed_deletions(rows: tuple[Vector, ...], keep: list[bool]) -> dict[tuple[Vector, ...], int]:
@@ -473,14 +489,18 @@ def signed_deletions(rows: tuple[Vector, ...], keep: list[bool]) -> dict[tuple[V
     return out
 
 
-def byk_delta_combination(comb: dict) -> dict[tuple[Vector, ...], int]:
-    return linear_extend(comb, byk_delta)
+def byk_delta_combination(comb: dict, spans: dict | None = None) -> dict[tuple[Vector, ...], int]:
+    """Linear extension of `byk_delta`, its terms' spans keyed once in
+    `spans` (a fresh dict for this call when None)."""
+    spans = {} if spans is None else spans
+    return linear_extend(comb, lambda lines: byk_delta(lines, spans))
 
 
-def byk_psi(comb: dict) -> dict[Flag, int]:
+def byk_psi(comb: dict, spans: dict | None = None) -> dict[Flag, int]:
     """Linear extension of apartment evaluation to degree-zero combinations,
-    its spans keyed once for the call."""
-    spans: dict = {}
+    its spans keyed once in `spans` (a fresh dict for this call when None).
+    Each key is normalized, since it may come from any caller."""
+    spans = {} if spans is None else spans
     return linear_extend(comb, lambda lines: apartment_eval(lines, spans))
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from titshom import complexes, partsix, reports, zsymbols
+from titshom import complexes, partsix, reports, snf, zsymbols
 from titshom.building import perm_sign
 from titshom.complexes import CELL_BUDGET, canonical_generator
 from titshom.errors import BudgetExceeded, DegreeZero, IdentityViolation, ZeroVector
@@ -603,7 +603,7 @@ def test_x1_images_evaluate_each_symbol_once_per_basis(monkeypatch, n, seed):
     calls = []
 
     def counted(symbol, spans=None):
-        calls.append(symbol)
+        calls.append(symbol.lines)
         return apartment_eval(symbol, spans)
 
     rng = random.Random(seed + n)
@@ -625,9 +625,9 @@ def test_x1_images_evaluate_each_symbol_once_per_basis(monkeypatch, n, seed):
 def test_x1_images_delta_each_distinct_instance_once(monkeypatch, n):
     calls = []
 
-    def counted(lines):
+    def counted(lines, spans=None):
         calls.append(lines)
-        return byk_delta(lines)
+        return byk_delta(lines, spans)
 
     monkeypatch.setattr(zsymbols, "byk_delta", counted)
     rng = random.Random(3 + n)
@@ -649,9 +649,11 @@ def test_x1_zero_counts_a_planted_image_once_per_instance(monkeypatch):
     planted = instances[0]
     assert instances.count(planted) == 2
 
-    def planting(lines):
-        # the basis alone is unimodular, so it evaluates to a nonzero chain
-        return {lines[:n]: 1} if lines == planted else byk_delta(lines)
+    def planting(lines, spans=None):
+        # the basis alone is unimodular, so it evaluates to a nonzero chain;
+        # it is planted normalized and sorted, as byk_delta returns its terms
+        basis_key = canonical_generator([normalize_line(v)[0] for v in lines[:n]])[0]
+        return {basis_key: 1} if lines == planted else byk_delta(lines, spans)
 
     monkeypatch.setattr(zsymbols, "byk_delta", planting)
     spec = next(s for s in reports._suite_bykovskii(seed, 1) if s.description.endswith("(n=3)"))
@@ -694,6 +696,93 @@ def test_byk_delta_and_block_delta_match_rank_test():
                         assert partsix.block_delta(block) == _deletions_by_rank(block, rank_rows(block))
     # deletions that lose rank occur and are dropped
     assert dropped
+
+
+# n + 1 lines built by hand: a repeated line (its two deletions cancel), a
+# coloop (the deletion of (0, 0, 1) is dependent), rank < n (nothing kept)
+HAND_BUILT_X1 = [
+    ((1, 0), (-2, 0), (0, 1)),
+    ((1, 0, 0), (0, 1, 0), (0, 1, 0), (1, 1, 1)),
+    ((1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)),
+    ((2, -1, 0), (0, 1, 0), (1, 0, 0), (0, 0, -3)),
+    ((1, 0, 0), (0, 1, 0), (1, 1, 0), (1, -1, 0)),
+    ((1, 2), (2, 4), (-3, -6)),
+]
+
+
+def test_byk_delta_by_keys_matches_the_rank_test_on_n_plus_one_lines():
+    rng = random.Random(3030)
+    for n in range(2, 6):
+        shared: dict = {}
+        for _ in range(3):
+            basis = random_unimodular_basis(n, rng)
+            for lines in reports._x1_instances(n, basis):
+                expected = _deletions_by_rank(lines, n)
+                assert byk_delta(lines) == expected, lines
+                assert byk_delta(lines, {}) == expected, lines
+                assert byk_delta(lines, shared) == expected, lines
+    for lines in HAND_BUILT_X1:
+        n = len(lines[0])
+        expected = _deletions_by_rank(tuple(normalize_line(v)[0] for v in lines), n)
+        assert byk_delta(lines) == expected, lines
+    # the coloop's deletion is dropped and the other three are kept
+    coloop = HAND_BUILT_X1[2]
+    got = byk_delta(coloop)
+    assert len(got) == 3 and canonical_generator(coloop[:3])[0] not in got
+    assert byk_delta(HAND_BUILT_X1[4]) == {} and byk_delta(HAND_BUILT_X1[5]) == {}
+
+
+def test_byk_delta_leaves_every_kept_terms_key_in_spans():
+    rng = random.Random(77)
+    for n in range(2, 5):
+        basis = random_unimodular_basis(n, rng)
+        spans: dict = {}
+        for lines in reports._x1_instances(n, basis) + [v for v in HAND_BUILT_X1 if len(v[0]) == n]:
+            for key in byk_delta(lines, spans):
+                assert spans[key] is not None, key
+
+
+def test_byk_delta_refuses_ragged_lines_on_both_paths():
+    for lines in (
+        ((1, 0), (0, 1), (1, 1, 0)),  # n + 1 lines: the key path
+        ((1, 0), (0, 1), (1, 1), (1, -1, 0)),  # n + 2 lines: the kernel path
+        ((1, 0, 0), (0, 1), (1, 1)),  # too few lines for Z^3 as well
+    ):
+        with pytest.raises(ValueError, match="^ragged rows$"):
+            byk_delta(lines)
+
+
+def test_x1_check_builds_no_kernel_and_each_x2_instance_one(monkeypatch):
+    built = []
+
+    class Counted(snf._ColumnEngine):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(snf, "_ColumnEngine", Counted)
+    rng = random.Random(8)
+    for n in (2, 3, 4):
+        basis = random_unimodular_basis(n, rng)
+        assert not any(reports._x1_images(n, basis))
+    specs = reports._suite_bykovskii(1, 2)
+    for spec in specs[:-1]:
+        assert spec.compute() == 0
+    assert built == []
+    # the engines built so far, read as each x2 instance is drawn and at the end
+    marks = []
+    instances = reports._x2_instances
+
+    def marked(rng):
+        for lines in instances(rng):
+            marks.append(len(built))
+            yield lines
+        marks.append(len(built))
+
+    monkeypatch.setattr(reports, "_x2_instances", marked)
+    assert specs[-1].compute() == specs[-1].expected
+    assert len(marks) == 21
+    assert [b - a for a, b in zip(marks, marks[1:])] == [1] * 20
 
 
 def test_recognize_apf(monkeypatch):
