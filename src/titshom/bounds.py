@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 from .errors import IntegralModeNonTypeA, InvalidDescriptor
 
-FAMILIES = ("A", "B", "C", "BC", "D", "G2", "F4", "E6", "E7", "E8")
-
 _FACTOR_RE = re.compile(r"(BC|[ABCDEFG])(\d+)\Z")
 
 _EXCEPTIONAL_RANK = {"G": 2, "F": 4}

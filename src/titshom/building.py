@@ -18,7 +18,7 @@ from itertools import combinations, permutations, product
 from math import factorial
 from typing import Callable, Hashable
 
-from .complexes import ChainComplexZ, check_cells, cycle_space, order_complex
+from .complexes import ChainComplexZ, canonical_generator, check_cells, cycle_space, order_complex
 from .errors import NotSpanning
 from .fqfield import FieldTable, check_order, field
 from .intmat import SparseIntMatrix, linear_extend
@@ -73,8 +73,13 @@ def mat_mul(ft: FieldTable, a: Matrix, b: Matrix) -> Matrix:
     return tuple(out)
 
 
+def identity_with(n: int, entries: dict[tuple[int, int], int]) -> Matrix:
+    """The n x n identity with entries[(i, j)] written in at row i, column j."""
+    return tuple(tuple(entries.get((i, j), 1 if i == j else 0) for j in range(n)) for i in range(n))
+
+
 def identity_matrix(n: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+    return identity_with(n, {})
 
 
 def permutation_matrix(perm: tuple[int, ...]) -> Matrix:
@@ -85,15 +90,6 @@ def permutation_matrix(perm: tuple[int, ...]) -> Matrix:
 
 def is_upper_triangular(m: Matrix) -> bool:
     return all(m[i][j] == 0 for i in range(len(m)) for j in range(i))
-
-
-def perm_sign(perm: tuple[int, ...]) -> int:
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
 
 
 def rref(ft: FieldTable, vectors: list[Vector]) -> Subspace:
@@ -217,7 +213,7 @@ class StModel:
     @property
     def opp_sign(self) -> int:
         """Sign of the ordering that reverses n columns."""
-        return perm_sign(tuple(reversed(range(self.n))))
+        return canonical_generator(tuple(reversed(range(self.n))))[1]
 
     @cached_property
     def apartments(self) -> list[dict[int, int]]:
@@ -313,7 +309,7 @@ def _orderings(n: int) -> tuple[list[tuple[int, ...]], list[tuple[int, tuple[int
     subsets = [idx for k in range(1, n) for idx in combinations(range(n), k)]
     position = {idx: i for i, idx in enumerate(subsets)}
     return subsets, [
-        (perm_sign(perm), tuple(position[tuple(sorted(perm[: k + 1]))] for k in range(n - 1)))
+        (canonical_generator(perm)[1], tuple(position[tuple(sorted(perm[: k + 1]))] for k in range(n - 1)))
         for perm in permutations(range(n))
     ]
 
@@ -355,13 +351,7 @@ def apartment_class_fq(st: StModel, g: Matrix) -> dict[int, int]:
 def unipotent_matrices(n: int, q: int) -> list[Matrix]:
     """All upper unitriangular matrices, in deterministic order."""
     positions = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    out = []
-    for values in product(range(q), repeat=len(positions)):
-        rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        for (i, j), v in zip(positions, values):
-            rows[i][j] = v
-        out.append(tuple(tuple(r) for r in rows))
-    return out
+    return [identity_with(n, dict(zip(positions, values))) for values in product(range(q), repeat=len(positions))]
 
 
 def unipotent_basis_matrix(st: StModel) -> tuple[list[Matrix], SparseIntMatrix]:
@@ -396,10 +386,7 @@ def bruhat_witness(n: int, q: int) -> Matrix:
     perms = list(permutations(range(n)))
     positions = [(i, j) for i in range(n) for j in range(i + 1, n)]
     for values in product(range(1, q), repeat=len(positions)):
-        rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        for (i, j), v in zip(positions, values):
-            rows[i][j] = v
-        u = tuple(tuple(r) for r in rows)
+        u = identity_with(n, dict(zip(positions, values)))
         ok = True
         for w1 in perms:
             m1 = mat_mul(ft, permutation_matrix(w1), u)
@@ -419,9 +406,7 @@ def bruhat_witness(n: int, q: int) -> Matrix:
 
 
 def transvection(n: int, i: int, j: int, c: int) -> Matrix:
-    rows = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
-    rows[i][j] = c
-    return tuple(tuple(r) for r in rows)
+    return identity_with(n, {(i, j): c})
 
 
 def gl_generators(n: int, q: int) -> list[Matrix]:
@@ -435,15 +420,9 @@ def gl_generators(n: int, q: int) -> list[Matrix]:
     gamma = ft.primitive
     if n == 1:
         return [((gamma,),)]
-    cyc = [[0] * n for _ in range(n)]
-    for j in range(n - 1):
-        cyc[j + 1][j] = 1
-    cyc[0][n - 1] = 1
-    gens = [transvection(n, 0, 1, 1), tuple(tuple(r) for r in cyc)]
+    gens = [transvection(n, 0, 1, 1), permutation_matrix(tuple((j + 1) % n for j in range(n)))]
     if gamma != 1:
-        rows = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
-        rows[0][0] = gamma
-        gens.append(tuple(tuple(r) for r in rows))
+        gens.append(identity_with(n, {(0, 0): gamma}))
     return gens
 
 
@@ -460,11 +439,7 @@ def borel_generators(n: int, q: int) -> list[Matrix]:
     """Upper-triangular Borel: torus slots plus simple root elements."""
     ft = field(q)
     gamma = ft.primitive
-    gens: list[Matrix] = []
-    for i in range(n):
-        rows = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
-        rows[i][i] = gamma
-        gens.append(tuple(tuple(r) for r in rows))
+    gens = [identity_with(n, {(i, i): gamma}) for i in range(n)]
     basis_elems = [ft.p**j for j in range(ft.e)]  # F_p-basis of F_q
     for i in range(n - 1):
         for b in basis_elems:

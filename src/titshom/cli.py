@@ -156,14 +156,16 @@ def coinv(group_spec, module_spec, report, stable_timings, config):
     if not m:
         raise click.BadParameter("group must look like gl(3,2), sl(2,3) or borel(3,2)")
     kind, n, q = m.group(1), int(m.group(2)), int(m.group(3))
+    if n < 1:
+        raise click.BadParameter(f"a matrix group needs n >= 1, got n={n}")
     if kind == "sl" and n != 2:
         raise click.BadParameter("special linear generators are only wired for rank 2")
     try:
-        st = building_mod.steinberg(n, q)
         gens = building_mod.GROUP_GENERATORS[kind](n, q)
         if module_spec == "trivial":
             rank, mats = 1, [actions.trivial_action(1)(g) for g in gens]
         else:
+            st = building_mod.steinberg(n, q)
             rank, mats = st.rank, [actions.st_action_matrix(st, g) for g in gens]
         group = actions.coinvariants(rank, mats)
     except TitshomError as exc:

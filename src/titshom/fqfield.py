@@ -176,9 +176,6 @@ class FieldTable:
             assert self.add[a][self.add[b][c]] == self.add[self.add[a][b]][c]
             assert self.mul[a][self.add[b][c]] == self.add[self.mul[a][b]][self.mul[a][c]]
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add[a][self.neg[b]]
-
     def __repr__(self) -> str:
         return f"FieldTable(q={self.q})"
 

@@ -93,9 +93,6 @@ class SparseIntMatrix:
     def shape(self) -> tuple[int, int]:
         return (self.n_rows, self.n_cols)
 
-    def entry(self, r: int, c: int) -> int:
-        return self.cols[c].get(r, 0)
-
     def nnz(self) -> int:
         return sum(map(len, self.cols))
 

@@ -29,6 +29,7 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import comb
 
+from .building import identity_matrix
 from .complexes import (
     ChainComplexZ,
     HomologyGroup,
@@ -83,7 +84,6 @@ def ordered_partition_count(d: int, k: int) -> int:
 @dataclass
 class ZSetComplex:
     labels: tuple
-    restriction: tuple[frozenset, ...]
     units: tuple[tuple, ...]
     d: int
     cx: ChainComplexZ
@@ -123,10 +123,8 @@ def zcomplex(labels, restriction=()) -> ZSetComplex:
     stored sorted, permutations contribute the product of per-block signs.
     """
     labels = tuple(sorted(labels))
-    rsets = tuple(frozenset(r) for r in restriction)
-    units = restriction_units(labels, rsets)
-    cx = _block_complex(units)
-    return ZSetComplex(labels, rsets, units, len(units), cx)
+    units = restriction_units(labels, restriction)
+    return ZSetComplex(labels, units, len(units), _block_complex(units))
 
 
 def _block_complex(units: tuple) -> ChainComplexZ:
@@ -296,7 +294,7 @@ def line_components(lines) -> tuple[tuple[Vector, ...], ...]:
     return tuple(tuple(c) for c in comps.values())
 
 
-def x_localized(lines, q: int | None = None) -> ChainComplexZ:
+def x_localized(lines) -> ChainComplexZ:
     """Bar complex of block partitions of an augmented partial frame.
 
     Cells in degree p are ordered partitions of the line set into p+2
@@ -324,8 +322,6 @@ def x_localized(lines, q: int | None = None) -> ChainComplexZ:
     n = len(normalized[0])
     if rank_rows(normalized) < n:
         raise NotSpanning("the lines do not span")
-    if q is not None and len(normalized) - n != q:
-        raise ValueError("X-degree does not match the number of lines")
     if recognize_apf(normalized) is None:
         raise ValueError("lines are not an augmented partial frame")
     cx = _block_complex(line_components(normalized))
@@ -500,9 +496,7 @@ def shape_lines(shape: str, n: int, eps, basis=None):
     if len(eps) != arity:
         raise ValueError("sign pattern has the wrong arity")
     if basis is None:
-        basis = tuple(
-            tuple(1 if i == j else 0 for j in range(n)) for i in range(n)
-        )
+        basis = identity_matrix(n)
     lines = [normalize_line(v)[0] for v in basis]
     units: list[set[int]] = []
     for members in SHAPES[shape]:
@@ -579,7 +573,7 @@ def _shape_check(shape: str, n: int, eps) -> dict:
     share every dimension and homology group.
     """
     lines, groups = shape_lines(shape, n, eps)
-    cx = x_localized(lines, len(lines) - n)
+    cx = x_localized(lines)
     units = set(cx.basis[max(cx.degrees)][0])
     units_match = units == {tuple(sorted(lines[i] for i in g)) for g in groups}
     d = len(groups)
@@ -620,27 +614,24 @@ def _badcase_check(lines, cx: ChainComplexZ) -> dict:
 def kappa_eta_certificate(basis=None, eps=(1, 1, 1), eta_comb=None) -> dict:
     """Surjectivity certificate for the rank-4 descent differential.
 
-    Builds the standard cycles kappa and eta, checks both are merge-cycles,
+    The lines are the x2-i frame of `shape_lines`: the basis l1..l4, then
+    l12 and l123, its signed sums over members (0, 1) and (0, 1, 2). Builds
+    the standard cycles kappa and eta, checks both are merge-cycles,
     expands the deletion differential of eta into the five expected groups,
     confirms every secondary group bounds in its own localized complex, and
     confirms kappa generates the badcase homology. `eta_comb` substitutes a
     candidate cycle for eta; anything that fails a step raises.
     """
     if basis is None:
-        basis = tuple(
-            tuple(1 if i == j else 0 for j in range(4)) for i in range(4)
-        )
+        basis = identity_matrix(4)
     if [len(b) for b in basis] != [4] * 4:
         raise ValueError("basis must be 4 x 4")
     if abs(minors(basis)[(0, 1, 2, 3)][0]) != 1:
         raise ValueError("basis must be unimodular")
     if len(eps) != 3:
         raise ValueError("three signs required")
-    v = [normalize_line(b)[0] for b in basis]
-    l12 = normalize_line(_combo(basis, (0, 1), eps[:2]))[0]
-    l123 = normalize_line(_combo(basis, (0, 1, 2), eps))[0]
-    l4 = v[3]
-    core = (v[0], v[1], v[2], l123)
+    l1, l2, l3, l4, l12, l123 = shape_lines("x2-i", 4, eps, basis)[0]
+    core = (l1, l2, l3, l123)
 
     def two_block(first_alone: bool, block):
         tokens, sign = canonical_generator(block)
@@ -692,14 +683,14 @@ def kappa_eta_certificate(basis=None, eps=(1, 1, 1), eta_comb=None) -> dict:
 
     for idx, grp in enumerate(groups[1:], start=2):
         lines = sorted({line for key in grp for blk in key for line in blk})
-        cx = x_localized(tuple(lines), 1)
+        cx = x_localized(tuple(lines))
         rep = _class_report(cx, _cell_vector(cx, grp, 0), 0)
         if not rep["class_is_zero"]:
             raise CertificateFailure(f"secondary-class-{idx}")
     steps.append("secondary-classes-bound")
 
     lines = sorted({line for key in kappa for blk in key for line in blk})
-    cx = x_localized(tuple(lines), 1)
+    cx = x_localized(tuple(lines))
     rep = _class_report(cx, _cell_vector(cx, kappa, 0), 0)
     if rep["homology"] != HomologyGroup(1, ()) or not rep["class_generates"]:
         raise CertificateFailure("kappa-generates")

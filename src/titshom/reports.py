@@ -423,34 +423,35 @@ def _suite_bykovskii(seed: int, bases: int) -> list[CheckSpec]:
 
 
 def _x1_instances(n: int, basis) -> list[tuple]:
+    """The lines of every single-augmentation shape over one basis, one
+    instance per pair of sign patterns: eps and -eps give the same
+    normalized lines, so eps[0] is +1."""
     return [
-        partsix.shape_lines(shape, n, eps, basis)[0]
+        partsix.shape_lines(shape, n, (1,) + rest, basis)[0]
         for shape in ("x1-i", "x1-ii")
         if n >= partsix.shape_arity(shape)
-        for eps in product((1, -1), repeat=partsix.shape_arity(shape))
+        for rest in product((1, -1), repeat=partsix.shape_arity(shape) - 1)
     ]
 
 
 def _x1_images(n: int, basis) -> list[dict]:
-    """psi(delta(lines)) for every single-augmentation instance over one basis.
+    """psi(delta(lines)) for every single-augmentation shape and sign
+    pattern over one basis.
 
-    Sign patterns eps and -eps give the same lines, so each distinct
-    instance is imaged once and its image listed for both. An instance has
-    n + 1 lines, so `zsymbols.byk_delta` decides each deletion by its
-    Plücker key (`zsymbols.span_key`) in this call's `spans`, with no
-    kernel, and returns the kept deletions normalized and sorted. Each
-    distinct kept deletion is then evaluated once, as a symbol with those
-    lines and no sign change, and its evaluation finds the keys of its
-    lines and their prefixes already in `spans`. Both memos live only as
-    long as this call.
+    Each instance of `_x1_instances` is imaged once, and its image is
+    listed twice, for eps and for -eps, so a failure counts per pattern.
+    An instance has n + 1 lines, so `zsymbols.byk_delta` decides each
+    deletion by its Plücker key (`zsymbols.span_key`) in this call's
+    `spans`, with no kernel, and returns the kept deletions normalized and
+    sorted. Each distinct kept deletion is then evaluated once, as the
+    symbol of those lines, and its evaluation finds the keys of its lines
+    and their prefixes already in `spans`. Both memos live only as long as
+    this call.
     """
     spans: dict = {}
-    evaluate = lru_cache(maxsize=None)(
-        lambda key: zsymbols.apartment_eval(zsymbols.ApartmentSymbol(key, (1,) * n), spans)
-    )
-    instances = _x1_instances(n, basis)
-    images = {lines: linear_extend(zsymbols.byk_delta(lines, spans), evaluate) for lines in dict.fromkeys(instances)}
-    return [images[lines] for lines in instances]
+    evaluate = lru_cache(maxsize=None)(lambda key: zsymbols.apartment_eval(zsymbols.ApartmentSymbol(key), spans))
+    images = [linear_extend(zsymbols.byk_delta(lines, spans), evaluate) for lines in _x1_instances(n, basis)]
+    return [image for image in images for _ in (1, -1)]
 
 
 def _x2_instances(rng: random.Random):

@@ -171,10 +171,11 @@ def row_relations(rows) -> SparseIntMatrix:
 
 @dataclass(frozen=True)
 class ApartmentSymbol:
-    """Ordered tuple of lines with the signs picked up by normalization."""
+    """Ordered tuple of n lines in Z^n. Its class depends on the lines
+    alone, so `from_vectors` keeps each vector's primitive line and drops
+    the sign that normalization takes out."""
 
     lines: tuple[Vector, ...]
-    signs: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if not self.lines:
@@ -188,8 +189,7 @@ class ApartmentSymbol:
 
     @classmethod
     def from_vectors(cls, vectors) -> "ApartmentSymbol":
-        pairs = [normalize_line(v) for v in vectors]
-        return cls(tuple(p[0] for p in pairs), tuple(p[1] for p in pairs))
+        return cls(tuple(normalize_line(v)[0] for v in vectors))
 
     @property
     def ambient(self) -> int:
@@ -309,10 +309,7 @@ def ash_rudolph(
             descend(replaced, nd)
 
     descend(symbol.lines, d, table)
-    return [
-        (coeff, ApartmentSymbol(key, (1,) * n))
-        for key, coeff in sorted(leaves.items())
-    ]
+    return [(coeff, ApartmentSymbol(key)) for key, coeff in sorted(leaves.items())]
 
 
 @dataclass(frozen=True)

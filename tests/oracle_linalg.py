@@ -14,7 +14,9 @@ which the tests check against `bareiss_det`, and its compiled one-row
 step is checked against the interpreted step `laplace_wedge`. Subspaces
 of F_q^n are checked against their explicit vector sets. The partition
 complex's isomorphism onto the subset poset is rechecked by sorting each
-cell's labels and applying the face rule of each image chain.
+cell's labels and applying the face rule of each image chain. The sign
+of a permutation is the parity of its inverted pairs, counted pair by
+pair; the package takes it from `complexes.canonical_generator`'s sort.
 """
 
 from __future__ import annotations
@@ -55,6 +57,16 @@ def bareiss_det(mat) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def perm_sign(perm) -> int:
+    """Sign of a permutation, by counting its inverted pairs."""
+    sign = 1
+    for i in range(len(perm)):
+        for j in range(i + 1, len(perm)):
+            if perm[i] > perm[j]:
+                sign = -sign
+    return sign
 
 
 def determinantal_divisors(dense: list[list[int]]) -> list[int]:

@@ -8,6 +8,8 @@ from itertools import permutations
 import pytest
 
 from titshom.building import (
+    GROUP_GENERATORS,
+    _orderings,
     act_on_subspace,
     apartment_chain,
     apartment_class_fq,
@@ -20,7 +22,6 @@ from titshom.building import (
     identity_matrix,
     is_upper_triangular,
     mat_mul,
-    perm_sign,
     permutation_matrix,
     rref,
     sl2_generators,
@@ -37,7 +38,7 @@ from titshom.fqfield import field
 from titshom.intmat import SparseIntMatrix
 from titshom.snf import smith_normal_form
 
-from oracle_linalg import span_vectors
+from oracle_linalg import perm_sign, span_vectors
 
 
 def gl_order(n: int, q: int) -> int:
@@ -316,6 +317,56 @@ def test_permutation_matrix_and_action():
     assert moved == ((0, 1, 0),)
     assert span_vectors(ft, moved) == {(0, 0, 0), (0, 1, 0)}
     assert span_mask(ft, moved) == 1 | 1 << 2
+
+
+def _mat(text: str):
+    """A matrix written row by row, one digit per entry: "11 01"."""
+    return tuple(tuple(int(c) for c in row) for row in text.split())
+
+
+FROZEN_GENERATORS = {
+    ("gl", 1, 2): ["1"],
+    ("gl", 1, 3): ["2"],
+    ("gl", 1, 4): ["2"],
+    ("gl", 2, 2): ["11 01", "01 10"],
+    ("gl", 2, 3): ["11 01", "01 10", "20 01"],
+    ("gl", 2, 4): ["11 01", "01 10", "20 01"],
+    ("gl", 3, 2): ["110 010 001", "001 100 010"],
+    ("gl", 3, 3): ["110 010 001", "001 100 010", "200 010 001"],
+    ("gl", 3, 4): ["110 010 001", "001 100 010", "200 010 001"],
+    ("sl", 2, 2): ["11 01", "10 11"],
+    ("sl", 2, 3): ["11 01", "10 11"],
+    ("sl", 2, 4): ["11 01", "12 01", "10 11", "10 21"],
+    ("borel", 2, 2): ["10 01", "10 01", "11 01"],
+    ("borel", 2, 3): ["20 01", "10 02", "11 01"],
+    ("borel", 3, 2): ["100 010 001", "100 010 001", "100 010 001", "110 010 001", "100 011 001"],
+    ("borel", 3, 3): ["200 010 001", "100 020 001", "100 010 002", "110 010 001", "100 011 001"],
+}
+
+
+@pytest.mark.parametrize("kind, n, q", sorted(FROZEN_GENERATORS))
+def test_group_generators_frozen(kind, n, q):
+    # every generating set, in order: the coinvariant reports depend on both
+    assert GROUP_GENERATORS[kind](n, q) == [_mat(m) for m in FROZEN_GENERATORS[kind, n, q]]
+
+
+def test_unipotents_and_bruhat_witnesses_frozen():
+    # the unit order fixes StModel's basis order, so every coordinate
+    assert unipotent_matrices(3, 2) == [
+        _mat(m)
+        for m in (
+            "100 010 001", "100 011 001", "101 010 001", "101 011 001",
+            "110 010 001", "110 011 001", "111 010 001", "111 011 001",
+        )
+    ]
+    assert bruhat_witness(3, 2) == bruhat_witness(3, 3) == _mat("111 011 001")
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_ordering_signs_match_the_pair_count(n):
+    _, orderings = _orderings(n)
+    assert [sign for sign, _ in orderings] == [perm_sign(p) for p in permutations(range(n))]
+    assert replace(steinberg(2, 2), n=n).opp_sign == perm_sign(tuple(reversed(range(n))))
 
 
 def test_unipotent_matrix_enumeration():

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from titshom import complexes, partsix, reports, zsymbols
+from titshom import building, complexes, partsix, reports, zsymbols
 from titshom.cli import main
 from titshom.errors import UnknownSuite
 from titshom.reports import CheckSpec, SuiteReport, run_suite
@@ -344,6 +344,20 @@ def test_coinv_direct_group():
         assert res.exit_code == code, (group, res.output)
         assert message in res.output and "Traceback" not in res.output, group
         assert isinstance(res.exception, SystemExit), group
+
+
+def test_coinv_trivial_module_builds_no_building(monkeypatch):
+    # the trivial module never reads the Steinberg model, so gl(6,2) is in reach
+    def refuse(n, q):
+        raise AssertionError("steinberg built for the trivial module")
+
+    monkeypatch.setattr(building, "steinberg", refuse)
+    res = runner.invoke(main, ["coinv", "--group", "gl(3,2)", "--module", "trivial"])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["coinvariants"] == "Z"
+    # n is still checked without the building that used to check it
+    res = runner.invoke(main, ["coinv", "--group", "gl(0,2)", "--module", "trivial"])
+    assert res.exit_code == 2 and "n=0" in res.output, res.output
 
 
 @pytest.mark.parametrize(

@@ -108,7 +108,7 @@ def test_torsion_homology():
         lambda: ChainComplexZ({0: ["a", "b"], 1: ["x"]}, {1: SparseIntMatrix.from_dense([[2], [0]])}),
         lambda: building_complex(3, 2),
         lambda: zcomplex(range(4)).cx,
-        lambda: x_localized(shape_lines("x1-ii", 3, (1, -1, 1))[0], 1),
+        lambda: x_localized(shape_lines("x1-ii", 3, (1, -1, 1))[0]),
     ],
     ids=["z-2z", "z2-plus-z", "building-3-2", "zcomplex-4", "x1-ii-3"],
 )
@@ -263,7 +263,7 @@ def pm_two_complex() -> ChainComplexZ:
 def _x_localized_at_4(shape):
     eps = tuple((-1) ** i for i in range(shape_arity(shape)))
     lines = shape_lines(shape, 4, eps)[0]
-    return x_localized(lines, len(lines) - 4)
+    return x_localized(lines)
 
 
 CROSS_CHECKED = {
@@ -416,7 +416,7 @@ BUDGETED = {
     "zcomplex-5": (lambda: zcomplex(range(5)), 541, [(partsix, "_unordered_partitions")]),
     # four matroid components bound the cells by 75 ordered partitions
     "x_localized-x1-i": (
-        lambda: x_localized(shape_lines("x1-i", 5, (1, -1))[0], 1),
+        lambda: x_localized(shape_lines("x1-i", 5, (1, -1))[0]),
         75,
         [(partsix, "_unordered_partitions")],
     ),
@@ -442,7 +442,7 @@ BUDGETED = {
     ),
     # the 2^5 minors of the row prefixes of a 5 x 5 symbol
     "det-5": (
-        lambda: ApartmentSymbol(tuple(tuple(int(i == j) for j in range(5)) for i in range(5)), (1,) * 5).det(),
+        lambda: ApartmentSymbol(tuple(tuple(int(i == j) for j in range(5)) for i in range(5))).det(),
         32,
         [(zsymbols, "_laplace_plan")],
     ),

@@ -110,7 +110,7 @@ def _broken_copy(zc, degree, edit):
     edit(basis[degree], cols)
     boundary[degree] = SparseIntMatrix(zc.cx.dim(degree - 1), len(cols), cols)
     cx = ChainComplexZ(basis, boundary)
-    return ZSetComplex(zc.labels, zc.restriction, zc.units, zc.d, cx)
+    return ZSetComplex(zc.labels, zc.units, zc.d, cx)
 
 
 def _drop_last(labels, cols):
@@ -461,7 +461,7 @@ def test_line_components_hand_cases():
 
 def test_x_localized_frame_matches_zcomplex():
     lines = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    cx = x_localized(lines, 0)
+    cx = x_localized(lines)
     zc = zcomplex(range(3))
     assert {d: cx.dim(d) for d in cx.degrees} == {-1: 1, 0: 6, 1: 6}
     assert homology_profile(cx) == homology_profile(zc.cx)
@@ -472,8 +472,8 @@ def test_x_localized_frame_matches_zcomplex():
     [
         (zcomplex("abcd").cx, cell_bar_boundary),
         (zcomplex(range(5), [{0, 1}, {2, 3}]).cx, cell_bar_boundary),
-        (x_localized(shape_lines("x1-ii", 3, (1, -1, 1))[0], 1), cell_bar_boundary),
-        (x_localized(shape_lines("x2-i", 3, (1, 1, -1))[0], 2), cell_bar_boundary),
+        (x_localized(shape_lines("x1-ii", 3, (1, -1, 1))[0]), cell_bar_boundary),
+        (x_localized(shape_lines("x2-i", 3, (1, 1, -1))[0]), cell_bar_boundary),
         (building_complex(3, 2), face_rule),
         (building_complex(3, 3), face_rule),
     ],
@@ -494,8 +494,6 @@ def test_x_localized_validation():
         x_localized(((1, 0, 0), (0, 1, 0)))
     with pytest.raises(ValueError):
         x_localized(((1, 0), (-1, 0), (0, 1)))  # same line twice
-    with pytest.raises(ValueError):
-        x_localized(((1, 0), (0, 1)), q=1)
     with pytest.raises(ValueError):
         x_localized(((1, 0), (0, 1), (1, 2)))  # (1,2) is no unit combination
 
@@ -602,6 +600,18 @@ def test_shape_lines_and_availability(shape):
         shape_lines("x9", 4, (1, 1))
 
 
+@pytest.mark.parametrize("shape", ["x1-i", "x1-ii"])
+def test_x1_lines_are_the_same_at_eps_and_minus_eps(shape):
+    # the x1 check images one sign of each pair, eps[0] = +1 (reports._x1_instances)
+    rng = random.Random(31)
+    arity = shape_arity(shape)
+    for n in range(arity, 6):
+        for basis in (None, random_unimodular_basis(n, rng)):
+            for eps in product((1, -1), repeat=arity):
+                flipped = tuple(-s for s in eps)
+                assert shape_lines(shape, n, eps, basis) == shape_lines(shape, n, flipped, basis)
+
+
 def _is_boundary_reference(cx, vec, degree):
     """Membership in the image of d_{degree+1}, solved directly in chain
     coordinates on a Hermite basis of that image."""
@@ -625,13 +635,13 @@ def _combine(*terms):
 def test_class_report_separates_zero_and_nonzero_classes():
     # the badcase: H_0 = Z generated by kappa, so m*kappa is zero only at m = 0
     lines, _ = shape_lines("x1-ii", 4, (1, 1, 1))
-    badcase = x_localized(lines, 1)
+    badcase = x_localized(lines)
     rest = tuple(sorted(set(lines) - {lines[3]}))
     kappa = _cell_vector(badcase, {((lines[3],), rest): 1, (rest, (lines[3],)): -1}, 0)
     cases = [(badcase, 0, _combine((m, kappa)), m == 0, abs(m) == 1) for m in (0, 1, -1, 2, -3)]
     # the frame complex is exact below its top degree, where H_1 = Z; in an
     # exact degree the zero class generates
-    frame = x_localized(_frame(3), 0)
+    frame = x_localized(_frame(3))
     d1 = frame.boundary_at(1).cols
     top = cycle_space(frame, 1).cols[0]
     cases += [
@@ -703,7 +713,7 @@ def _two_build_check(shape, n, eps):
     with equal dimensions and homology, Z in degree d - 2 alone. It reads
     the groups where `_shape_check` does, so a patch reaches both."""
     lines, groups = partsix.shape_lines(shape, n, eps)
-    cx = x_localized(lines, len(lines) - n)
+    cx = x_localized(lines)
     zc = zcomplex(range(len(lines)), groups)
     prof = homology_profile(cx)
     dims = all(cx.dim(d) == zc.cx.dim(d) for d in set(cx.degrees) | set(zc.cx.degrees))

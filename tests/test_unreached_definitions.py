@@ -1,10 +1,13 @@
-"""Every module-level function and class in the package is read by the package.
+"""Every definition in the package is read by the package.
 
 A definition that only the tests reach belongs in `tests/` (an oracle) or
-nowhere. A read counts when it resolves to the definition: a bare name in
-its own module or in a module that imports it with `from .mod import name`,
-or `alias.name` where `alias` is the module (`from . import mod [as alias]`).
-A definition's reads of itself (recursion) do not count.
+nowhere. Module-level functions, classes and names count as read when a
+read resolves to them: a bare name in their own module or in a module that
+imports it with `from .mod import name`, or `alias.name` where `alias` is
+the module (`from . import mod [as alias]`). A definition's reads of itself
+(recursion) do not count. The methods, properties and annotated fields of
+a top-level class count as read when the package loads an attribute of
+that name anywhere. Dunder members and click commands are exempt.
 """
 
 from __future__ import annotations
@@ -16,6 +19,16 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "titshom"
 
 # Kept although nothing in the package reads them, each for a stated reason.
 ALLOWED = {
+    # the package version, read by packaging tools and users
+    ("__init__", "__version__"),
+    # report fields that the rank-2 tests read
+    ("barres", "Rank2Report.st_rank"),
+    ("barres", "Rank2Report.standard_coeff"),
+    # the certificate that the tests rebuild the augmented lines from
+    ("zsymbols", "ApfCertificate.frame"),
+    ("zsymbols", "AugItem.kind"),
+    ("zsymbols", "AugItem.members"),
+    ("zsymbols", "AugItem.signs"),
     # H_*(G; M), the paper's object; the Smith-form oracle checks it
     ("actions", "group_homology"),
     # named by perfbench/layers.py, which must keep resolving
@@ -34,13 +47,41 @@ def _is_click_command(node: ast.AST) -> bool:
     return False
 
 
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _class_members(cls: ast.ClassDef) -> list[str]:
+    """Names of the methods, properties and annotated fields of a class."""
+    out = []
+    for node in cls.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            out.append(node.name)
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            out.append(node.target.id)
+    return [name for name in out if not _is_dunder(name)]
+
+
 def unreached_definitions(sources: dict[str, ast.Module]) -> list[tuple[str, str]]:
-    """(module, name) of each top-level def or class no other code reads."""
+    """(module, name) of each top-level def, class or name, and
+    (module, "Class.member") of each member, that no other code reads."""
     defined: dict[tuple[str, str], ast.AST] = {}
+    members: dict[tuple[str, str], str] = {}
     for mod, tree in sources.items():
         for stmt in tree.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 defined[(mod, stmt.name)] = stmt
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                defined.update({(mod, t.id): stmt for t in targets if isinstance(t, ast.Name)})
+            if isinstance(stmt, ast.ClassDef):
+                members.update({(mod, f"{stmt.name}.{name}"): name for name in _class_members(stmt)})
+    loaded = {
+        node.attr
+        for tree in sources.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
     read: set[tuple[str, str]] = set()
     for mod, tree in sources.items():
         names: dict[str, tuple[str, str]] = {}  # bare name -> definition
@@ -65,9 +106,8 @@ def unreached_definitions(sources: dict[str, ast.Module]) -> list[tuple[str, str
                     continue
                 if target != owner:
                     read.add(target)
-    return sorted(
-        key for key, node in defined.items() if key not in read and not _is_click_command(node)
-    )
+    unread = [key for key, node in defined.items() if key not in read and not _is_click_command(node)]
+    return sorted(unread + [key for key, name in members.items() if name not in loaded])
 
 
 def _package_sources() -> dict[str, ast.Module]:
@@ -85,14 +125,31 @@ def test_scan_flags_test_only_helpers():
             "def used(): pass\n"
             "def self_only(n): return self_only(n - 1)\n"
             "def unused(): pass\n"
-            "class Read: pass\n"
+            "LIMIT = 3\n"
+            "SPARE: int = 4\n"
+            "class Read:\n"
+            "    size: int\n"
+            "    spare: int\n"
+            "    def __repr__(self): return ''\n"
+            "    def go(self):\n"
+            "        self.spare = LIMIT\n"  # a store is no read
+            "        return self.size\n"
+            "    @property\n"
+            "    def idle(self): return 0\n"
         ),
         "b": ast.parse(
             "from .a import used\n"
             "from . import a as amod\n"
-            "def caller(): return used(), amod.Read\n"
+            "def caller(): return used(), amod.Read().go()\n"
             "@main.command()\n"
             "def cmd(): pass\n"
         ),
     }
-    assert unreached_definitions(sources) == [("a", "self_only"), ("a", "unused"), ("b", "caller")]
+    assert unreached_definitions(sources) == [
+        ("a", "Read.idle"),
+        ("a", "Read.spare"),
+        ("a", "SPARE"),
+        ("a", "self_only"),
+        ("a", "unused"),
+        ("b", "caller"),
+    ]

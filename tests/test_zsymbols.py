@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from titshom import complexes, partsix, reports, snf, zsymbols
-from titshom.building import perm_sign
 from titshom.complexes import CELL_BUDGET, canonical_generator
 from titshom.errors import BudgetExceeded, DegreeZero, IdentityViolation, ZeroVector
 from titshom.intmat import SparseIntMatrix, add_term, linear_extend
@@ -38,6 +37,7 @@ from oracle_linalg import (
     bareiss_det,
     face_rule,
     laplace_wedge,
+    perm_sign,
     plucker_oracle,
     row_hnf,
     saturate_rows,
@@ -149,7 +149,7 @@ def test_det_matches_bareiss_and_the_top_minor():
             rows = [tuple(rng.randint(-6, 6) for _ in range(n)) for _ in range(n)]
             if not all(any(row) for row in rows):
                 continue
-            symbol = ApartmentSymbol(tuple(rows), (1,) * n)
+            symbol = ApartmentSymbol(tuple(rows))
             assert symbol.det() == bareiss_det(rows) == minors(rows)[tuple(range(n))][0], rows
 
 
@@ -215,12 +215,12 @@ def _symbols_from_a_shared_pool(rng, n):
     symbols = []
     for _ in range(6):
         lines = [rng.choice(pool) for _ in range(n)]
-        symbols.append(ApartmentSymbol(tuple(lines), (1,) * n))
+        symbols.append(ApartmentSymbol(tuple(lines)))
         symbols.append(ApartmentSymbol.from_vectors(lines))
         rng.shuffle(lines)
-        symbols.append(ApartmentSymbol(tuple(lines), (1,) * n))
+        symbols.append(ApartmentSymbol(tuple(lines)))
     scaled = tuple(tuple(c * x for x in v) for c, v in zip((2, -3, 1, -1, 5), basis))
-    symbols.append(ApartmentSymbol(scaled, (1,) * n))
+    symbols.append(ApartmentSymbol(scaled))
     return symbols
 
 
@@ -248,7 +248,7 @@ def test_span_memo_matches_fresh_evaluation_and_the_saturation_oracle():
 
 
 def test_span_key_normalizes_a_single_line():
-    symbol = ApartmentSymbol(((2, 0), (0, 3)), (1, 1))
+    symbol = ApartmentSymbol(((2, 0), (0, 3)))
     assert span_key(((2, 0),), {}) == (1, 0)
     assert apartment_eval(symbol) == apartment_eval(ApartmentSymbol.from_vectors(symbol.lines))
     assert span_key(((1, 2), (-2, -4)), {}) is None
@@ -341,7 +341,7 @@ def _eval_combination(terms):
 
 def test_ash_rudolph_unimodular_passthrough():
     out = ash_rudolph([(1, 0), (1, 1)])
-    assert out == [(1, ApartmentSymbol(((1, 0), (1, 1)), (1, 1)))]
+    assert out == [(1, ApartmentSymbol(((1, 0), (1, 1))))]
 
 
 def test_ash_rudolph_dependent():
@@ -614,11 +614,13 @@ def test_x1_images_evaluate_each_symbol_once_per_basis(monkeypatch, n, seed):
         monkeypatch.setattr(zsymbols, "apartment_eval", counted)
         images = reports._x1_images(n, basis)
         monkeypatch.undo()
-        # one evaluation per distinct deletion term of this basis's instances
+        # distinct instances that share deletion terms: one evaluation per distinct term
+        assert len(set(instances)) == len(instances)
         terms = {key for lines in instances for key in byk_delta(lines)}
         assert len(calls) == len(set(calls)) and set(calls) == terms
         assert len(calls) < sum(len(byk_delta(lines)) for lines in instances)
-        assert images == [byk_psi(byk_delta(lines)) for lines in instances]
+        # each instance's image is listed for eps and for -eps
+        assert images == [byk_psi(byk_delta(lines)) for lines in instances for _ in (1, -1)]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -636,10 +638,19 @@ def test_x1_images_delta_each_distinct_instance_once(monkeypatch, n):
         instances = reports._x1_instances(n, basis)
         calls.clear()
         images = reports._x1_images(n, basis)
-        # eps and -eps give the same lines: half the instances repeat
-        assert len(instances) == 2 * len(set(instances))
-        assert calls == list(dict.fromkeys(instances))
-        assert len(images) == len(instances)
+        # one instance per pair eps, -eps, and every sign pattern's lines among them
+        every = [
+            partsix.shape_lines(shape, n, eps, basis)[0]
+            for shape in ("x1-i", "x1-ii")
+            if n >= partsix.shape_arity(shape)
+            for eps in product((1, -1), repeat=partsix.shape_arity(shape))
+        ]
+        assert len(set(instances)) == len(instances) == len(every) // 2
+        assert set(instances) == set(every)
+        assert calls == instances
+        # one image per sign pattern, in equal pairs
+        assert len(images) == len(every)
+        assert images[::2] == images[1::2]
 
 
 def test_x1_zero_counts_a_planted_image_once_per_instance(monkeypatch):
@@ -647,7 +658,7 @@ def test_x1_zero_counts_a_planted_image_once_per_instance(monkeypatch):
     basis = random_unimodular_basis(n, random.Random(seed + n))
     instances = reports._x1_instances(n, basis)
     planted = instances[0]
-    assert instances.count(planted) == 2
+    assert instances.count(planted) == 1
 
     def planting(lines, spans=None):
         # the basis alone is unimodular, so it evaluates to a nonzero chain;
@@ -657,6 +668,7 @@ def test_x1_zero_counts_a_planted_image_once_per_instance(monkeypatch):
 
     monkeypatch.setattr(zsymbols, "byk_delta", planting)
     spec = next(s for s in reports._suite_bykovskii(seed, 1) if s.description.endswith("(n=3)"))
+    # one instance, imaged once, fails for both of its sign patterns
     assert spec.compute() == 2
 
 
