@@ -89,12 +89,13 @@ def unit_lines(ft: FieldTable, sub: Subspace, unit: Matrix) -> list[Vector]:
 
 
 def st_product(
-    q: int, left: Subspace, right: Subspace, left_unit: int, right_unit: int
+    q: int, left: Subspace, right: Subspace, left_unit: int, right_unit: int, spans: dict | None = None
 ) -> tuple[Subspace, dict[int, int]]:
     """Concatenation product St(V) (x) St(W) -> St(V + W) on basis elements.
 
     Returns the merged subspace and the product's coordinates in its
     unipotent apartment basis. Raises NonComplementary if V and W overlap.
+    `spans` is the span memo of `apartment_class_fq`, for vectors over F_q.
     """
     ft = field(q)
     merged = rref(ft, list(left) + list(right))
@@ -104,7 +105,7 @@ def st_product(
     lines += unit_lines(ft, right, steinberg(len(right), q).units[right_unit])
     coord_lines = [coords_in(ft, merged, v) for v in lines]
     st = steinberg(len(merged), q)
-    return merged, st.to_st_coords(apartment_class_fq(st, lines_to_matrix(coord_lines)))
+    return merged, st.to_st_coords(apartment_class_fq(st, lines_to_matrix(coord_lines), spans))
 
 
 def ordered_decompositions(n: int, q: int, parts: int) -> list[tuple[Subspace, ...]]:
@@ -170,8 +171,10 @@ def bar_complex_fq(n: int, q: int) -> ChainComplexZ:
             gens.extend((decomp, us) for us in units)
         bases[parts - 2] = gens
 
-    # adjacent slots recur across cells: compute (and verify) each product once
+    # adjacent slots recur across cells: compute (and verify) each product
+    # once, and span each set of coordinate lines once across all products
     products: dict[tuple, tuple[Subspace, dict[int, int]]] = {}
+    spans: dict = {}
 
     def rule(lab) -> dict:
         decomp, units = lab
@@ -180,7 +183,7 @@ def bar_complex_fq(n: int, q: int) -> ChainComplexZ:
         for j in range(k - 1):
             key = (decomp[j], decomp[j + 1], units[j], units[j + 1])
             if key not in products:
-                products[key] = st_product(q, *key)
+                products[key] = st_product(q, *key, spans=spans)
             merged, x = products[key]
             sign = (-1) ** j
             new_decomp = decomp[:j] + (merged,) + decomp[j + 2 :]
@@ -229,8 +232,6 @@ def verify_bar_exactness(n: int, q: int) -> dict:
 
 @dataclass
 class Rank2Report:
-    q: int
-    chambers: int
     st_rank: int
     e110: HomologyGroup
     image_gcd: int
@@ -308,8 +309,6 @@ def rank2_e1_surjectivity(q: int) -> Rank2Report:
     standard_coeff = chain_u.get(std_idx, 0)
 
     return Rank2Report(
-        q=q,
-        chambers=len(st.chambers),
         st_rank=st.rank,
         e110=e110,
         image_gcd=image_gcd,

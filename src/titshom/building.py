@@ -217,8 +217,10 @@ class StModel:
 
     @cached_property
     def apartments(self) -> list[dict[int, int]]:
-        """Chamber-coordinate apartment class of each unit, the columns of A."""
-        return [apartment_class_fq(self, u) for u in self.units]
+        """Chamber-coordinate apartment class of each unit, the columns of A,
+        spanning each subset of their lines once."""
+        spans: dict = {}
+        return [apartment_class_fq(self, u, spans) for u in self.units]
 
     @cached_property
     def basis(self) -> tuple[SparseIntMatrix, list[int]]:
@@ -334,17 +336,32 @@ def apartment_chain(n: int, span: Callable[[tuple[int, ...]], Hashable]) -> dict
     return chain
 
 
-def apartment_class_fq(st: StModel, g: Matrix) -> dict[int, int]:
+def apartment_class_fq(st: StModel, g: Matrix, spans: dict | None = None) -> dict[int, int]:
     """Chamber-coordinate cycle of the apartment indexed by g's columns.
 
     The class is the signed sum over all orderings of the column lines of
     the flag of their partial spans; it lies in the Steinberg lattice.
+
+    `spans` maps a tuple of vectors over st's field to its `rref`. Each
+    subset span, and the span of all columns that the spanning test reads,
+    is looked up there first and stored on a miss, so a caller that passes
+    one dict to many calls over one field spans each subset once. Without
+    it the memo lives for this call.
     """
     ft = st.ft
     cols = matrix_columns(g)
-    if len(rref(ft, cols)) < st.n:
+    if spans is None:
+        spans = {}
+
+    def span(vectors: tuple[Vector, ...]) -> Subspace:
+        sub = spans.get(vectors)
+        if sub is None:
+            sub = spans[vectors] = rref(ft, vectors)
+        return sub
+
+    if len(span(tuple(cols))) < st.n:
         raise NotSpanning("matrix columns do not span")
-    chain = apartment_chain(st.n, lambda idx: rref(ft, [cols[i] for i in idx]))
+    chain = apartment_chain(st.n, lambda idx: span(tuple([cols[i] for i in idx])))
     return {st.chamber_index[flag]: c for flag, c in chain.items()}
 
 
@@ -364,9 +381,10 @@ def unipotent_basis_matrix(st: StModel) -> tuple[list[Matrix], SparseIntMatrix]:
     """
     kernel = cycle_space(st.cx, st.n - 2)
     solver = LatticeSolver(kernel)
+    spans: dict = {}
     cols = []
     for u in st.units:
-        x = solver.solve(apartment_class_fq(st, u))
+        x = solver.solve(apartment_class_fq(st, u, spans))
         if x is None:
             raise NotSpanning("apartment class is not in the Steinberg lattice")
         cols.append(x)

@@ -175,39 +175,52 @@ def order_complex(vertices: list[Label], above: list[list[int]]) -> ChainComplex
     """Reduced order complex of a finite poset, written as it is grown.
 
     Degree -1 holds the empty chain and degree k the chains v_0 < ... < v_k,
-    grown as index tuples by appending each index in `above[i]` (every vertex
-    strictly above vertices[i]) in list order. Each chain's column deletes one
-    vertex at a time with alternating signs: the parent is the face without
-    the last vertex, the other faces are looked up in the parents' index,
-    freed with them, and d o d = 0 is checked by `check_dd`. Labels are vertex
-    tuples. `check_cells` runs before each degree is allocated, on the cells
-    of that degree and all below it.
+    grown by appending each index in `above[i]` (every vertex strictly above
+    vertices[i]) in list order; `above` must be transitive. Each chain's
+    column deletes one vertex at a time with alternating signs, and its
+    faces come from child maps, not from a lookup of face tuples: the face
+    of ch + (w,) without vertex j < len(ch) is the child grown by w of the
+    face of ch without vertex j, with the same sign. So the child's column
+    sends each key r of ch's column to `kids[r][w]`, the index that r's
+    child by w got, keeps its sign, and ends with ch itself, the face
+    without the last vertex. Keys stay in the order of the deleted vertex.
+    d o d = 0 is checked by `check_dd`. Labels are vertex tuples.
+    `check_cells` runs before each degree is allocated, on the cells of that
+    degree and all below it.
     """
     bases: dict[int, list] = {-1: [()]}
     boundary = {-1: SparseIntMatrix(0, 1)}
-    chains: list[tuple[int, ...]] = [()]
+    tops = [range(len(vertices))]  # per chain, the vertices it grows by
+    cols: list[dict[int, int]] = [{}]
+    kids: list[dict[int, int]] = []  # per chain one degree down, {w: its child by w}
     total = 1
     for deg in count():
-        size = sum(len(above[ch[-1]]) for ch in chains) if deg else len(vertices)
+        size = sum(map(len, tops))
         if not size:
             break
         total += size
         check_cells(total, "order complex cells")
-        index = {ch: r for r, ch in enumerate(chains)}
         last = -1 if deg & 1 else 1
-        grown: list[tuple[int, ...]] = []
-        cols: list[dict[int, int]] = []
-        for p, ch in enumerate(chains):
-            faces = [(ch[:j] + ch[j + 1 :], -1 if j & 1 else 1) for j in range(deg)]
-            for w in above[ch[-1]] if deg else range(size):
-                col = {index[face + (w,)]: sign for face, sign in faces}
-                col[p] = last
-                cols.append(col)
-                grown.append(ch + (w,))
-        del index
-        boundary[deg] = SparseIntMatrix(len(chains), size, cols)
-        chains = grown
-        bases[deg] = [tuple(map(vertices.__getitem__, ch)) for ch in chains]
+        labels = bases[deg - 1]
+        grown_tops: list = []
+        grown_labels: list = []
+        grown_cols: list[dict[int, int]] = []
+        grown_kids: list[dict[int, int]] = []
+        for p, col in enumerate(cols):
+            faces = [(kids[r], s) for r, s in col.items()]
+            label = labels[p]
+            mine = {}
+            for w in tops[p]:
+                mine[w] = len(grown_cols)
+                child = {face[w]: s for face, s in faces}
+                child[p] = last
+                grown_cols.append(child)
+                grown_tops.append(above[w])
+                grown_labels.append(label + (vertices[w],))
+            grown_kids.append(mine)
+        boundary[deg] = SparseIntMatrix(len(cols), size, grown_cols)
+        bases[deg] = grown_labels
+        tops, cols, kids = grown_tops, grown_cols, grown_kids
     return check_dd(ChainComplexZ(bases, boundary))
 
 
@@ -257,6 +270,8 @@ def _morse_complex(cx: ChainComplexZ) -> ChainComplexZ:
     Cells are numbered degree by degree, the i-th degree from start[i]. A
     cell's faces are its degree's stored column, whose keys plus the start
     of the degree below are cell numbers; no copy of the faces is made.
+    Cofaces are listed per cell below the top degree; a top cell has none,
+    so all of them share one empty tuple.
     """
     degrees = cx.degrees
     start: list[int] = []
@@ -268,7 +283,8 @@ def _morse_complex(cx: ChainComplexZ) -> ChainComplexZ:
     face_cols = [
         cx.boundary_at(d).cols if i and degrees[i - 1] == d - 1 else [{}] * cx.dim(d) for i, d in enumerate(degrees)
     ]
-    cofaces: list[list[int]] = [[] for _ in range(cells)]
+    top = start[-1] if degrees else 0
+    cofaces: list = [[] for _ in range(top)] + [()] * (cells - top)
     live: list[int] = []  # faces not yet removed
     for i, cols in enumerate(face_cols):
         low = start[i - 1]

@@ -145,9 +145,9 @@ def _unmemoized_bar_complex(n, q):
 def test_bar_computes_each_product_once(monkeypatch, n, q):
     calls = []
 
-    def counted(*args):
-        calls.append(args)
-        return st_product(*args)
+    def counted(q, *key, spans):
+        calls.append(key)
+        return st_product(q, *key, spans=spans)
 
     monkeypatch.setattr(barres, "st_product", counted)
     cx = bar_complex_fq(n, q)
@@ -201,7 +201,7 @@ def test_bar_budget_checked_before_enumerating(monkeypatch, n, q, cells):
 
 def test_rank2_surjectivity_q2():
     rep = rank2_e1_surjectivity(2)
-    assert rep.chambers == 21
+    assert len(steinberg(3, 2).chambers) == 21
     assert rep.st_rank == 8
     assert rep.e110 == HomologyGroup(1, ())
     assert rep.image_gcd == 1
@@ -212,7 +212,7 @@ def test_rank2_surjectivity_q2():
 
 def test_rank2_surjectivity_q3():
     rep = rank2_e1_surjectivity(3)
-    assert rep.chambers == 52
+    assert len(steinberg(3, 3).chambers) == 52
     assert rep.st_rank == 27
     assert rep.e110 == HomologyGroup(1, ())
     assert rep.image_gcd == 1

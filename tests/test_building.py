@@ -22,6 +22,7 @@ from titshom.building import (
     identity_matrix,
     is_upper_triangular,
     mat_mul,
+    matrix_columns,
     permutation_matrix,
     rref,
     sl2_generators,
@@ -217,6 +218,21 @@ def test_apartment_class_is_cycle_in_lattice():
         st.to_st_coords({0: 1})
     with pytest.raises(NotSpanning):
         apartment_class_fq(st, ((1, 0, 0), (0, 1, 0), (1, 0, 0)))
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_apartment_class_with_shared_spans_matches_fresh_calls(q):
+    st = steinberg(3, q)
+    spans: dict = {}
+    for u in st.units:
+        assert apartment_class_fq(st, u, spans) == apartment_class_fq(st, u)
+    # every unit's columns start with e1, so its 2-subsets were spanned before
+    assert spans[((1, 0, 0), (1, 1, 0))] == rref(st.ft, [(1, 0, 0), (0, 1, 0)])
+    dependent = ((1, 1, 0), (0, 1, 1), (0, 0, 0))  # columns e1, e1 + e2, e2
+    for _ in range(2):  # the second call reads the full span from the memo
+        with pytest.raises(NotSpanning):
+            apartment_class_fq(st, dependent, spans)
+    assert tuple(matrix_columns(dependent)) in spans
 
 
 def test_apartment_chain_spans_each_subset_once():

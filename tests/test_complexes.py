@@ -25,6 +25,7 @@ from titshom.complexes import (
     homology,
     homology_profile,
     merge_canonical,
+    order_complex,
 )
 from titshom.errors import BudgetExceeded, DDNotZero, DegreeOutOfRange
 from titshom.intmat import SparseIntMatrix
@@ -172,15 +173,27 @@ def _w_poset_oracle(d: int) -> ChainComplexZ:
     return _order_complex_oracle(subsets, frozenset.__lt__)
 
 
+def _divides(v: int, w: int) -> bool:
+    return v != w and w % v == 0
+
+
+# above[i] skips vertices, and for 5 or 7 it ends before the last vertex
+DIVISORS = list(range(2, 13))
+
+
 @pytest.mark.parametrize(
     "got, want",
     [
         *[(lambda n=n, q=q: building_complex(n, q), lambda n=n, q=q: _building_oracle(n, q))
-          for n, q in [(3, 2), (3, 3), (4, 2)]],
+          for n, q in [(3, 2), (3, 3), (4, 2), (4, 3)]],
         # d = 1 is the empty poset and d = 2 has no edges
         *[(lambda d=d: w_poset_complex(d), lambda d=d: _w_poset_oracle(d)) for d in range(1, 5)],
+        (
+            lambda: order_complex(DIVISORS, [[j for j, w in enumerate(DIVISORS) if _divides(v, w)] for v in DIVISORS]),
+            lambda: _order_complex_oracle(DIVISORS, _divides),
+        ),
     ],
-    ids=["building-3-2", "building-3-3", "building-4-2", "w-1", "w-2", "w-3", "w-4"],
+    ids=["building-3-2", "building-3-3", "building-4-2", "building-4-3", "w-1", "w-2", "w-3", "w-4", "divisors-2-12"],
 )
 def test_order_complex_matches_face_rule_assembly(got, want):
     # same basis order and the same columns, keys in the same order, in every degree
@@ -272,6 +285,8 @@ CROSS_CHECKED = {
     **{f"x-{s}-4": (lambda s=s: _x_localized_at_4(s)) for s in SHAPES if shape_arity(s) <= 4},
     **{f"bar-{n}-{q}": (lambda n=n, q=q: bar_complex_fq(n, q)) for n, q in [(2, 2), (3, 2)]},
     "pm-two": pm_two_complex,
+    "no-degrees": lambda: ChainComplexZ({}, {}),
+    "empty-top": lambda: ChainComplexZ({0: ["p"], 1: []}, {}),
 }
 
 
