@@ -202,9 +202,17 @@ class StModel:
     q: int
     ft: FieldTable
     cx: ChainComplexZ
-    chambers: list
-    chamber_index: dict
     units: list[Matrix]
+
+    @cached_property
+    def chambers(self) -> list:
+        """The top cells of cx, the flags of n - 1 subspaces, in basis order."""
+        return self.cx.basis[self.n - 2]
+
+    @cached_property
+    def chamber_index(self) -> dict:
+        """Position in `chambers` of each chamber."""
+        return {c: i for i, c in enumerate(self.chambers)}
 
     @property
     def rank(self) -> int:
@@ -268,17 +276,7 @@ class StModel:
 
 @lru_cache(maxsize=None)
 def steinberg(n: int, q: int) -> StModel:
-    cx = building_complex(n, q)
-    chambers = list(cx.basis[n - 2])
-    return StModel(
-        n=n,
-        q=q,
-        ft=field(q),
-        cx=cx,
-        chambers=chambers,
-        chamber_index={c: i for i, c in enumerate(chambers)},
-        units=unipotent_matrices(n, q),
-    )
+    return StModel(n=n, q=q, ft=field(q), cx=building_complex(n, q), units=unipotent_matrices(n, q))
 
 
 # -- group elements and actions ----------------------------------------------

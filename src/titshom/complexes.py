@@ -155,12 +155,41 @@ def check_dd(cx: ChainComplexZ) -> ChainComplexZ:
     """Return cx, or raise DDNotZero naming the first generator where d o d != 0.
 
     d_{d-1} is applied to each column of d_d in turn; no product is stored.
+    While every product v * w in a column is +-1 (over Z, while v and w
+    both are), only the rows of the +1 products and of the -1 products are
+    listed, and the column's image is zero when the two sorted lists are
+    equal. A column with any other product sums its products in a dict.
     """
     for d in cx.degrees:
         if d - 1 not in cx.basis:
             continue
         low = cx.boundary_at(d - 1).cols
         for c, col in enumerate(cx.boundary_at(d).cols):
+            plus: list[int] = []
+            minus: list[int] = []
+            for r, v in col.items():
+                if v == 1:
+                    same, other = plus, minus
+                elif v == -1:
+                    same, other = minus, plus
+                else:
+                    break
+                for s, w in low[r].items():
+                    if w == 1:
+                        same.append(s)
+                    elif w == -1:
+                        other.append(s)
+                    else:
+                        break
+                else:
+                    continue
+                break
+            else:
+                plus.sort()
+                minus.sort()
+                if plus == minus:
+                    continue
+                raise DDNotZero(d, cx.basis[d][c])
             acc: dict[int, int] = {}
             get = acc.get
             for r, v in col.items():
@@ -255,23 +284,32 @@ def _smith_homology(mc: ChainComplexZ) -> dict[int, HomologyGroup]:
     return out
 
 
+# cell fates in `_morse_complex`: live cells are below UPPER
+LIVE, EXPANDED, UPPER, FACE, CRITICAL = range(5)
+
+
 def _morse_complex(cx: ChainComplexZ) -> ChainComplexZ:
     """Coreduce cx to its Morse complex, which has the same homology.
 
     A cell b whose only remaining face a has incidence +-1 is removed with
     a (Mrozek and Batko's coreduction); when no such pair is left, the
-    lowest remaining cell has no remaining face and is critical. Every
-    removed cell gets an increasing stamp. The pairs form an acyclic
-    matching, and the critical cells with the boundaries `flow` computes
-    are a complex of the same homology (Skoeldberg's algebraic Morse
-    theory). Its basis holds the critical labels of each degree, in basis
-    order; a boundary is stored only where both degrees hold critical cells.
+    lowest remaining cell has no remaining face and is critical. Removed
+    cells are appended to `order`, a pair's upper cell just before its
+    face. The pairs form an acyclic matching, and the critical cells with
+    the boundaries `flow` computes are a complex of the same homology
+    (Skoeldberg's algebraic Morse theory). Its basis holds the critical
+    labels of each degree, in basis order; a boundary is stored only where
+    both degrees hold critical cells.
 
     Cells are numbered degree by degree, the i-th degree from start[i]. A
     cell's faces are its degree's stored column, whose keys plus the start
     of the degree below are cell numbers; no copy of the faces is made.
-    Cofaces are listed per cell below the top degree; a top cell has none,
-    so all of them share one empty tuple.
+    Cofaces are listed per cell below the top degree, and a list is dropped
+    as its cell is removed; a top cell has none, so all of them share one
+    empty tuple. Beside the coface lists and `order`, a cell costs one state
+    byte (LIVE, EXPANDED, UPPER, FACE or CRITICAL) and its count of live
+    faces: a face's partner is the cell before it in `order`, and positions
+    in `order` are listed only when some Morse boundary is computed.
     """
     degrees = cx.degrees
     start: list[int] = []
@@ -293,47 +331,48 @@ def _morse_complex(cx: ChainComplexZ) -> ChainComplexZ:
             for r in col:
                 cofaces[low + r].append(b)
 
-    stamp = [-1] * cells  # -1 while the cell is live
-    order: list[int] = []  # removed cells, indexed by stamp
-    partner: dict[int, int] = {}  # face cell of a pair -> its upper cell
+    state = bytearray(cells)  # LIVE
+    order: list[int] = []  # removed cells, oldest first
     critical: list[int] = []
-    expanded = bytearray(cells)
     queue = deque(range(cx.dim(degrees[0])) if degrees else ())
 
-    def remove(x: int) -> None:
-        stamp[x] = len(order)
+    def remove(x: int, fate: int) -> None:
+        state[x] = fate
         order.append(x)
         for y in cofaces[x]:
-            if stamp[y] < 0:
+            if state[y] < UPPER:
                 live[y] -= 1
                 queue.append(y)
+        cofaces[x] = ()
 
     lowest = 0
     while True:
         while queue:
             b = queue.popleft()
-            if stamp[b] >= 0:
+            fate = state[b]
+            if fate >= UPPER:
                 continue
             if live[b] == 1:
                 i = bisect_right(start, b) - 1
                 low = start[i - 1]
                 for a, u in face_cols[i][b - start[i]].items():
                     a += low
-                    if stamp[a] < 0:
+                    if state[a] < UPPER:
                         break
                 if u == 1 or u == -1:
-                    partner[a] = b
-                    remove(b)
-                    remove(a)
-            elif live[b] == 0 and not expanded[b]:
-                expanded[b] = 1
-                queue.extend(y for y in cofaces[b] if stamp[y] < 0)
-        while lowest < cells and stamp[lowest] >= 0:
+                    remove(b, UPPER)
+                    remove(a, FACE)
+            elif live[b] == 0 and fate == LIVE:
+                state[b] = EXPANDED
+                queue.extend(y for y in cofaces[b] if state[y] < UPPER)
+        while lowest < cells and state[lowest] >= UPPER:
             lowest += 1
         if lowest == cells:
             break
         critical.append(lowest)
-        remove(lowest)
+        remove(lowest, CRITICAL)
+
+    stamp: list[int] = []  # position in `order` of each cell, listed on first use
 
     def flow(cols: list[dict[int, int]], c: int, top: int, low: int, row_of: dict[int, int]) -> dict[int, int]:
         """Morse boundary of the critical cell c, keyed by row_of's rows.
@@ -343,28 +382,28 @@ def _morse_complex(cx: ChainComplexZ) -> ChainComplexZ:
         from cell low. Starting from the boundary of c, the newest cell x in
         the chain is taken first. A critical x is kept. A face x of a pair
         (x, b) is replaced by subtracting (coeff / <db, x>) * db; the other
-        faces of b were removed before the pair was, so they have older
-        stamps and the loop ends. An upper cell of a pair one degree down is
-        dropped.
+        faces of b were removed before the pair was, so they are older and
+        the loop ends. An upper cell of a pair one degree down is dropped.
         """
         chain = dict(cols[c])
-        pending = sorted(stamp[low + x] for x in chain)  # stamps, newest last
+        pending = sorted(stamp[low + x] for x in chain)  # positions in `order`, newest last
         out: dict[int, int] = {}
         while pending:
-            x = order[pending.pop()] - low
+            at = pending.pop()
+            x = order[at] - low
             v = chain.pop(x, 0)
             if not v:
                 continue
-            b = partner.get(low + x)
-            if b is not None:
-                bd = cols[b - top]
+            fate = state[low + x]
+            if fate == FACE:
+                bd = cols[order[at - 1] - top]
                 m = v * bd[x]  # v / <db, x>, as the incidence is a unit
                 for y, w in bd.items():
                     if y != x:
                         if y not in chain:
                             insort(pending, stamp[low + y])
                         add_term(chain, y, -m * w)
-            elif x in row_of:
+            elif fate == CRITICAL:
                 out[row_of[x]] = v
         return out
 
@@ -376,6 +415,10 @@ def _morse_complex(cx: ChainComplexZ) -> ChainComplexZ:
         below = by_degree[i - 1]
         if degrees[i - 1] != degrees[i] - 1 or not below or not by_degree[i]:
             continue
+        if not stamp:
+            stamp = [0] * cells
+            for at, x in enumerate(order):
+                stamp[x] = at
         row_of = {c: j for j, c in enumerate(below)}
         cols = [flow(face_cols[i], c, start[i], start[i - 1], row_of) for c in by_degree[i]]
         boundary[degrees[i]] = SparseIntMatrix(len(below), len(cols), cols)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from math import gcd
 from itertools import combinations
 
@@ -28,7 +29,7 @@ from titshom.complexes import (
     order_complex,
 )
 from titshom.errors import BudgetExceeded, DDNotZero, DegreeOutOfRange
-from titshom.intmat import SparseIntMatrix
+from titshom.intmat import SparseIntMatrix, add_term
 from titshom.fqfield import field
 from titshom.partsix import SHAPES, shape_arity, shape_lines, w_poset_complex, x_localized, zcomplex
 from titshom.snf import smith_normal_form
@@ -150,6 +151,68 @@ def test_check_dd_names_the_first_bad_generator():
     assert ei.value.degree == 2 and ei.value.generator == "y"
     good = ChainComplexZ(bad.basis, {1: d1, 2: SparseIntMatrix.from_dense([[0, 1], [0, -1]])})
     assert check_dd(good) is good
+
+
+def _dd_oracle(cx: ChainComplexZ):
+    """(degree, generator) of the first column of d_d that some row of
+    d_{d-1} meets with a nonzero dot product, or None."""
+    for d in cx.degrees:
+        if d - 1 not in cx.basis:
+            continue
+        rows = cx.boundary_at(d - 1).rows()
+        for c, col in enumerate(cx.boundary_at(d).cols):
+            if any(sum(v * row.get(r, 0) for r, v in col.items()) for row in rows):
+                return d, cx.basis[d][c]
+    return None
+
+
+def _dd_outcome(cx: ChainComplexZ):
+    try:
+        assert check_dd(cx) is cx
+    except DDNotZero as exc:
+        return exc.degree, exc.generator
+    return None
+
+
+def _plant_unit(cx: ChainComplexZ, rng: random.Random) -> ChainComplexZ:
+    """cx with +-1 added to one entry of one boundary, which may create it."""
+    degrees = [d for d in cx.degrees if d - 1 in cx.basis and cx.dim(d) and cx.dim(d - 1)]
+    d = rng.choice(degrees)
+    mat = cx.boundary_at(d)
+    cols = [dict(col) for col in mat.cols]
+    add_term(cols[rng.randrange(mat.n_cols)], rng.randrange(mat.n_rows), rng.choice((1, -1)))
+    return ChainComplexZ(cx.basis, {**cx.boundary, d: SparseIntMatrix(mat.n_rows, mat.n_cols, cols)})
+
+
+def test_check_dd_passes_products_that_cancel_only_with_non_units():
+    # the products at p are +1, +1 and -2: the unit rows alone do not cancel
+    d1 = SparseIntMatrix.from_dense([[1, 1, -2]])
+    d2 = SparseIntMatrix.from_dense([[1], [1], [1]])
+    cx = ChainComplexZ({0: ["p"], 1: ["a", "b", "c"], 2: ["t"]}, {1: d1, 2: d2})
+    assert _dd_oracle(cx) is None and check_dd(cx) is cx
+    off = ChainComplexZ(cx.basis, {1: d1, 2: SparseIntMatrix.from_dense([[1], [1], [-1]])})
+    assert _dd_outcome(off) == _dd_oracle(off) == (2, "t")
+
+
+def test_check_dd_agrees_with_row_products_on_mixed_and_unit_complexes():
+    # twisted complexes mix +-1 with larger coefficients; simplicial ones are
+    # all units, so every column of theirs takes the sorted-rows path
+    rng = random.Random(3301)
+    outcomes = {"clean": 0, "raised": 0}
+    for seed in range(300):
+        if seed % 2:
+            cx, _ = twisted_complex(rng)
+        else:
+            vertices = range(rng.randint(3, 7))
+            facets = [rng.sample(vertices, rng.randint(2, min(4, len(vertices)))) for _ in range(rng.randint(1, 8))]
+            cx = simplicial_complex(facets, reduced=True)
+        assert _dd_oracle(cx) is None and check_dd(cx) is cx, seed
+        if any(cx.dim(d) and cx.dim(d - 1) for d in cx.degrees if d - 1 in cx.basis):
+            bad = _plant_unit(cx, rng)
+            want = _dd_oracle(bad)
+            assert _dd_outcome(bad) == want, seed
+            outcomes["raised" if want else "clean"] += 1
+    assert outcomes["raised"] > 100 and outcomes["clean"] > 0, outcomes
 
 
 def _order_complex_oracle(vertices: list, less) -> ChainComplexZ:
@@ -293,6 +356,88 @@ CROSS_CHECKED = {
 @pytest.mark.parametrize("name", sorted(CROSS_CHECKED))
 def test_coreduced_homology_matches_smith_oracle(name):
     assert_matches_oracle(CROSS_CHECKED[name]())
+
+
+def _z3_bar_complex(monkeypatch) -> ChainComplexZ:
+    """The degree-0..2 bar complex that `group_homology` builds for H_1(Z/3; Z)."""
+    seen = []
+    monkeypatch.setattr(actions, "homology", lambda cx, d: seen.append(cx))
+    group_homology(*_cyclic(3), trivial_action(1), 1, 1)
+    return seen[0]
+
+
+def _line(*v):
+    return (v,)
+
+
+# the critical labels per degree and the Morse boundary columns of
+# `_morse_complex`, frozen: they follow from its removal order alone, so a
+# change to how it keeps track of cells must leave every one of them as is
+FROZEN_MORSE = {
+    "building-3-2": (
+        lambda mp: building_complex(3, 2),
+        {
+            -1: [],
+            0: [],
+            1: [
+                (_line(1, 0, 1), ((1, 0, 1), (0, 1, 0))),
+                (_line(1, 0, 1), ((1, 0, 1), (0, 1, 1))),
+                (_line(1, 1, 1), ((1, 1, 0), (0, 0, 1))),
+                (_line(0, 1, 0), ((1, 0, 1), (0, 1, 0))),
+                (_line(0, 1, 1), ((1, 0, 1), (0, 1, 1))),
+                (_line(0, 1, 1), ((0, 1, 0), (0, 0, 1))),
+                (_line(0, 0, 1), ((1, 1, 0), (0, 0, 1))),
+                (_line(0, 0, 1), ((0, 1, 0), (0, 0, 1))),
+            ],
+        },
+        {},
+    ),
+    # flow runs through pairs here: the 3s come from gradient paths
+    "z3-bar-h1": (
+        _z3_bar_complex,
+        {
+            0: [((), 0)],
+            1: [((0,), 0), ((1,), 0)],
+            2: [((0, 0), 0), ((0, 1), 0), ((0, 2), 0), ((1, 0), 0), ((1, 2), 0), ((2, 0), 0), ((2, 1), 0), ((2, 2), 0)],
+        },
+        {
+            1: [{}, {}],
+            2: [{0: 1}, {0: 1}, {0: 1}, {0: 1}, {1: 3, 0: -1}, {0: 1}, {1: 3, 0: -1}, {1: 3}],
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_MORSE))
+def test_morse_complex_keeps_its_critical_cells(monkeypatch, name):
+    make, basis, boundary = FROZEN_MORSE[name]
+    cx = make(monkeypatch)
+    mc = complexes._morse_complex(cx)
+    assert mc.basis == basis
+    assert {d: m.cols for d, m in mc.boundary.items()} == boundary
+    assert complexes._smith_homology(mc) == smith_oracle(cx)
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: building_complex(4, 3), lambda: zcomplex(range(6)).cx], ids=["building-4-3", "zcomplex-6"]
+)
+def test_coreduction_allocates_under_150_bytes_per_cell(make):
+    # coface lists, one state byte and a live-face count per cell, and the
+    # removal order; the complex itself is allocated before tracing starts
+    cx = make()
+    cells = sum(cx.dim(d) for d in cx.degrees)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        complexes._morse_complex(cx)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 150 * cells, peak / cells
 
 
 def test_coreduced_homology_matches_smith_oracle_on_random_simplicial_complexes():
