@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from typing import Callable, Hashable, Sequence
 
+from . import building
 from .building import StModel, chamber_permutation
 from .complexes import HomologyGroup, assemble_complex, check_cells, homology
 from .intmat import SparseIntMatrix, add_term
@@ -65,6 +66,17 @@ def coinvariants(rank: int, generator_matrices: Sequence[SparseIntMatrix]) -> Ho
     rel = coinvariant_relations(rank, generator_matrices)
     betti, torsion = cokernel_invariants(rel)
     return HomologyGroup(betti, torsion)
+
+
+def matrix_group_coinvariants(kind: str, n: int, q: int, module: str) -> HomologyGroup:
+    """Coinvariants of `building.GROUP_GENERATORS[kind](n, q)` acting on the
+    Steinberg lattice of F_q^n ("steinberg") or trivially on Z ("trivial").
+    The trivial module builds no building."""
+    gens = building.GROUP_GENERATORS[kind](n, q)
+    if module == "trivial":
+        return coinvariants(1, [trivial_action(1)(g) for g in gens])
+    st = building.steinberg(n, q)
+    return coinvariants(st.rank, [st_action_matrix(st, g) for g in gens])
 
 
 # -- bar-resolution group homology -------------------------------------------

@@ -24,7 +24,6 @@ from typing import Iterator
 
 from .actions import coinvariants, st_action_matrix
 from .building import (
-    Matrix,
     StModel,
     Subspace,
     Vector,
@@ -34,6 +33,8 @@ from .building import (
     chamber_permutation,
     gl_generators,
     identity_matrix,
+    mat_mul,
+    matrix_columns,
     rref,
     span_mask,
     steinberg,
@@ -43,12 +44,6 @@ from .complexes import ChainComplexZ, HomologyGroup, assemble_complex, check_cel
 from .errors import CertificateFailure, NonComplementary
 from .fqfield import FieldTable, check_order, field
 from .intmat import add_chain, add_term, linear_extend
-
-
-def lines_to_matrix(vectors: list[Vector]) -> Matrix:
-    """Matrix whose j-th column is the j-th line vector."""
-    d = len(vectors)
-    return tuple(tuple(vectors[j][i] for j in range(d)) for i in range(d))
 
 
 def subspace_pivots(sub: Subspace) -> list[int]:
@@ -70,24 +65,6 @@ def coords_in(ft: FieldTable, sub: Subspace, v: Vector) -> Vector:
     return coords
 
 
-def unit_lines(ft: FieldTable, sub: Subspace, unit: Matrix) -> list[Vector]:
-    """Ambient line vectors of the apartment indexed by a unipotent matrix."""
-    d = len(sub)
-    add, mul = ft.add, ft.mul
-    out = []
-    for t in range(d):
-        vec = [0] * len(sub[0])
-        for s in range(d):
-            c = unit[s][t]
-            if c:
-                row = sub[s]
-                for i, x in enumerate(row):
-                    if x:
-                        vec[i] = add[vec[i]][mul[c][x]]
-        out.append(tuple(vec))
-    return out
-
-
 def st_product(
     q: int, left: Subspace, right: Subspace, left_unit: int, right_unit: int, spans: dict | None = None
 ) -> tuple[Subspace, dict[int, int]]:
@@ -101,11 +78,13 @@ def st_product(
     merged = rref(ft, list(left) + list(right))
     if len(merged) != len(left) + len(right):
         raise NonComplementary("summands overlap")
-    lines = unit_lines(ft, left, steinberg(len(left), q).units[left_unit])
-    lines += unit_lines(ft, right, steinberg(len(right), q).units[right_unit])
-    coord_lines = [coords_in(ft, merged, v) for v in lines]
+    # the apartment of unit u on V has the rows of u^T V as its lines
+    lines = mat_mul(ft, tuple(matrix_columns(steinberg(len(left), q).units[left_unit])), left)
+    lines += mat_mul(ft, tuple(matrix_columns(steinberg(len(right), q).units[right_unit])), right)
+    # the lines' coordinates in `merged`, as columns
+    coords = tuple(matrix_columns([coords_in(ft, merged, v) for v in lines]))
     st = steinberg(len(merged), q)
-    return merged, st.to_st_coords(apartment_class_fq(st, lines_to_matrix(coord_lines), spans))
+    return merged, st.to_st_coords(apartment_class_fq(st, coords, spans))
 
 
 def ordered_decompositions(n: int, q: int, parts: int) -> list[tuple[Subspace, ...]]:

@@ -297,8 +297,7 @@ def chamber_permutation(st: StModel, g: Matrix) -> list[int]:
 
 
 def matrix_columns(g: Matrix) -> list[Vector]:
-    n = len(g)
-    return [tuple(g[i][j] for i in range(n)) for j in range(n)]
+    return list(zip(*g))
 
 
 @lru_cache(maxsize=None)

@@ -22,7 +22,6 @@ from click.core import ParameterSource
 
 from . import actions
 from . import bounds as bounds_mod
-from . import building as building_mod
 from . import partsix, reports, zsymbols
 from .errors import TitshomError, UnknownParameter, UnknownSuite
 
@@ -161,13 +160,7 @@ def coinv(group_spec, module_spec, report, stable_timings, config):
     if kind == "sl" and n != 2:
         raise click.BadParameter("special linear generators are only wired for rank 2")
     try:
-        gens = building_mod.GROUP_GENERATORS[kind](n, q)
-        if module_spec == "trivial":
-            rank, mats = 1, [actions.trivial_action(1)(g) for g in gens]
-        else:
-            st = building_mod.steinberg(n, q)
-            rank, mats = st.rank, [actions.st_action_matrix(st, g) for g in gens]
-        group = actions.coinvariants(rank, mats)
+        group = actions.matrix_group_coinvariants(kind, n, q, module_spec)
     except TitshomError as exc:
         raise click.ClickException(str(exc))
     except ValueError as exc:

@@ -11,14 +11,15 @@ X-degree differentials forming a double complex.
 
 A partition of lines is rank-additive exactly when each block is a
 separator of the lines' matroid over Q, that is a union of its connected
-components (Oxley, *Matroid Theory*, ch. 4). So `x_localized` finds the
-components from the lines' fundamental circuits and enumerates only their
-coarsenings; for an augmented partial frame spanning Q^n each of them
-decomposes Z^n, as its docstring proves. Both complexes come from
-`_block_complex`, whose boundary rule `cell_bar_boundary` merges adjacent
-canonical blocks with `merge_canonical`, with no re-sort of the
-concatenation, and returns a sparse chain. So a part-6 claim builds X[S]
-alone and certifies that its units are the shape's groups (`_shape_check`).
+components (Oxley, *Matroid Theory*, ch. 4). For an augmented partial frame
+spanning Q^n the components are the units of its `recognize_apf`
+certificate, so `x_localized` reads them off the certificate and enumerates
+only their coarsenings; each of them decomposes Z^n, as its docstring
+proves. Both complexes come from `_block_complex`, whose boundary rule
+`cell_bar_boundary` merges adjacent canonical blocks with `merge_canonical`,
+with no re-sort of the concatenation, and returns a sparse chain. So a
+part-6 claim builds X[S] alone and certifies that its units are the shape's
+groups (`_shape_check`).
 """
 
 from __future__ import annotations
@@ -224,14 +225,13 @@ def zcomplex_poset_iso(zc: ZSetComplex) -> dict:
     return {d: zc.cx.dim(d) for d in zc.cx.degrees}
 
 
-def zcomplex_is_spherical(zc: ZSetComplex) -> bool:
+def is_spherical_profile(prof: dict[int, HomologyGroup], d: int) -> bool:
     """Z in degree d-2 and zero elsewhere, torsion-free throughout."""
-    prof = homology_profile(zc.cx)
-    for deg, h in prof.items():
-        want = 1 if deg == zc.d - 2 else 0
-        if h.betti != want or h.torsion:
-            return False
-    return True
+    return all(h == HomologyGroup(1 if deg == d - 2 else 0, ()) for deg, h in prof.items())
+
+
+def zcomplex_is_spherical(zc: ZSetComplex) -> bool:
+    return is_spherical_profile(homology_profile(zc.cx), zc.d)
 
 
 def random_restriction(size: int, rng: random.Random) -> tuple[tuple, tuple]:
@@ -262,38 +262,6 @@ def random_restriction(size: int, rng: random.Random) -> tuple[tuple, tuple]:
 # -- localized double complex --------------------------------------------------
 
 
-def line_components(lines) -> tuple[tuple[Vector, ...], ...]:
-    """Connected components of the lines' matroid over Q.
-
-    A greedy basis B is taken in the given order. A line e that B already
-    spans has one integer relation with B, and its support is e's
-    fundamental circuit; the components are the classes of the union of
-    these circuits. Components are listed by their first line and keep the
-    given order inside.
-    """
-    basis: list[int] = []
-    parent = list(range(len(lines)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for e, v in enumerate(lines):
-        relation = row_relations([lines[b] for b in basis] + [v])
-        if not relation.n_cols:
-            basis.append(e)
-            continue
-        # key len(basis) of a relation is e itself
-        for i in set().union(*relation.cols) - {len(basis)}:
-            parent[find(basis[i])] = find(e)
-    comps: dict[int, list] = {}
-    for i, v in enumerate(lines):
-        comps.setdefault(find(i), []).append(v)
-    return tuple(tuple(c) for c in comps.values())
-
-
 def x_localized(lines) -> ChainComplexZ:
     """Bar complex of block partitions of an augmented partial frame.
 
@@ -301,18 +269,27 @@ def x_localized(lines) -> ChainComplexZ:
     blocks whose saturated spans decompose Z^n; the differential merges
     adjacent blocks with the alternating sign. Block ranks add up to n only
     when every block is a union of components of the lines' matroid, so the
-    cells are the orderings of the unordered partitions of
-    `line_components`, not of the lines. Their count goes to `check_cells`
-    before any is enumerated. Every nonempty union of components is a block
-    of degree -1 or 0, and one of those blocks that fails `recognize_apf`
-    raises IdentityViolation.
+    cells are the orderings of the unordered partitions of the components,
+    not of the lines. The components are the units of the lines'
+    `recognize_apf` certificate: each item's frame members with the lines
+    it covers, and each frame line that no item uses, alone. Their count
+    goes to `check_cells` before any cell is enumerated. Every nonempty
+    union of units is a block of degree -1 or 0, and one of those blocks
+    that fails `recognize_apf` raises IdentityViolation.
 
-    Every such partition decomposes Z^n. The lines span Q^n and have a
-    `recognize_apf` certificate, whose frame is saturated and spans every
-    other line over Z; with rank n the frame is a Z-basis, so the lines span
-    Z^n over Z. The blocks are unions of components, so their ranks add up
-    to n. The sum of the blocks' saturations contains the Z-span of all the
-    lines, so it is Z^n, and with ranks adding up to n it is direct.
+    The units are the components. The certificate's frame is saturated and
+    spans every other line over Z, so with rank n it is a Z-basis. Each
+    augmenting line is a sum of its item's members with signs +-1, so its
+    fundamental circuit over the frame is those members plus itself. The
+    components of a matroid are the classes of the union of the
+    fundamental circuits over any basis, and items use disjoint members, so
+    the classes are the units; the two lines of one item share its first
+    two members.
+
+    Every such partition decomposes Z^n. The lines span Z^n over Z, since
+    the frame does. The blocks are unions of components, so their ranks add
+    up to n. The sum of the blocks' saturations contains the Z-span of all
+    the lines, so it is Z^n, and with ranks adding up to n it is direct.
     """
     normalized = tuple(sorted(normalize_line(v)[0] for v in lines))
     if not normalized:
@@ -322,9 +299,13 @@ def x_localized(lines) -> ChainComplexZ:
     n = len(normalized[0])
     if rank_rows(normalized) < n:
         raise NotSpanning("the lines do not span")
-    if recognize_apf(normalized) is None:
+    cert = recognize_apf(normalized)
+    if cert is None:
         raise ValueError("lines are not an augmented partial frame")
-    cx = _block_complex(line_components(normalized))
+    used = {p for item in cert.items for p in item.members}
+    units = [tuple(cert.frame[p] for p in item.members) + item.lines for item in cert.items]
+    units += [(line,) for p, line in enumerate(cert.frame) if p not in used]
+    cx = _block_complex(tuple(units))
     for block in {blk for deg in (-1, 0) for cell in cx.basis.get(deg, ()) for blk in cell}:
         if recognize_apf(block) is None:
             raise IdentityViolation(f"block {block} is not a partial-frame subset")
@@ -578,9 +559,6 @@ def _shape_check(shape: str, n: int, eps) -> dict:
     units_match = units == {tuple(sorted(lines[i] for i in g)) for g in groups}
     d = len(groups)
     prof = homology_profile(cx)
-    spherical = all(
-        h == HomologyGroup(1 if deg == d - 2 else 0, ()) for deg, h in prof.items()
-    )
     result = {
         "claim": "bar-partition-frame-vanishing" if shape == "x0" else f"localized-{shape}",
         "shape": shape,
@@ -589,7 +567,7 @@ def _shape_check(shape: str, n: int, eps) -> dict:
         "d": d,
         "profile": prof,
         "units_match": units_match,
-        "ok": units_match and spherical,
+        "ok": units_match and is_spherical_profile(prof, d),
     }
     if shape == "x1-ii" and n == 4:
         result["badcase"] = _badcase_check(lines, cx)

@@ -307,10 +307,7 @@ def _suite_coinv() -> list[CheckSpec]:
 
     def coinv_for(kind: str, n: int, q: int) -> Callable[[], str]:
         def run() -> str:
-            st = building.steinberg(n, q)
-            gens = building.GROUP_GENERATORS[kind](n, q)
-            mats = [actions.st_action_matrix(st, g) for g in gens]
-            return str(actions.coinvariants(st.rank, mats))
+            return str(actions.matrix_group_coinvariants(kind, n, q, "steinberg"))
 
         return run
 

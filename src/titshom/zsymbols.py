@@ -348,16 +348,15 @@ def reduce_and_verify(symbol, trace: list | None = None) -> Reduction:
 
 @dataclass(frozen=True)
 class AugItem:
-    """One augmentation item over frame positions.
-
-    kind "pair" adds span(s1 f_p + s2 f_q); "triple" adds the three-term
-    span; "triple_pair" adds both the two-term and three-term spans with the
-    shared leading signs.
+    """One augmentation item over frame positions, with the normalized lines
+    it covers: a pair (p, q) covers span(s1 f_p + s2 f_q), a triple the
+    three-term span, and a triple with a pair line covers both the two-term
+    and the three-term spans with the shared leading signs, in that order.
     """
 
-    kind: str
     members: tuple[int, ...]
     signs: tuple[int, ...]
+    lines: tuple[Vector, ...]
 
 
 @dataclass(frozen=True)
@@ -413,14 +412,14 @@ def _cover_rest(
             if normalize_line(_combo(frame, (p, q), (1, s2)))[0] == target:
                 sub = _cover_rest(rest[1:], frame, used | {p, q})
                 if sub is not None:
-                    return (AugItem("pair", (p, q), (1, s2)),) + sub
+                    return (AugItem((p, q), (1, s2), (target,)),) + sub
     for p, q, r in combinations(free, 3):
         for s2, s3 in product((1, -1), repeat=2):
             signs = (1, s2, s3)
             if normalize_line(_combo(frame, (p, q, r), signs))[0] == target:
                 sub = _cover_rest(rest[1:], frame, used | {p, q, r})
                 if sub is not None:
-                    return (AugItem("triple", (p, q, r), signs),) + sub
+                    return (AugItem((p, q, r), signs, (target,)),) + sub
             pairline = normalize_line(_combo(frame, (p, q), (1, s2)))[0]
             triline = normalize_line(_combo(frame, (p, q, r), signs))[0]
             if pairline == triline:
@@ -432,7 +431,7 @@ def _cover_rest(
                     rem.remove(other)
                     sub = _cover_rest(tuple(rem), frame, used | {p, q, r})
                     if sub is not None:
-                        return (AugItem("triple_pair", (p, q, r), signs),) + sub
+                        return (AugItem((p, q, r), signs, (pairline, triline)),) + sub
     return None
 
 

@@ -17,6 +17,9 @@ complex's isomorphism onto the subset poset is rechecked by sorting each
 cell's labels and applying the face rule of each image chain. The sign
 of a permutation is the parity of its inverted pairs, counted pair by
 pair; the package takes it from `complexes.canonical_generator`'s sort.
+The connected components of a set of lines' matroid come from one kernel
+per line (`line_components`), which the tests check against the units
+that `partsix.x_localized` reads off its frame certificate.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from titshom.fqfield import FieldTable
 from titshom.intmat import SparseIntMatrix, add_term
 from titshom.partsix import ZSetComplex, ordered_partition_count
 from titshom.snf import saturation
-from titshom.zsymbols import rows_as_columns
+from titshom.zsymbols import row_relations, rows_as_columns
 
 
 def bareiss_det(mat) -> int:
@@ -289,3 +292,35 @@ def poset_iso_oracle(zc: ZSetComplex) -> dict:
                 raise IdentityViolation(f"poset map fails to commute at {lab}")
         below = images
     return {d: zc.cx.dim(d) for d in zc.cx.degrees}
+
+
+def line_components(lines) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Connected components of the lines' matroid over Q.
+
+    A greedy basis B is taken in the given order. A line e that B already
+    spans has one integer relation with B, and its support is e's
+    fundamental circuit; the components are the classes of the union of
+    these circuits. Components are listed by their first line and keep the
+    given order inside.
+    """
+    basis: list[int] = []
+    parent = list(range(len(lines)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for e, v in enumerate(lines):
+        relation = row_relations([lines[b] for b in basis] + [v])
+        if not relation.n_cols:
+            basis.append(e)
+            continue
+        # key len(basis) of a relation is e itself
+        for i in set().union(*relation.cols) - {len(basis)}:
+            parent[find(basis[i])] = find(e)
+    comps: dict[int, list] = {}
+    for i, v in enumerate(lines):
+        comps.setdefault(find(i), []).append(v)
+    return tuple(tuple(c) for c in comps.values())

@@ -34,7 +34,6 @@ from titshom.partsix import (
     cell_bar_boundary,
     cell_delta,
     kappa_eta_certificate,
-    line_components,
     ordered_partition_count,
     part6_claims,
     random_restriction,
@@ -52,7 +51,7 @@ from titshom.reports import run_suite
 from titshom.snf import LatticeSolver
 from titshom.zsymbols import normalize_line, random_unimodular_basis, recognize_apf
 
-from oracle_linalg import bareiss_det, face_rule, poset_iso_oracle, row_hnf, saturate_rows
+from oracle_linalg import bareiss_det, face_rule, line_components, poset_iso_oracle, row_hnf, saturate_rows
 
 Z = HomologyGroup(1, ())
 O = HomologyGroup(0, ())
@@ -457,6 +456,40 @@ def test_line_components_hand_cases():
     assert line_components((e1, e2, e3)) == ((e1,), (e2,), (e3,))
     # one line in the span of all three joins every coordinate
     assert line_components((e1, e2, e3, (1, 1, 1))) == ((e1, e2, e3, (1, 1, 1)),)
+
+
+def _units(cx: ChainComplexZ) -> set:
+    """The units of a localized complex: the blocks of its finest cell."""
+    return set(cx.basis[max(cx.degrees)][0])
+
+
+@pytest.mark.parametrize("shape", list(SHAPES))
+def test_certificate_units_are_line_components(shape):
+    # every rank up to 6 and sign pattern, at the identity and a seeded basis
+    arity = shape_arity(shape)
+    for n in range(max(arity, 1), 7):
+        rng = random.Random(f"units-{shape}-{n}")
+        for eps in product((1, -1), repeat=arity):
+            for basis in (None, random_unimodular_basis(n, rng)):
+                lines, _ = shape_lines(shape, n, eps, basis)
+                normalized = tuple(sorted(normalize_line(v)[0] for v in lines))
+                want = {tuple(sorted(comp)) for comp in line_components(normalized)}
+                assert _units(x_localized(lines)) == want, (n, eps, basis)
+
+
+def test_certificate_units_hand_cases():
+    e1, e2, e3, e4 = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
+    # a frame line that no item uses is a unit alone
+    pair = (1, 1, 0, 0)
+    assert _units(x_localized((e1, e2, e3, e4, pair))) == {(e3,), (e4,), tuple(sorted((e1, e2, pair)))}
+    # one item covers a pair line and a triple line on shared members
+    pair_line, triple_line = (1, -1, 0, 0), (1, -1, 1, 0)
+    cx = x_localized((e1, e2, e3, e4, pair_line, triple_line))
+    assert _units(cx) == {(e4,), tuple(sorted((e1, e2, e3, pair_line, triple_line)))}
+    # a pair on a basis other than the identity
+    b1, b2, b3 = (1, 2, 0), (0, 1, 0), (0, 3, 1)
+    b13 = normalize_line(tuple(x - y for x, y in zip(b1, b3)))[0]
+    assert _units(x_localized((b1, b2, b3, b13))) == {(b2,), tuple(sorted((b1, b3, b13)))}
 
 
 def test_x_localized_frame_matches_zcomplex():

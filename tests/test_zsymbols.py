@@ -803,7 +803,7 @@ def test_recognize_apf(monkeypatch):
     cert = recognize_apf(lines)
     assert cert is not None
     assert len(cert.frame) == 3
-    assert any(item.kind == "triple_pair" for item in cert.items)
+    assert any(len(item.lines) == 2 for item in cert.items)
     # a non-summand pair is not an augmented partial frame
     assert recognize_apf(((1, 0), (1, 2))) is None
     # repeats are never augmented partial frames
@@ -817,20 +817,24 @@ def test_recognize_apf(monkeypatch):
 
 def certificate_lines(cert: ApfCertificate) -> list[tuple[int, ...]]:
     """Normalized lines a certificate generates, frame first, after checking
-    that its items are well formed: known kinds of the right arity, signs
-    +-1, and disjoint frame positions."""
+    that its items are well formed: two or three members with signs +-1,
+    disjoint frame positions, and covered lines equal to those rebuilt from
+    the members and signs, the pair line first when three members cover
+    two lines."""
     used = [p for item in cert.items for p in item.members]
     assert len(used) == len(set(used)), cert
     assert all(0 <= p < len(cert.frame) for p in used), cert
     out = [normalize_line(v)[0] for v in cert.frame]
     for item in cert.items:
-        arity = {"pair": 2, "triple": 3, "triple_pair": 3}[item.kind]
-        assert len(item.members) == len(item.signs) == arity, item
+        assert len(item.members) == len(item.signs) in (2, 3), item
         assert set(item.signs) <= {1, -1}, item
+        assert len(item.lines) == 1 or len(item.members) == len(item.lines) + 1 == 3, item
         signed = [tuple(s * x for x in cert.frame[p]) for p, s in zip(item.members, item.signs)]
-        if item.kind == "triple_pair":
-            out.append(normalize_line(tuple(map(sum, zip(*signed[:2]))))[0])
-        out.append(normalize_line(tuple(map(sum, zip(*signed))))[0])
+        rebuilt = [normalize_line(tuple(map(sum, zip(*signed))))[0]]
+        if len(item.lines) == 2:
+            rebuilt.insert(0, normalize_line(tuple(map(sum, zip(*signed[:2]))))[0])
+        assert list(item.lines) == rebuilt, item
+        out += rebuilt
     return out
 
 
